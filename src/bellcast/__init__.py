@@ -29,14 +29,12 @@ from .photonic import (
     run_cascade,
 )
 from .qcore import (
-    DensityMatrix,
     MeasurementResult,
     Operator,
     StateVector,
     apply,
     fidelity,
     measure_projective,
-    partial_trace,
     tensor,
 )
 from .teleport import (
@@ -60,7 +58,6 @@ __all__ = [
     "CascadeEventKind",
     "CascadeRecord",
     "ClassicalMessage",
-    "DensityMatrix",
     "EfficiencyConfig",
     "EigenTable",
     "MeasurementResult",
@@ -85,7 +82,6 @@ __all__ = [
     "measure_projective",
     "minimal_pairs",
     "parse_config",
-    "partial_trace",
     "prepare_singlet",
     "run_baseline_computational",
     "run_batch",

@@ -20,6 +20,7 @@ from .harness import (
     Mode,
     RunConfig,
     parse_config,
+    parse_input,
     run_batch,
 )
 from .observables import (
@@ -30,7 +31,12 @@ from .observables import (
     verify_bell_projector_routes,
     verify_eigen_table,
 )
-from .photonic import CascadeEventKind, EfficiencyConfig, analytic_distribution
+from .photonic import (
+    EFFICIENCY_KNOBS,
+    CascadeEventKind,
+    EfficiencyConfig,
+    analytic_distribution,
+)
 from .teleport import UnknownState
 
 
@@ -95,21 +101,6 @@ def _load_base_config(args: argparse.Namespace, mode: Mode) -> RunConfig:
     return RunConfig(mode=mode)
 
 
-def _parse_cli_input(text: str) -> UnknownState | None:
-    if text == "haar-random":
-        return None
-    if text.startswith("fixed:"):
-        parts = [p.strip() for p in text[len("fixed:"):].split(",")]
-        if len(parts) != 2:
-            raise ValueError("fixed input needs two comma-separated amplitudes")
-        a, b = (complex(p) for p in parts)
-        total = abs(a) ** 2 + abs(b) ** 2
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"input not normalized (|a|^2+|b|^2 = {total:.12g})")
-        return UnknownState.normalized(a, b)
-    raise ValueError("input must be 'haar-random' or 'fixed:a,b'")
-
-
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     updates: dict = {}
     if getattr(args, "trials", None) is not None:
@@ -117,13 +108,13 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         updates["master_seed"] = args.seed
     if getattr(args, "input", None) is not None:
-        updates["fixed_input"] = _parse_cli_input(args.input)
+        updates["fixed_input"] = parse_input(args.input)
     if getattr(args, "output", None) is not None:
         updates["output_path"] = args.output
     efficiency = cfg.efficiency
     eff_updates = {
         name: getattr(args, name)
-        for name in ("eta_abs", "eta_det", "p_in", "p_pdc")
+        for name in EFFICIENCY_KNOBS
         if getattr(args, name, None) is not None
     }
     if eff_updates:
@@ -152,9 +143,6 @@ def _cmd_run(mode: Mode, args: argparse.Namespace) -> int:
     if getattr(args, "csv", None):
         _write_csv(summary, args.csv)
     return 0
-
-
-_SWEEP_PARAMS = ("eta_abs", "eta_det", "p_in", "p_pdc")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -192,7 +180,7 @@ def _add_batch_flags(parser: argparse.ArgumentParser, photon: bool) -> None:
     parser.add_argument("--output", help="JSON-lines record file")
     parser.add_argument("--csv", help="per-outcome CSV summary file")
     if photon:
-        for name in _SWEEP_PARAMS:
+        for name in EFFICIENCY_KNOBS:
             parser.add_argument(
                 f"--{name.replace('_', '-')}",
                 dest=name,
@@ -227,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep-efficiency",
         help="emit analytic event probabilities over an efficiency sweep",
     )
-    sweep.add_argument("--param", choices=_SWEEP_PARAMS, required=True)
+    sweep.add_argument("--param", choices=EFFICIENCY_KNOBS, required=True)
     sweep.add_argument("--from", dest="start", type=float, required=True)
     sweep.add_argument("--to", dest="stop", type=float, required=True)
     sweep.add_argument("--steps", type=int, required=True)

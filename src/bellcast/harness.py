@@ -28,9 +28,9 @@ import numpy as np
 
 from .observables import BellOutcome, bell_state
 from .photonic import (
+    EFFICIENCY_KNOBS,
     IDENTIFYING_EVENTS,
     CascadeEventKind,
-    CascadeRecord,
     EfficiencyConfig,
     analytic_distribution,
     run_cascade,
@@ -38,7 +38,6 @@ from .photonic import (
 from .qcore import fidelity
 from .teleport import (
     ClassicalMessage,
-    TrialRecord,
     UnknownState,
     haar_random_input,
     run_baseline_computational,
@@ -121,71 +120,40 @@ class BatchSummary:
         }
 
 
-def _wire_common(index: int, base_seed: int, input_state: UnknownState | None) -> dict:
-    if input_state is None:
-        amps = {"a_re": None, "a_im": None, "b_re": None, "b_im": None}
-    else:
-        amps = {
-            "a_re": float(input_state.a.real),
-            "a_im": float(input_state.a.imag),
-            "b_re": float(input_state.b.real),
-            "b_im": float(input_state.b.imag),
-        }
-    return {"trial": index, "seed": base_seed, **amps}
+_MESSAGE_BITS = {
+    outcome: ClassicalMessage.from_outcome(outcome).as_string()
+    for outcome in BellOutcome
+}
 
 
-def _trial_wire(index: int, base_seed: int, record: TrialRecord) -> dict:
-    common = _wire_common(index, base_seed, record.input)
-    return {
-        "trial": common["trial"],
-        "seed": common["seed"],
-        "outcome": record.outcome.value if record.outcome else None,
-        "message_bits": record.message.as_string() if record.message else None,
-        "fidelity": record.fidelity_value,
-        "a_re": common["a_re"],
-        "a_im": common["a_im"],
-        "b_re": common["b_re"],
-        "b_im": common["b_im"],
-    }
-
-
-def _swap_wire(
-    index: int, base_seed: int, outcome: BellOutcome, fidelity_value: float
+def _wire_record(
+    index: int,
+    base_seed: int,
+    outcome: str | None,
+    message_bits: str | None,
+    fidelity_value: float | None,
+    input_state: UnknownState | None,
+    event: str | None = None,
 ) -> dict:
-    common = _wire_common(index, base_seed, None)
-    return {
-        "trial": common["trial"],
-        "seed": common["seed"],
-        "outcome": outcome.value,
-        "message_bits": ClassicalMessage.from_outcome(outcome).as_string(),
+    """One wire record, keys in schema order; ``event`` only in photon mode."""
+    record = {
+        "trial": index,
+        "seed": base_seed,
+        "outcome": outcome,
+        "message_bits": message_bits,
         "fidelity": fidelity_value,
-        "a_re": None,
-        "a_im": None,
-        "b_re": None,
-        "b_im": None,
     }
-
-
-def _cascade_wire(index: int, base_seed: int, record: CascadeRecord) -> dict:
-    common = _wire_common(index, base_seed, record.input)
-    original = record.event.original_bell
-    message = (
-        ClassicalMessage.from_outcome(original.bell_analog).as_string()
-        if original
-        else None
-    )
-    return {
-        "trial": common["trial"],
-        "seed": common["seed"],
-        "outcome": original.value if original else None,
-        "message_bits": message,
-        "fidelity": record.fidelity_value,
-        "event": record.event.kind.value,
-        "a_re": common["a_re"],
-        "a_im": common["a_im"],
-        "b_re": common["b_re"],
-        "b_im": common["b_im"],
-    }
+    if event is not None:
+        record["event"] = event
+    if input_state is None:
+        record.update(a_re=None, a_im=None, b_re=None, b_im=None)
+    else:
+        a, b = input_state.a, input_state.b
+        record.update(
+            a_re=float(a.real), a_im=float(a.imag),
+            b_re=float(b.real), b_im=float(b.imag),
+        )
+    return record
 
 
 def _input_for_trial(cfg: RunConfig, base_seed: int) -> UnknownState:
@@ -201,22 +169,40 @@ def iter_records(cfg: RunConfig) -> Iterator[dict]:
     for index in range(cfg.trials):
         base_seed = derive_seed(cfg.master_seed, index)
         protocol_seed = derive_seed(base_seed, 1)
-        if cfg.mode is Mode.SPIN:
-            record = run_trial(_input_for_trial(cfg, base_seed), protocol_seed)
-            yield _trial_wire(index, base_seed, record)
-        elif cfg.mode is Mode.BASELINE:
-            _, record = run_baseline_computational(
-                _input_for_trial(cfg, base_seed), protocol_seed
+        if cfg.mode is Mode.SPIN or cfg.mode is Mode.BASELINE:
+            input_state = _input_for_trial(cfg, base_seed)
+            if cfg.mode is Mode.SPIN:
+                record = run_trial(input_state, protocol_seed)
+            else:
+                _, record = run_baseline_computational(input_state, protocol_seed)
+            yield _wire_record(
+                index,
+                base_seed,
+                record.outcome.value if record.outcome else None,
+                record.message.as_string() if record.message else None,
+                record.fidelity_value,
+                record.input,
             )
-            yield _trial_wire(index, base_seed, record)
         elif cfg.mode is Mode.SWAP:
             outcome, final = run_entangled_input(protocol_seed)
-            yield _swap_wire(index, base_seed, outcome, fidelity(final, singlet))
+            yield _wire_record(
+                index, base_seed, outcome.value, _MESSAGE_BITS[outcome],
+                fidelity(final, singlet), None,
+            )
         elif cfg.mode is Mode.PHOTON:
-            record = run_cascade(
+            cascade = run_cascade(
                 _input_for_trial(cfg, base_seed), cfg.efficiency, protocol_seed
             )
-            yield _cascade_wire(index, base_seed, record)
+            original = cascade.event.original_bell
+            yield _wire_record(
+                index,
+                base_seed,
+                original.value if original else None,
+                _MESSAGE_BITS[original.bell_analog] if original else None,
+                cascade.fidelity_value,
+                cascade.input,
+                event=cascade.event.kind.value,
+            )
         else:  # pragma: no cover - Mode is exhaustive
             raise ValueError(f"unsupported mode {cfg.mode}")
 
@@ -317,42 +303,36 @@ def summarize(
 
 
 _CONFIG_KEYS = (
-    "mode",
-    "trials",
-    "master_seed",
-    "eta_abs",
-    "eta_det",
-    "p_in",
-    "p_pdc",
-    "input",
-    "output",
+    "mode", "trials", "master_seed", *EFFICIENCY_KNOBS, "input", "output",
 )
 
 
-def _parse_fixed_input(value: str, line_no: int) -> UnknownState:
+def parse_input(text: str) -> UnknownState | None:
+    """Parse ``haar-random`` (None) or ``fixed:a,b`` with complex amplitudes."""
+    if text == "haar-random":
+        return None
+    if not text.startswith("fixed:"):
+        raise ValueError("input must be 'haar-random' or 'fixed:a,b'")
+    value = text[len("fixed:"):]
     parts = [p.strip() for p in value.split(",")]
     if len(parts) != 2:
-        raise ValueError(
-            f"line {line_no}: fixed input needs two comma-separated amplitudes"
-        )
+        raise ValueError("fixed input needs two comma-separated amplitudes")
     try:
         a, b = (complex(p) for p in parts)
     except ValueError:
-        raise ValueError(f"line {line_no}: cannot parse input amplitudes {value!r}")
+        raise ValueError(f"cannot parse input amplitudes {value!r}")
     total = abs(a) ** 2 + abs(b) ** 2
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(
-            f"line {line_no}: input not normalized (|a|^2+|b|^2 = {total:.12g})"
-        )
+    if not abs(total - 1.0) <= 1e-9:  # NaN fails this too
+        raise ValueError(f"input not normalized (|a|^2+|b|^2 = {total:.12g})")
     return UnknownState.normalized(a, b)
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse a flat ``key=value`` config ('#' starts a comment).
 
-    Recognized keys: mode, trials, master_seed, eta_abs, eta_det, p_in,
-    p_pdc, input (``haar-random`` or ``fixed:a,b``), output.  Errors carry
-    the offending line number and key.
+    Recognized keys: mode, trials, master_seed, one per
+    :class:`EfficiencyConfig` field, input (see :func:`parse_input`), output.
+    Errors carry the offending line number and key.
     """
     mode: Mode | None = None
     values: dict[str, object] = {}
@@ -385,7 +365,7 @@ def parse_config(text: str) -> RunConfig:
                 values["master_seed"] = int(value)
             except ValueError:
                 raise ValueError(f"line {line_no}: master_seed must be an integer")
-        elif key in ("eta_abs", "eta_det", "p_in", "p_pdc"):
+        elif key in EFFICIENCY_KNOBS:
             try:
                 number = float(value)
             except ValueError:
@@ -394,16 +374,10 @@ def parse_config(text: str) -> RunConfig:
                 raise ValueError(f"line {line_no}: {key} must lie in [0, 1]")
             efficiency_kwargs[key] = number
         elif key == "input":
-            if value == "haar-random":
-                values["fixed_input"] = None
-            elif value.startswith("fixed:"):
-                values["fixed_input"] = _parse_fixed_input(
-                    value[len("fixed:"):], line_no
-                )
-            else:
-                raise ValueError(
-                    f"line {line_no}: input must be 'haar-random' or 'fixed:a,b'"
-                )
+            try:
+                values["fixed_input"] = parse_input(value)
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}")
         elif key == "output":
             values["output_path"] = value
     if mode is None:

@@ -36,11 +36,11 @@ single-detector noncoincidence events.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .observables import SQRT_HALF, BellOutcome
+from .observables import BellOutcome, bell_state
 from .qcore import (
     Operator,
     StateVector,
@@ -48,7 +48,7 @@ from .qcore import (
     contract_with,
     fidelity,
     tensor,
-    unitarity_deviation,
+    unitary_table,
 )
 from .teleport import UnknownState
 
@@ -73,17 +73,9 @@ _BELL_ANALOG = {
     PairLabel.GAMMA_MINUS: BellOutcome.PHI_MINUS,
 }
 
-_PAIR_AMPLITUDES: dict[PairLabel, tuple[complex, ...]] = {
-    PairLabel.CHI_PLUS: (0, SQRT_HALF, SQRT_HALF, 0),
-    PairLabel.CHI_MINUS: (0, SQRT_HALF, -SQRT_HALF, 0),
-    PairLabel.GAMMA_PLUS: (SQRT_HALF, 0, 0, SQRT_HALF),
-    PairLabel.GAMMA_MINUS: (SQRT_HALF, 0, 0, -SQRT_HALF),
-}
-
-
+# The pair basis is the Bell basis under its photonic names.
 _PAIR_STATES: dict[PairLabel, StateVector] = {
-    label: StateVector(np.array(amps, dtype=np.complex128))
-    for label, amps in _PAIR_AMPLITUDES.items()
+    label: bell_state(label.bell_analog) for label in PairLabel
 }
 
 # Conjugated rows of the pair basis, used as bras in hot-path contractions.
@@ -187,10 +179,13 @@ class EfficiencyConfig:
     p_pdc: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("eta_abs", "eta_det", "p_in", "p_pdc"):
+        for name in EFFICIENCY_KNOBS:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
+EFFICIENCY_KNOBS = tuple(f.name for f in fields(EfficiencyConfig))
 
 
 @dataclass(frozen=True)
@@ -283,18 +278,7 @@ _CORRECTIONS: dict[PairLabel, np.ndarray] = {
 }
 
 
-def _build_corrections() -> dict[PairLabel, Operator]:
-    ops = {}
-    for label, matrix in _CORRECTIONS.items():
-        op = Operator(matrix)
-        dev = unitarity_deviation(op)
-        if dev > 1e-12:
-            raise ValueError(f"correction for {label.value} not unitary ({dev:.3e})")
-        ops[label] = op
-    return ops
-
-
-_CORRECTION_OPS = _build_corrections()
+_CORRECTION_OPS = unitary_table(_CORRECTIONS)
 
 
 def correction_for_photonic(label: PairLabel) -> Operator:

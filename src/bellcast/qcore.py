@@ -7,7 +7,7 @@ Conventions used throughout the package:
   and ``|up> == (1, 0)`` maps to bit value 0.
 * Amplitudes are plain ``complex128`` values; no wrapper type is used.
 * Global phase is physically meaningless.  Comparisons that must ignore it go
-  through :func:`fidelity` or :func:`phase_canonical`.
+  through :func:`fidelity`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 # Tolerance for exact algebraic identities (unitarity, completeness, ...).
 ATOL_ALGEBRA = 1e-12
-# Tolerance for eigen-decompositions and positive-semidefiniteness floors.
+# Tolerance for eigen-decompositions.
 ATOL_EIGEN = 1e-10
 # Validation tolerance for projector sets handed to measure_projective.
 ATOL_PROJECTOR = 1e-10
@@ -130,37 +130,6 @@ class Operator:
     @property
     def n_qubits(self) -> int:
         return self.matrix.shape[0].bit_length() - 1
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix.
-
-    All three properties are validated at construction; a violation means a
-    bug upstream, so it raises rather than warns.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = _as_complex_array(self.matrix, "density matrix")
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("density matrix must be square")
-        _require_power_of_two(mat.shape[0], "density matrix dimension")
-        herm_dev = np.max(np.abs(mat - mat.conj().T))
-        if herm_dev > ATOL_EIGEN:
-            raise ValueError(f"density matrix not hermitian (deviation {herm_dev:.3e})")
-        trace_dev = abs(np.trace(mat) - 1.0)
-        if trace_dev > ATOL_ALGEBRA:
-            raise ValueError(f"density matrix trace deviates from 1 by {trace_dev:.3e}")
-        min_eig = float(np.min(np.linalg.eigvalsh(mat)))
-        if min_eig < -ATOL_EIGEN:
-            raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -346,25 +315,6 @@ def measure_projective(
     return MeasurementResult(chosen, float(probs[chosen]), post)
 
 
-def partial_trace(s: StateVector, keep_qubits) -> DensityMatrix:
-    """Reduced density matrix of ``keep_qubits``, tracing out the rest."""
-    n = s.n_qubits
-    keep = tuple(int(q) for q in keep_qubits)
-    if not keep:
-        raise ValueError("keep_qubits must be nonempty")
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"keep_qubits must be distinct, got {keep}")
-    for q in keep:
-        if not 0 <= q < n:
-            raise IndexError(f"qubit {q} out of range for {n}-qubit state")
-    _require_normalized(s, "traced state")
-    traced = tuple(q for q in range(n) if q not in keep)
-    psi = s.tensor_view()
-    reordered = np.transpose(psi, keep + traced)
-    mat = reordered.reshape(1 << len(keep), 1 << len(traced))
-    return DensityMatrix(mat @ mat.conj().T)
-
-
 def fidelity(s: StateVector, t: StateVector) -> float:
     """Squared overlap ``|<s|t>|**2``; insensitive to global phase.
 
@@ -385,16 +335,19 @@ def embed_operator(op: Operator, n_qubits: int, targets) -> Operator:
     return Operator(np.column_stack(cols), hermitian_hint=op.hermitian_hint)
 
 
-def phase_canonical(s: StateVector, tol: float = 1e-12) -> StateVector:
-    """Rotate global phase so the first non-negligible amplitude is real positive."""
-    for amp in s.amplitudes:
-        mag = abs(amp)
-        if mag > tol:
-            return StateVector(s.amplitudes * (amp.conjugate() / mag))
-    raise ValueError("state has no amplitude above tolerance")
-
-
 def unitarity_deviation(op: Operator) -> float:
     """Max-abs deviation of ``U^dagger U`` from the identity."""
     u = op.matrix
     return float(np.max(np.abs(u.conj().T @ u - np.eye(op.dim))))
+
+
+def unitary_table(matrices: dict) -> dict:
+    """Wrap each matrix as an :class:`Operator`, rejecting any non-unitary one."""
+    ops = {}
+    for key, matrix in matrices.items():
+        op = Operator(matrix)
+        dev = unitarity_deviation(op)
+        if dev > ATOL_ALGEBRA:
+            raise ValueError(f"operator for {key} not unitary ({dev:.3e})")
+        ops[key] = op
+    return ops

@@ -40,7 +40,7 @@ from .qcore import (
     contract_with,
     fidelity,
     tensor,
-    unitarity_deviation,
+    unitary_table,
 )
 
 _NORM_ATOL = 1e-12
@@ -55,7 +55,7 @@ class UnknownState:
 
     def __post_init__(self) -> None:
         total = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(total - 1.0) > _NORM_ATOL:
+        if not abs(total - 1.0) <= _NORM_ATOL:  # NaN fails this too
             raise ValueError(f"input state not normalized: |a|^2+|b|^2 = {total!r}")
 
     def state_vector(self) -> StateVector:
@@ -160,20 +160,7 @@ _CORRECTIONS: dict[BellOutcome, np.ndarray] = {
 }
 
 
-def _build_corrections() -> dict[BellOutcome, Operator]:
-    ops = {}
-    for outcome, matrix in _CORRECTIONS.items():
-        op = Operator(matrix)
-        dev = unitarity_deviation(op)
-        if dev > 1e-12:
-            raise ValueError(
-                f"correction for {outcome.value} not unitary ({dev:.3e})"
-            )
-        ops[outcome] = op
-    return ops
-
-
-_CORRECTION_OPS = _build_corrections()
+_CORRECTION_OPS = unitary_table(_CORRECTIONS)
 
 
 def correction_for(outcome: BellOutcome) -> Operator:

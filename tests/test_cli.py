@@ -98,6 +98,17 @@ class TestRunCommands:
         assert code == 1
         assert "not normalized" in err
 
+    @pytest.mark.parametrize("command", ["run-spin", "run-photon"])
+    def test_nan_input_fails_cleanly(self, capsys, command):
+        code, _, err = run_cli(capsys, command, "--input", "fixed:nan,0")
+        assert code == 1
+        assert "not normalized" in err
+
+    def test_malformed_amplitudes_fail_cleanly(self, capsys):
+        code, _, err = run_cli(capsys, "run-spin", "--input", "fixed:one,two")
+        assert code == 1
+        assert "cannot parse input amplitudes" in err
+
 
 class TestConfigFile:
     def write_config(self, tmp_path, text):

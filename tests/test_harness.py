@@ -7,6 +7,7 @@ seed derivation or serialization must fail loudly.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -55,6 +56,15 @@ PINNED_PHOTON_LINE = (
     '"message_bits":"00","fidelity":1.0,"event":"D1","a_re":0.6,'
     '"a_im":0.0,"b_re":0.8,"b_im":0.0}'
 )
+
+# SHA-256 of the whole record file of a 2000-trial batch at master seed 7,
+# one per mode; photon runs a lossy cascade on a fixed complex input.
+PINNED_FILE_DIGESTS = {
+    Mode.SPIN: "2c51b7ef9963e111499da48dc18e5768a991d23cb8699466f8dac9d22fc73418",
+    Mode.BASELINE: "b910419bda88fd2bcda21dd859da5f33236e4b8312b21514b29676855debe847",
+    Mode.SWAP: "241570fbb75bb3d4e9ea29b8eb085c037bf1ddbb3a032f6936943433c625eb2f",
+    Mode.PHOTON: "39c4bb87fde8f98cfa5e490d8e8150a7769c6c1e58f77a943ce0f958b6733c88",
+}
 
 
 class TestSeedDerivation:
@@ -147,6 +157,24 @@ class TestRunBatch:
                 )
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
+    def test_pinned_record_file_digest(self, tmp_path, mode):
+        extra = {}
+        if mode is Mode.PHOTON:
+            extra = dict(
+                fixed_input=UnknownState.normalized(0.6, 0.8j),
+                efficiency=EfficiencyConfig(0.9, 0.8, 0.95, 0.95),
+            )
+        path = tmp_path / "records.jsonl"
+        run_batch(
+            RunConfig(
+                mode=mode, trials=2000, master_seed=7, output_path=str(path),
+                **extra,
+            )
+        )
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == PINNED_FILE_DIGESTS[mode]
 
     def test_summary_recomputes_from_the_record_file(self, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -277,6 +305,10 @@ class TestParseConfig:
     def test_unnormalized_fixed_input(self):
         with pytest.raises(ValueError, match="not normalized"):
             parse_config("mode=spin\ninput=fixed:1,1")
+
+    def test_nan_fixed_input(self):
+        with pytest.raises(ValueError, match="line 2: input not normalized"):
+            parse_config("mode=spin\ninput=fixed:nan,0")
 
     def test_unparseable_amplitudes(self):
         with pytest.raises(ValueError, match="cannot parse input"):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellcast.qcore import (
-    DensityMatrix,
     MeasurementResult,
     Operator,
     StateVector,
@@ -19,8 +18,6 @@ from bellcast.qcore import (
     fidelity,
     ket,
     measure_projective,
-    partial_trace,
-    phase_canonical,
     tensor,
 )
 
@@ -231,41 +228,6 @@ class TestMeasureProjective:
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
-class TestPartialTrace:
-    def test_singlet_reduces_to_maximally_mixed(self):
-        singlet = StateVector(
-            np.array([0, SQRT_HALF, -SQRT_HALF, 0], dtype=complex)
-        )
-        rho = partial_trace(singlet, (0,))
-        np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
-
-    def test_product_state_reduces_to_pure_factor(self):
-        state = tensor(ket("1"), StateVector(np.array([0.6, 0.8j], dtype=complex)))
-        rho = partial_trace(state, (0,))
-        np.testing.assert_allclose(rho.matrix, [[0, 0], [0, 1]], atol=1e-12)
-
-    def test_matches_outer_product_oracle(self):
-        """Independent route: form the full density matrix and einsum it down."""
-        rng = np.random.default_rng(29)
-        state = random_state(rng, 3)
-        full = np.outer(state.amplitudes, state.amplitudes.conj()).reshape((2,) * 6)
-        oracle = np.einsum("abcade->bcde", full).reshape(4, 4)
-        rho = partial_trace(state, (1, 2))
-        np.testing.assert_allclose(rho.matrix, oracle, atol=1e-12)
-
-    def test_output_is_valid_density_matrix(self):
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            rho = partial_trace(random_state(rng, 3), (rng.integers(0, 3),))
-            eigenvalues = np.linalg.eigvalsh(rho.matrix)
-            assert float(np.min(eigenvalues)) > -1e-10
-            assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_empty_keep_list(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            partial_trace(ket("00"), ())
-
-
 class TestFidelity:
     def test_identical_states(self):
         assert fidelity(ket("01"), ket("01")) == pytest.approx(1.0, abs=0)
@@ -308,33 +270,10 @@ class TestContraction:
         assert got.norm**2 == pytest.approx(0.5, abs=1e-12)
 
 
-class TestPhaseCanonical:
-    def test_first_live_amplitude_made_real_positive(self):
-        state = StateVector(np.array([0, -1j], dtype=complex))
-        got = phase_canonical(state)
-        np.testing.assert_allclose(got.amplitudes, [0, 1], atol=1e-12)
-
-    def test_tensor_then_trace_roundtrip(self):
-        rng = np.random.default_rng(37)
-        left = random_state(rng, 1)
-        right = random_state(rng, 2)
-        rho = partial_trace(tensor(left, right), (0,))
-        oracle = np.outer(left.amplitudes, left.amplitudes.conj())
-        np.testing.assert_allclose(rho.matrix, oracle, atol=1e-12)
-
-
 class TestOperatorAndDensityValidation:
     def test_hermitian_hint_is_verified(self):
         with pytest.raises(ValueError, match="hermitian"):
             Operator(np.array([[0, 1], [0, 0]], dtype=complex), hermitian_hint=True)
-
-    def test_density_matrix_rejects_bad_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.eye(2, dtype=complex))
-
-    def test_density_matrix_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError, match="negative"):
-            DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
     def test_measurement_result_is_plain_record(self):
         result = MeasurementResult(1, 0.5, ket("1"))

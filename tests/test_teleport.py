@@ -60,6 +60,10 @@ class TestUnknownState:
         with pytest.raises(ValueError, match="not normalized"):
             UnknownState(1.0, 1.0)
 
+    def test_rejects_nan_amplitude(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            UnknownState(float("nan"), 0)
+
     def test_normalized_constructor(self):
         state = UnknownState.normalized(3.0, 4.0j)
         assert state.a == pytest.approx(0.6)
