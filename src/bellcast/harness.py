@@ -4,7 +4,11 @@ Seeding: each trial derives a 64-bit base seed from the master seed and the
 trial index with a splitmix-style mix (constants 0x9E3779B97F4A7C15,
 0xBF58476D1CE4E5B9, 0x94D049BB133111EB).  The base seed is mixed again with
 stream tags 0 and 1 to give independent input-sampling and protocol seeds,
-so identical configs reproduce byte-identical record streams.
+so identical configs reproduce byte-identical record streams.  A trial's
+draws are the first uniforms of ``np.random.default_rng(seed)`` for each of
+those seeds.  Batches compute seeds and draws in bulk, ``CHUNK_TRIALS``
+trials at a time (:mod:`bellcast.stream`), bit-identical to building one
+generator per trial, so a record's ``seed`` still replays it alone.
 
 Record schema (one JSON object per line, keys in this order):
 
@@ -17,17 +21,22 @@ amplitude fields are null in swap mode, which has no single-qubit input.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
+import errno
+import itertools
 import json
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
 from .observables import BellOutcome, bell_state
 from .photonic import (
+    CASCADE_DRAWS,
     EFFICIENCY_KNOBS,
     IDENTIFYING_EVENTS,
     CascadeEventKind,
@@ -36,33 +45,33 @@ from .photonic import (
     run_cascade,
 )
 from .qcore import fidelity
+from .stream import derive_seeds, uniforms
 from .teleport import (
+    BASELINE_DRAWS,
+    HAAR_DRAWS,
+    SWAP_DRAWS,
+    TRIAL_DRAWS,
     ClassicalMessage,
     UnknownState,
-    haar_random_input,
+    haar_from_uniforms,
+    haar_random_input,  # noqa: F401 - perfbench's tracer looks it up here
     run_baseline_computational,
     run_entangled_input,
     run_trial,
 )
 
 _MASK64 = (1 << 64) - 1
-_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
-_SPLITMIX_MULT1 = 0xBF58476D1CE4E5B9
-_SPLITMIX_MULT2 = 0x94D049BB133111EB
 
 SUCCESS_FIDELITY = 1.0 - 1e-10
 SEED_ENV_VAR = "BELLCAST_SEED"
 
+# Trials whose seeds and draws are computed in one bulk call.
+CHUNK_TRIALS = 4096
+
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Splitmix-style 64-bit mix of (master_seed, index)."""
-    z = (master_seed + (index + 1) * _SPLITMIX_GAMMA) & _MASK64
-    z ^= z >> 30
-    z = (z * _SPLITMIX_MULT1) & _MASK64
-    z ^= z >> 27
-    z = (z * _SPLITMIX_MULT2) & _MASK64
-    z ^= z >> 31
-    return z
+    return int(derive_seeds(master_seed, index)[0])
 
 
 class Mode(enum.Enum):
@@ -156,25 +165,52 @@ def _wire_record(
     return record
 
 
-def _input_for_trial(cfg: RunConfig, base_seed: int) -> UnknownState:
-    if cfg.fixed_input is not None:
-        return cfg.fixed_input
-    rng = np.random.default_rng(derive_seed(base_seed, 0))
-    return haar_random_input(rng)
+_PROTOCOL_DRAWS = {
+    Mode.SPIN: TRIAL_DRAWS,
+    Mode.BASELINE: BASELINE_DRAWS,
+    Mode.SWAP: SWAP_DRAWS,
+    Mode.PHOTON: CASCADE_DRAWS,
+}
+
+
+def _trial_seeds(
+    cfg: RunConfig,
+) -> Iterator[tuple[int, int, UnknownState | None, int, list[float]]]:
+    """Per trial: index, base seed, input state, protocol seed, protocol draws.
+
+    The input is None in swap mode, which has no single-qubit input.
+    """
+    haar = cfg.fixed_input is None and cfg.mode is not Mode.SWAP
+    for start in range(0, cfg.trials, CHUNK_TRIALS):
+        stop = min(start + CHUNK_TRIALS, cfg.trials)
+        indices = np.arange(start, stop, dtype=np.uint64)
+        base_seeds = derive_seeds(cfg.master_seed, indices)
+        protocol_seeds = derive_seeds(base_seeds, 1)
+        if haar:
+            input_draws = uniforms(derive_seeds(base_seeds, 0), HAAR_DRAWS).tolist()
+            inputs = (haar_from_uniforms(*row) for row in input_draws)
+        else:
+            inputs = itertools.repeat(cfg.fixed_input)
+        yield from zip(
+            range(start, stop),
+            base_seeds.tolist(),
+            inputs,
+            protocol_seeds.tolist(),
+            uniforms(protocol_seeds, _PROTOCOL_DRAWS[cfg.mode]).tolist(),
+        )
 
 
 def iter_records(cfg: RunConfig) -> Iterator[dict]:
     """Generate the batch's wire records in trial order."""
     singlet = bell_state(BellOutcome.PSI_MINUS)
-    for index in range(cfg.trials):
-        base_seed = derive_seed(cfg.master_seed, index)
-        protocol_seed = derive_seed(base_seed, 1)
+    for index, base_seed, input_state, protocol_seed, draws in _trial_seeds(cfg):
         if cfg.mode is Mode.SPIN or cfg.mode is Mode.BASELINE:
-            input_state = _input_for_trial(cfg, base_seed)
             if cfg.mode is Mode.SPIN:
-                record = run_trial(input_state, protocol_seed)
+                record = run_trial(input_state, protocol_seed, draws)
             else:
-                _, record = run_baseline_computational(input_state, protocol_seed)
+                _, record = run_baseline_computational(
+                    input_state, protocol_seed, draws
+                )
             yield _wire_record(
                 index,
                 base_seed,
@@ -184,15 +220,13 @@ def iter_records(cfg: RunConfig) -> Iterator[dict]:
                 record.input,
             )
         elif cfg.mode is Mode.SWAP:
-            outcome, final = run_entangled_input(protocol_seed)
+            outcome, final = run_entangled_input(protocol_seed, draws)
             yield _wire_record(
                 index, base_seed, outcome.value, _MESSAGE_BITS[outcome],
                 fidelity(final, singlet), None,
             )
         elif cfg.mode is Mode.PHOTON:
-            cascade = run_cascade(
-                _input_for_trial(cfg, base_seed), cfg.efficiency, protocol_seed
-            )
+            cascade = run_cascade(input_state, cfg.efficiency, protocol_seed, draws)
             original = cascade.event.original_bell
             yield _wire_record(
                 index,
@@ -211,17 +245,54 @@ def record_to_line(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"), allow_nan=False)
 
 
+def _create_beside(path: str) -> tuple[str, IO[str]]:
+    """A new, uniquely named temp file in ``path``'s directory, opened for
+    text writing with the mode ``open(path, "w")`` would give."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    directory, name = os.path.split(os.path.abspath(path))
+    while True:
+        temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+        return temp, os.fdopen(fd, "w", encoding="utf-8", newline="\n")
+
+
+def _write_records(path: str, records: Iterable[dict]) -> list[dict]:
+    """Write ``records`` to ``path`` atomically and return them as a list.
+
+    The temp file is created before the first record is drawn, so a bad path
+    fails before any trial runs.  It replaces ``path`` only once every record
+    is written; on any error it is removed and ``path`` is left untouched.
+    """
+    try:
+        temp, handle = _create_beside(path)
+    except OSError as exc:
+        raise ValueError(f"cannot write output path {path!r}: {exc}")
+    written = []
+    try:
+        with handle:
+            for record in records:
+                handle.write(record_to_line(record) + "\n")
+                written.append(record)
+        os.replace(temp, path)
+    except OSError as exc:
+        raise ValueError(f"cannot write output path {path!r}: {exc}")
+    finally:
+        with contextlib.suppress(OSError):  # gone after a successful replace
+            os.unlink(temp)
+    return written
+
+
 def run_batch(cfg: RunConfig) -> BatchSummary:
     """Run the batch, optionally writing one JSON-lines record per trial."""
     start = time.perf_counter()
-    records = list(iter_records(cfg))
-    if cfg.output_path is not None:
-        try:
-            with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as handle:
-                for record in records:
-                    handle.write(record_to_line(record) + "\n")
-        except OSError as exc:
-            raise ValueError(f"cannot write output path {cfg.output_path!r}: {exc}")
+    if cfg.output_path is None:
+        records = list(iter_records(cfg))
+    else:
+        records = _write_records(cfg.output_path, iter_records(cfg))
     analytic = None
     if cfg.mode is Mode.PHOTON:
         reference_input = cfg.fixed_input or UnknownState(1.0, 0.0)

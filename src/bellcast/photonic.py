@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .qcore import (
     tensor,
     unitary_table,
 )
-from .teleport import UnknownState
+from .teleport import UnknownState, uniform_draws
 
 
 class PairLabel(enum.Enum):
@@ -312,18 +313,30 @@ def _sample_pair_branch(
     return _PAIR_ORDER[index], components[index].normalized()
 
 
+# Uniform draws a cascade consumes at most: 2 availability, 3 absorbers,
+# 1 coincidence unraveling, 1 detection.
+CASCADE_DRAWS = 7
+
+
 def run_cascade(
-    input_state: UnknownState, cfg: EfficiencyConfig, rng_seed: int
+    input_state: UnknownState,
+    cfg: EfficiencyConfig,
+    rng_seed: int,
+    draws: Sequence[float] | None = None,
 ) -> CascadeRecord:
     """One full cascade trial, deterministic in ``rng_seed``.
 
     Uniform draws are consumed in a fixed order: input availability, pair
     availability, one draw per absorber reached, one branch-unraveling draw
-    on a coincidence, and one detection draw for any fired signature.
+    on a coincidence, and one detection draw for any fired signature; at most
+    ``CASCADE_DRAWS`` (7) in all.  ``draws``, if given, must equal
+    ``uniform_draws(rng_seed, CASCADE_DRAWS)``.
     """
-    rng = np.random.default_rng(rng_seed)
-    input_available = rng.random() < cfg.p_in
-    pair_available = rng.random() < cfg.p_pdc
+    if draws is None:
+        draws = uniform_draws(rng_seed, CASCADE_DRAWS)
+    draw = iter(draws).__next__
+    input_available = draw() < cfg.p_in
+    pair_available = draw() < cfg.p_pdc
 
     if not (input_available and pair_available):
         if pair_available:
@@ -332,7 +345,7 @@ def run_cascade(
             kind = CascadeEventKind.D3_SINGLE_TOP
         else:
             kind = CascadeEventKind.NO_EVENT
-        if kind is not CascadeEventKind.NO_EVENT and rng.random() >= cfg.eta_det:
+        if kind is not CascadeEventKind.NO_EVENT and draw() >= cfg.eta_det:
             kind = CascadeEventKind.NO_EVENT
         return CascadeRecord(
             input=input_state,
@@ -345,32 +358,32 @@ def run_cascade(
 
     state = build_three_mode(input_state)
 
-    absorbed, state = absorption_stage(state, cfg.eta_abs, rng.random())
+    absorbed, state = absorption_stage(state, cfg.eta_abs, draw())
     if absorbed:
         return _identified(
             input_state, state, CascadeEventKind.D1,
-            CascadeStage.FIRST_SINGLET_ABSORBER, rng, cfg, rng_seed,
+            CascadeStage.FIRST_SINGLET_ABSORBER, draw, cfg, rng_seed,
         )
 
     state = waveplate(state, 1)
-    absorbed, state = absorption_stage(state, cfg.eta_abs, rng.random())
+    absorbed, state = absorption_stage(state, cfg.eta_abs, draw())
     if absorbed:
         return _identified(
             input_state, state, CascadeEventKind.D2,
-            CascadeStage.SECOND_SINGLET_ABSORBER, rng, cfg, rng_seed,
+            CascadeStage.SECOND_SINGLET_ABSORBER, draw, cfg, rng_seed,
         )
 
-    kind, state = stage_final(state, cfg.eta_abs, rng.random())
+    kind, state = stage_final(state, cfg.eta_abs, draw())
     if kind is CascadeEventKind.D4:
         return _identified(
             input_state, state, CascadeEventKind.D4,
-            CascadeStage.FINAL_ABSORBER, rng, cfg, rng_seed,
+            CascadeStage.FINAL_ABSORBER, draw, cfg, rng_seed,
         )
 
-    _, bob_pre = _sample_pair_branch(state, rng.random())
+    _, bob_pre = _sample_pair_branch(state, draw())
     return _finish_identifying(
         input_state, CascadeEventKind.D3_COINCIDENCE,
-        CascadeStage.FINAL_ABSORBER, bob_pre, rng, cfg, rng_seed,
+        CascadeStage.FINAL_ABSORBER, bob_pre, draw, cfg, rng_seed,
     )
 
 
@@ -379,7 +392,7 @@ def _identified(
     conditioned_state: StateVector,
     kind: CascadeEventKind,
     stage: CascadeStage,
-    rng: np.random.Generator,
+    draw: Callable[[], float],
     cfg: EfficiencyConfig,
     rng_seed: int,
 ) -> CascadeRecord:
@@ -391,7 +404,7 @@ def _identified(
     bob_pre = contract_with(
         conditioned_state, (0, 1), pair_basis_state(selector)
     ).normalized()
-    return _finish_identifying(input_state, kind, stage, bob_pre, rng, cfg, rng_seed)
+    return _finish_identifying(input_state, kind, stage, bob_pre, draw, cfg, rng_seed)
 
 
 def _finish_identifying(
@@ -399,11 +412,11 @@ def _finish_identifying(
     kind: CascadeEventKind,
     stage: CascadeStage,
     bob_pre: StateVector,
-    rng: np.random.Generator,
+    draw: Callable[[], float],
     cfg: EfficiencyConfig,
     rng_seed: int,
 ) -> CascadeRecord:
-    if rng.random() >= cfg.eta_det:
+    if draw() >= cfg.eta_det:
         return CascadeRecord(
             input=input_state,
             event=CascadeEvent(kind=CascadeEventKind.NO_EVENT),

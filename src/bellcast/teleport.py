@@ -22,6 +22,7 @@ on a quarter of trials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -70,15 +71,40 @@ class UnknownState:
         return UnknownState(complex(a) / norm, complex(b) / norm)
 
 
-def haar_random_input(rng: np.random.Generator) -> UnknownState:
-    """Haar-uniform qubit state: cos(theta) uniform on [-1, 1], phase uniform."""
-    cos_theta = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, 2.0 * np.pi)
+# Uniform draws each entry point consumes at most (see uniform_draws).
+HAAR_DRAWS = 2
+TRIAL_DRAWS = 1
+SWAP_DRAWS = 1
+BASELINE_DRAWS = 2
+
+
+def uniform_draws(rng_seed: int, k: int) -> list[float]:
+    """The first ``k`` uniforms on [0, 1) of ``default_rng(rng_seed)``.
+
+    Batches compute every trial's row in bulk, bit-identical to this (see
+    :mod:`bellcast.stream`), and pass it in; a seed alone draws it here.
+    """
+    return np.random.default_rng(rng_seed).random(k).tolist()
+
+
+def haar_from_uniforms(u_cos: float, u_phi: float) -> UnknownState:
+    """Haar-uniform qubit state: cos(theta) uniform on [-1, 1], phase uniform.
+
+    The two arguments are uniforms on [0, 1), scaled exactly as
+    ``Generator.uniform(-1, 1)`` and ``Generator.uniform(0, 2 pi)`` do.
+    """
+    cos_theta = -1.0 + 2.0 * u_cos
+    phi = 2.0 * np.pi * u_phi
     theta = np.arccos(cos_theta)
     return UnknownState(
         complex(np.cos(theta / 2.0)),
         np.exp(1j * phi) * np.sin(theta / 2.0),
     )
+
+
+def haar_random_input(rng: np.random.Generator) -> UnknownState:
+    """Haar-uniform qubit state from the generator's next two uniforms."""
+    return haar_from_uniforms(*rng.random(HAAR_DRAWS).tolist())
 
 
 @dataclass(frozen=True)
@@ -168,11 +194,17 @@ def correction_for(outcome: BellOutcome) -> Operator:
     return _CORRECTION_OPS[outcome]
 
 
-def run_trial(input_state: UnknownState, rng_seed: int) -> TrialRecord:
-    """One full teleportation trial, deterministic in ``rng_seed``."""
-    rng = np.random.default_rng(rng_seed)
+def run_trial(
+    input_state: UnknownState, rng_seed: int, draws: Sequence[float] | None = None
+) -> TrialRecord:
+    """One full teleportation trial, deterministic in ``rng_seed``.
+
+    ``draws``, if given, must equal ``uniform_draws(rng_seed, TRIAL_DRAWS)``.
+    """
+    if draws is None:
+        draws = uniform_draws(rng_seed, TRIAL_DRAWS)
     state = tensor(input_state.state_vector(), prepare_singlet())
-    outcome, post = bell_measure(state, (0, 1), rng.random())
+    outcome, post = bell_measure(state, (0, 1), draws[0])
     bob_pre = contract_with(post, (0, 1), bell_state(outcome)).normalized()
     correction = correction_for(outcome)
     bob_post = StateVector._trusted(correction.matrix @ bob_pre.amplitudes)
@@ -187,16 +219,20 @@ def run_trial(input_state: UnknownState, rng_seed: int) -> TrialRecord:
     )
 
 
-def run_entangled_input(rng_seed: int) -> tuple[BellOutcome, StateVector]:
+def run_entangled_input(
+    rng_seed: int, draws: Sequence[float] | None = None
+) -> tuple[BellOutcome, StateVector]:
     """Teleport a qubit that is half of another singlet (entanglement swap).
 
     Qubits (0, 1) and (2, 3) start as singlets; the Bell measurement lands on
     (1, 2) and the correction on qubit 3.  The returned state of qubits
-    (0, 3) is again the singlet, for every outcome.
+    (0, 3) is again the singlet, for every outcome.  ``draws``, if given,
+    must equal ``uniform_draws(rng_seed, SWAP_DRAWS)``.
     """
-    rng = np.random.default_rng(rng_seed)
+    if draws is None:
+        draws = uniform_draws(rng_seed, SWAP_DRAWS)
     state = tensor(prepare_singlet(), prepare_singlet())
-    outcome, post = bell_measure(state, (1, 2), rng.random())
+    outcome, post = bell_measure(state, (1, 2), draws[0])
     corrected = apply(correction_for(outcome), post, (3,))
     final = contract_with(corrected, (1, 2), bell_state(outcome)).normalized()
     return outcome, final
@@ -208,7 +244,7 @@ _PSI_SECTOR = frozenset((1, 2))
 
 
 def run_baseline_computational(
-    input_state: UnknownState, rng_seed: int
+    input_state: UnknownState, rng_seed: int, draws: Sequence[float] | None = None
 ) -> tuple[bool, TrialRecord]:
     """Baseline protocol: product-basis analysis instead of the Bell basis.
 
@@ -222,19 +258,20 @@ def run_baseline_computational(
     and the identity correction restores the input with fidelity 1.  On all
     other trials the register has collapsed to the sampled product state; the
     receiver applies no correction and the fidelity is recorded as-is.
+    ``draws``, if given, must equal ``uniform_draws(rng_seed, BASELINE_DRAWS)``.
     """
-    rng = np.random.default_rng(rng_seed)
+    if draws is None:
+        draws = uniform_draws(rng_seed, BASELINE_DRAWS)
     state = tensor(input_state.state_vector(), prepare_singlet())
     psi = state.tensor_view()
     pair_probs = np.array(
         [float(np.sum(np.abs(psi[i >> 1, i & 1, :]) ** 2)) for i in range(4)]
     )
-    draw = rng.random()
     cumulative = np.cumsum(pair_probs)
-    outcome_index = int(np.searchsorted(cumulative, draw, side="right"))
+    outcome_index = int(np.searchsorted(cumulative, draws[0], side="right"))
     outcome_index = min(outcome_index, 3)
 
-    identified = outcome_index in _PSI_SECTOR and rng.random() < 0.5
+    identified = outcome_index in _PSI_SECTOR and draws[1] < 0.5
     if identified:
         branch = next(
             vec for label, vec, _ in decompose_branches(input_state)

@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
+import numpy as np
 import pytest
 
+from bellcast import harness
 from bellcast.harness import (
+    CHUNK_TRIALS,
     BatchSummary,
     Mode,
     RunConfig,
@@ -24,8 +28,16 @@ from bellcast.harness import (
     run_batch,
     summarize,
 )
-from bellcast.photonic import CascadeEventKind, EfficiencyConfig
-from bellcast.teleport import UnknownState
+from bellcast.observables import BellOutcome, bell_state
+from bellcast.photonic import CascadeEventKind, EfficiencyConfig, run_cascade
+from bellcast.qcore import fidelity
+from bellcast.teleport import (
+    UnknownState,
+    haar_random_input,
+    run_baseline_computational,
+    run_entangled_input,
+    run_trial,
+)
 
 UP_INPUT = UnknownState(1.0, 0.0)
 
@@ -146,6 +158,75 @@ class TestWireFormat:
         assert len(amplitudes) == 6
 
 
+def _per_seed_record(cfg: RunConfig, index: int) -> dict:
+    """The schema fields of trial ``index``, from the physics entry points
+    called with seeds alone (one ``default_rng`` per seed)."""
+    base_seed = derive_seed(cfg.master_seed, index)
+    protocol_seed = derive_seed(base_seed, 1)
+    input_state = cfg.fixed_input
+    if input_state is None and cfg.mode is not Mode.SWAP:
+        input_rng = np.random.default_rng(derive_seed(base_seed, 0))
+        input_state = haar_random_input(input_rng)
+    event = None
+    if cfg.mode is Mode.SPIN:
+        record = run_trial(input_state, protocol_seed)
+        outcome, fid = record.outcome, record.fidelity_value
+    elif cfg.mode is Mode.BASELINE:
+        _, record = run_baseline_computational(input_state, protocol_seed)
+        outcome, fid = record.outcome, record.fidelity_value
+    elif cfg.mode is Mode.SWAP:
+        outcome, final = run_entangled_input(protocol_seed)
+        fid = fidelity(final, bell_state(BellOutcome.PSI_MINUS))
+    else:
+        cascade = run_cascade(input_state, cfg.efficiency, protocol_seed)
+        outcome, fid = cascade.event.original_bell, cascade.fidelity_value
+        event = cascade.event.kind.value
+    amplitudes = (
+        dict(a_re=None, a_im=None, b_re=None, b_im=None)
+        if input_state is None
+        else dict(
+            a_re=input_state.a.real, a_im=input_state.a.imag,
+            b_re=input_state.b.real, b_im=input_state.b.imag,
+        )
+    )
+    return dict(
+        trial=index, seed=base_seed, outcome=outcome.value if outcome else None,
+        fidelity=fid, event=event, **amplitudes,
+    )
+
+
+# Photon settings under which every draw count from 2 to 7 occurs: both
+# availability draws can fail, and absorbers can miss through to D3C.
+LOSSY = EfficiencyConfig(eta_abs=0.5, eta_det=0.9, p_in=0.9, p_pdc=0.9)
+
+
+class TestBulkDraws:
+    @pytest.mark.parametrize(
+        "mode, efficiency",
+        [
+            (Mode.SPIN, EfficiencyConfig()),
+            (Mode.BASELINE, EfficiencyConfig()),
+            (Mode.SWAP, EfficiencyConfig()),
+            (Mode.PHOTON, LOSSY),
+        ],
+        ids=["spin", "baseline", "swap", "photon"],
+    )
+    def test_batch_equals_per_seed_path_across_chunks(self, mode, efficiency):
+        cfg = RunConfig(
+            mode=mode, trials=2 * CHUNK_TRIALS + 3, master_seed=3,
+            efficiency=efficiency,
+        )
+        records = list(iter_records(cfg))
+        assert len(records) == cfg.trials
+        for index, record in enumerate(records):
+            expected = _per_seed_record(cfg, index)
+            if mode is not Mode.PHOTON:
+                expected.pop("event")
+            assert {key: record[key] for key in expected} == expected
+        if mode is Mode.PHOTON:
+            assert {r["event"] for r in records} == {k.value for k in CascadeEventKind}
+
+
 class TestRunBatch:
     def test_writes_byte_identical_files(self, tmp_path):
         paths = [tmp_path / "one.jsonl", tmp_path / "two.jsonl"]
@@ -212,6 +293,55 @@ class TestRunBatch:
     def test_rejects_oversized_master_seed(self):
         with pytest.raises(ValueError, match="64 bits"):
             RunConfig(mode=Mode.SPIN, master_seed=1 << 64)
+
+    @staticmethod
+    def _count_calls(monkeypatch, name: str, fail_at: int | None = None) -> list[int]:
+        """Wrap ``harness.<name>`` to count its calls and raise on call ``fail_at``."""
+        original = getattr(harness, name)
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            if calls[0] == fail_at:
+                raise RuntimeError(f"{name} failed")
+            return original(*args)
+
+        monkeypatch.setattr(harness, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("target", ["missing/records.jsonl", "."])
+    def test_bad_output_path_fails_before_any_trial(
+        self, tmp_path, monkeypatch, target
+    ):
+        calls = self._count_calls(monkeypatch, "run_trial")
+        cfg = RunConfig(
+            mode=Mode.SPIN, trials=5, output_path=str(tmp_path / target)
+        )
+        with pytest.raises(ValueError, match="cannot write"):
+            run_batch(cfg)
+        assert calls == [0]
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("failing", ["run_trial", "record_to_line"])
+    def test_failed_batch_leaves_existing_file_and_no_temp(
+        self, tmp_path, monkeypatch, failing
+    ):
+        path = tmp_path / "records.jsonl"
+        path.write_text("previous run\n")
+        self._count_calls(monkeypatch, failing, fail_at=3)
+        cfg = RunConfig(mode=Mode.SPIN, trials=5, output_path=str(path))
+        with pytest.raises(RuntimeError, match=f"{failing} failed"):
+            run_batch(cfg)
+        assert path.read_text() == "previous run\n"
+        assert os.listdir(tmp_path) == ["records.jsonl"]
+
+    def test_output_file_mode_follows_umask(self, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        path = tmp_path / "records.jsonl"
+        run_batch(RunConfig(mode=Mode.SPIN, trials=3, output_path=str(path)))
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+        assert os.listdir(tmp_path) == ["records.jsonl"]
 
 
 class TestSummarize:
