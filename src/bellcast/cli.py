@@ -9,6 +9,7 @@ output is printed with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -16,9 +17,9 @@ import sys
 
 from .harness import (
     SEED_ENV_VAR,
-    BatchSummary,
     Mode,
     RunConfig,
+    atomic_writer,
     parse_config,
     parse_input,
     run_batch,
@@ -128,20 +129,18 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _write_csv(summary: BatchSummary, path: str) -> None:
-    lines = ["outcome,count,frequency"]
-    for key in sorted(summary.counts):
-        lines.append(f"{key},{summary.counts[key]},{_sig(summary.frequencies[key])}")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
 def _cmd_run(mode: Mode, args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load_base_config(args, mode), args)
-    summary = run_batch(cfg)
+    if args.csv is None:
+        summary = run_batch(cfg)
+    else:
+        # Opened before the batch, so a bad path fails before any trial.
+        with atomic_writer(args.csv) as handle:
+            summary = run_batch(cfg)
+            handle.write("outcome,count,frequency\n")
+            for key, count in sorted(summary.counts.items()):
+                handle.write(f"{key},{count},{_sig(summary.frequencies[key])}\n")
     print(json.dumps(_round_floats(summary.to_json_obj()), allow_nan=False))
-    if getattr(args, "csv", None):
-        _write_csv(summary, args.csv)
     return 0
 
 
@@ -151,22 +150,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not 0.0 <= args.start <= 1.0 or not 0.0 <= args.stop <= 1.0:
         raise ValueError("sweep endpoints must lie in [0, 1]")
     kinds = list(CascadeEventKind)
-    header = "value," + ",".join(kind.value for kind in kinds)
-    rows = [header]
     input_state = UnknownState(1.0, 0.0)
-    for i in range(args.steps):
-        value = args.start + (args.stop - args.start) * i / (args.steps - 1)
-        cfg = EfficiencyConfig(**{args.param: value})
-        table = analytic_distribution(input_state, cfg)
-        rows.append(
-            _sig(value) + "," + ",".join(_sig(table[kind]) for kind in kinds)
-        )
-    text = "\n".join(rows) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    stdout = contextlib.nullcontext(sys.stdout)
+    with stdout if args.output is None else atomic_writer(args.output) as handle:
+        handle.write("value," + ",".join(kind.value for kind in kinds) + "\n")
+        for i in range(args.steps):
+            value = args.start + (args.stop - args.start) * i / (args.steps - 1)
+            cfg = EfficiencyConfig(**{args.param: value})
+            table = analytic_distribution(input_state, cfg)
+            row = [value] + [table[kind] for kind in kinds]
+            handle.write(",".join(map(_sig, row)) + "\n")
     return 0
 
 

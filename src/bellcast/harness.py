@@ -245,59 +245,60 @@ def record_to_line(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"), allow_nan=False)
 
 
-def _create_beside(path: str) -> tuple[str, IO[str]]:
-    """A new, uniquely named temp file in ``path``'s directory, opened for
-    text writing with the mode ``open(path, "w")`` would give."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    directory, name = os.path.split(os.path.abspath(path))
-    while True:
-        temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-        try:
-            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        except FileExistsError:
-            continue
-        return temp, os.fdopen(fd, "w", encoding="utf-8", newline="\n")
+@contextlib.contextmanager
+def atomic_writer(path: str) -> Iterator[IO[str]]:
+    """A text file that replaces ``path`` only when the block exits cleanly.
 
-
-def _write_records(path: str, records: Iterable[dict]) -> list[dict]:
-    """Write ``records`` to ``path`` atomically and return them as a list.
-
-    The temp file is created before the first record is drawn, so a bad path
-    fails before any trial runs.  It replaces ``path`` only once every record
-    is written; on any error it is removed and ``path`` is left untouched.
+    The temp file is created beside ``path`` on entry, with the mode
+    ``open(path, "w")`` would give, so a bad path fails before the block
+    runs.  On any error the temp file is removed and ``path`` is left
+    untouched; an ``OSError`` comes out as ``ValueError``.
     """
     try:
-        temp, handle = _create_beside(path)
+        if not path:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        directory, name = os.path.split(os.path.abspath(path))
+        while True:
+            temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+            with contextlib.suppress(FileExistsError):
+                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
     except OSError as exc:
         raise ValueError(f"cannot write output path {path!r}: {exc}")
-    written = []
     try:
-        with handle:
-            for record in records:
-                handle.write(record_to_line(record) + "\n")
-                written.append(record)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
         os.replace(temp, path)
     except OSError as exc:
         raise ValueError(f"cannot write output path {path!r}: {exc}")
     finally:
         with contextlib.suppress(OSError):  # gone after a successful replace
             os.unlink(temp)
-    return written
+
+
+def _written(records: Iterable[dict], handle: IO[str]) -> Iterator[dict]:
+    """Pass ``records`` through, writing each one's line to ``handle``."""
+    for record in records:
+        handle.write(record_to_line(record) + "\n")
+        yield record
 
 
 def run_batch(cfg: RunConfig) -> BatchSummary:
-    """Run the batch, optionally writing one JSON-lines record per trial."""
+    """Run the batch in one streaming pass through :func:`summarize`, writing
+    each record's JSON line as it passes when ``cfg.output_path`` is set."""
     start = time.perf_counter()
-    if cfg.output_path is None:
-        records = list(iter_records(cfg))
-    else:
-        records = _write_records(cfg.output_path, iter_records(cfg))
     analytic = None
     if cfg.mode is Mode.PHOTON:
         reference_input = cfg.fixed_input or UnknownState(1.0, 0.0)
         analytic = analytic_distribution(reference_input, cfg.efficiency)
-    summary = summarize(records, mode=cfg.mode, analytic=analytic)
+    records = iter_records(cfg)
+    with contextlib.ExitStack() as stack:
+        if cfg.output_path is not None:
+            handle = stack.enter_context(atomic_writer(cfg.output_path))
+            records = _written(records, handle)
+        summary = summarize(records, mode=cfg.mode, analytic=analytic)
     return dataclasses.replace(summary, duration_seconds=time.perf_counter() - start)
 
 
@@ -318,7 +319,7 @@ def summarize(
     mode: Mode,
     analytic: dict[CascadeEventKind, float] | None = None,
 ) -> BatchSummary:
-    """Aggregate a stream of wire records.
+    """Aggregate a stream of wire records in one pass, in constant memory.
 
     Counting key: the event string in photon mode, else the outcome string
     (missing outcomes count under "none").  Mean/min fidelity cover only the
@@ -327,11 +328,14 @@ def summarize(
     branch-identifying event for photon mode.
     """
     counts: dict[str, int] = {}
-    fidelities: list[float] = []
+    fidelity_count = 0
+    fidelity_sum = 0.0
+    fidelity_min = float("inf")
     successes = 0
     total = 0
     for record in records:
         total += 1
+        value = record["fidelity"]
         if mode is Mode.PHOTON:
             key = record["event"]
             if key in _IDENTIFYING_WIRE:
@@ -340,11 +344,14 @@ def summarize(
             key = record["outcome"] or "none"
             if mode is Mode.BASELINE:
                 successes += record["outcome"] is not None
-            elif record["fidelity"] is not None:
-                successes += record["fidelity"] >= SUCCESS_FIDELITY
+            elif value is not None:
+                successes += value >= SUCCESS_FIDELITY
         counts[key] = counts.get(key, 0) + 1
-        if record["fidelity"] is not None:
-            fidelities.append(record["fidelity"])
+        if value is not None:
+            fidelity_count += 1
+            fidelity_sum += value
+            if value < fidelity_min:
+                fidelity_min = value
     if total == 0:
         raise ValueError("cannot summarize an empty record stream")
 
@@ -366,8 +373,8 @@ def summarize(
         trials=total,
         counts=counts,
         frequencies=frequencies,
-        mean_fidelity=float(np.mean(fidelities)) if fidelities else None,
-        min_fidelity=float(np.min(fidelities)) if fidelities else None,
+        mean_fidelity=fidelity_sum / fidelity_count if fidelity_count else None,
+        min_fidelity=fidelity_min if fidelity_count else None,
         success_rate=successes / total,
         chi_square=chi_square,
     )

@@ -163,10 +163,6 @@ def ket(bits: str) -> StateVector:
     return basis_state(len(bits), int(bits, 2))
 
 
-UP = basis_state(1, 0)
-DOWN = basis_state(1, 1)
-
-
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product with ``a`` as the leftmost (qubit-0-first) factor."""
     # outer + ravel is kron for vectors, at a fraction of the call overhead

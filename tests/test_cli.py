@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from bellcast import cli, harness
 from bellcast.cli import main
 
 SWEEP_HEADER = "value,D1,D2,D4,D3C,D3ST,D3SL,NONE"
@@ -87,6 +89,28 @@ class TestRunCommands:
         assert lines[0] == "outcome,count,frequency"
         total = sum(int(line.split(",")[1]) for line in lines[1:])
         assert total == 20
+
+    @pytest.mark.parametrize(
+        "csv", ["missing/counts.csv", ""], ids=["missing", "empty"]
+    )
+    def test_bad_csv_path_fails_before_any_trial(
+        self, capsys, tmp_path, monkeypatch, csv
+    ):
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        run_trial = harness.run_trial
+        monkeypatch.setattr(
+            harness, "run_trial", lambda *args: calls.append(1) or run_trial(*args)
+        )
+        code, out, err = run_cli(
+            capsys, "run-spin", "--trials", "10", "--csv", csv,
+            "--output", "records.jsonl",
+        )
+        assert code == 1
+        assert out == ""
+        assert "cannot write output path" in err
+        assert calls == []
+        assert os.listdir(tmp_path) == []
 
     def test_bad_input_argument_fails_cleanly(self, capsys):
         code, _, err = run_cli(capsys, "run-spin", "--input", "sideways")
@@ -189,6 +213,32 @@ class TestSweep:
         assert code == 0
         assert out == ""
         assert path.read_text().splitlines()[0] == SWEEP_HEADER
+
+    def test_failed_sweep_leaves_existing_file_and_no_temp(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "sweep.csv"
+        path.write_text("previous sweep\n")
+        analytic = cli.analytic_distribution
+        calls = []
+
+        def failing_on_second_step(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("analytic table failed")
+            return analytic(*args)
+
+        monkeypatch.setattr(cli, "analytic_distribution", failing_on_second_step)
+        code, out, err = run_cli(
+            capsys, "sweep-efficiency", "--param", "eta_det",
+            "--from", "0.2", "--to", "0.8", "--steps", "3",
+            "--output", str(path),
+        )
+        assert code == 1
+        assert out == ""
+        assert "analytic table failed" in err
+        assert path.read_bytes() == b"previous sweep\n"
+        assert os.listdir(tmp_path) == ["sweep.csv"]
 
     def test_rejects_single_step(self, capsys):
         code, _, err = run_cli(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,12 @@ from bellcast.harness import (
     summarize,
 )
 from bellcast.observables import BellOutcome, bell_state
-from bellcast.photonic import CascadeEventKind, EfficiencyConfig, run_cascade
+from bellcast.photonic import (
+    CascadeEventKind,
+    EfficiencyConfig,
+    analytic_distribution,
+    run_cascade,
+)
 from bellcast.qcore import fidelity
 from bellcast.teleport import (
     UnknownState,
@@ -257,13 +263,19 @@ class TestRunBatch:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == PINNED_FILE_DIGESTS[mode]
 
-    def test_summary_recomputes_from_the_record_file(self, tmp_path):
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
+    def test_summary_recomputes_from_the_record_file(self, tmp_path, mode):
         path = tmp_path / "records.jsonl"
         cfg = RunConfig(
-            mode=Mode.SPIN, trials=30, master_seed=2, output_path=str(path)
+            mode=mode, trials=30, master_seed=2, output_path=str(path),
+            efficiency=LOSSY,  # read in photon mode only
         )
         summary = run_batch(cfg)
-        reloaded = summarize(load_records(str(path)), mode=Mode.SPIN)
+        analytic = None
+        if mode is Mode.PHOTON:
+            analytic = analytic_distribution(UP_INPUT, cfg.efficiency)
+            assert summary.chi_square is not None
+        reloaded = summarize(load_records(str(path)), mode=mode, analytic=analytic)
         assert reloaded == summary  # duration is excluded from equality
 
     def test_spin_batch_succeeds_every_trial(self):
@@ -322,6 +334,20 @@ class TestRunBatch:
         assert calls == [0]
         assert os.listdir(tmp_path) == []
 
+    def test_empty_output_path_fails_before_any_trial(self, tmp_path, monkeypatch):
+        # An empty path must not resolve to the working directory, whose
+        # parent would then receive the temp file.
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        calls = self._count_calls(monkeypatch, "run_trial")
+        cfg = RunConfig(mode=Mode.SPIN, trials=5, output_path="")
+        with pytest.raises(ValueError, match="cannot write output path ''"):
+            run_batch(cfg)
+        assert calls == [0]
+        assert os.listdir(tmp_path) == ["work"]
+        assert os.listdir(work) == []
+
     @pytest.mark.parametrize("failing", ["run_trial", "record_to_line"])
     def test_failed_batch_leaves_existing_file_and_no_temp(
         self, tmp_path, monkeypatch, failing
@@ -334,6 +360,21 @@ class TestRunBatch:
             run_batch(cfg)
         assert path.read_text() == "previous run\n"
         assert os.listdir(tmp_path) == ["records.jsonl"]
+
+    def test_memory_stays_flat_as_the_batch_grows(self, tmp_path):
+        path = str(tmp_path / "records.jsonl")
+
+        def peak_bytes(trials: int) -> int:
+            cfg = RunConfig(mode=Mode.SPIN, trials=trials, output_path=path)
+            tracemalloc.start()
+            try:
+                run_batch(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_batch(RunConfig(mode=Mode.SPIN, trials=3))  # fill lazy caches first
+        assert peak_bytes(4 * CHUNK_TRIALS) <= 1.25 * peak_bytes(CHUNK_TRIALS)
 
     def test_output_file_mode_follows_umask(self, tmp_path):
         umask = os.umask(0o022)
