@@ -440,9 +440,12 @@ def parse_config(text: str) -> RunConfig:
             values["trials"] = trials
         elif key == "master_seed":
             try:
-                values["master_seed"] = int(value)
+                master_seed = int(value)
             except ValueError:
                 raise ValueError(f"line {line_no}: master_seed must be an integer")
+            if not 0 <= master_seed <= _MASK64:
+                raise ValueError(f"line {line_no}: master_seed must fit in 64 bits")
+            values["master_seed"] = master_seed
         elif key in EFFICIENCY_KNOBS:
             try:
                 number = float(value)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .qcore import (
     Operator,
     StateVector,
     apply,
-    contract_with,
+    contract_with,  # noqa: F401 - perfbench's tracer looks it up here
     fidelity,
     tensor,
     unitary_table,
@@ -118,10 +118,7 @@ def pair_components(s: StateVector) -> dict[PairLabel, StateVector]:
 
     The squared norm of each component is that branch's probability.
     """
-    return {
-        label: contract_with(s, (0, 1), pair_basis_state(label))
-        for label in PairLabel
-    }
+    return {label: _selected_component(s, label)[1] for label in PairLabel}
 
 
 class CascadeEventKind(enum.Enum):
@@ -162,12 +159,29 @@ EVENT_ORIGINAL_BRANCH: dict[CascadeEventKind, PairLabel] = {
     CascadeEventKind.D3_COINCIDENCE: PairLabel.CHI_PLUS,
 }
 
+# Which absorber stage each identifying signature comes from.
+EVENT_STAGE: dict[CascadeEventKind, CascadeStage] = {
+    CascadeEventKind.D1: CascadeStage.FIRST_SINGLET_ABSORBER,
+    CascadeEventKind.D2: CascadeStage.SECOND_SINGLET_ABSORBER,
+    CascadeEventKind.D4: CascadeStage.FINAL_ABSORBER,
+    CascadeEventKind.D3_COINCIDENCE: CascadeStage.FINAL_ABSORBER,
+}
+
 
 @dataclass(frozen=True)
 class CascadeEvent:
+    """A detector signature.  Its stage and certified original branch are
+    fixed by the kind; both are ``None`` for a non-identifying signature."""
+
     kind: CascadeEventKind
-    stage: CascadeStage | None = None
-    original_bell: PairLabel | None = None
+
+    @property
+    def stage(self) -> CascadeStage | None:
+        return EVENT_STAGE.get(self.kind)
+
+    @property
+    def original_bell(self) -> PairLabel | None:
+        return EVENT_ORIGINAL_BRANCH.get(self.kind)
 
 
 @dataclass(frozen=True)
@@ -203,8 +217,10 @@ class CascadeRecord:
 
 
 def _selected_component(s: StateVector, label: PairLabel) -> tuple[float, StateVector]:
-    # Equivalent to contract_with(s, (0, 1), pair_basis_state(label)) but
-    # without per-call target checks; this runs several times per trial.
+    # The cascade's one pair-basis projection: the (Born weight, mode-2
+    # component) of ``label`` on modes (0, 1).  Equivalent to
+    # contract_with(s, (0, 1), pair_basis_state(label)) without the per-call
+    # target checks; this runs several times per trial.
     amps = _PAIR_BRAS[label] @ s.amplitudes.reshape(4, 2)
     component = StateVector._trusted(amps)
     probability = min(float(np.real(np.vdot(amps, amps))), 1.0)
@@ -287,31 +303,27 @@ def correction_for_photonic(label: PairLabel) -> Operator:
     return _CORRECTION_OPS[label]
 
 
-_PAIR_ORDER = tuple(PairLabel)
-
-
-def _sample_pair_branch(
-    s: StateVector, rng_sample: float
-) -> tuple[PairLabel, StateVector]:
+def _sample_pair_branch(s: StateVector, rng_sample: float) -> StateVector:
     """Sample which pair branch a polarization-blind coincidence consumed.
 
     The coincidence detectors cannot resolve the pair state, so the receiver
     mode is left in the branch mixture; per trial we unravel it by sampling a
-    branch with Born weights.  Under ideal absorbers only one branch survives
-    to this point and the sampling is deterministic.
+    branch with Born weights and return its normalized mode-2 component.
+    Under ideal absorbers only one branch survives to this point and the
+    sampling is deterministic.
     """
-    view = s.amplitudes.reshape(4, 2)
-    weights = []
-    components = []
-    for label in _PAIR_ORDER:
-        amps = _PAIR_BRAS[label] @ view
-        weights.append(float(np.real(np.vdot(amps, amps))))
-        components.append(StateVector._trusted(amps))
+    weights, components = zip(*(_selected_component(s, label) for label in PairLabel))
     cumulative = np.cumsum(weights)
     index = int(np.searchsorted(cumulative, rng_sample * cumulative[-1], side="right"))
-    index = min(index, len(_PAIR_ORDER) - 1)
-    return _PAIR_ORDER[index], components[index].normalized()
+    return components[min(index, len(components) - 1)].normalized()
 
+
+# The pair state each absorber signature projected modes (0, 1) onto.
+_ABSORBED_PAIR = {
+    CascadeEventKind.D1: PairLabel.CHI_MINUS,
+    CascadeEventKind.D2: PairLabel.CHI_MINUS,
+    CascadeEventKind.D4: PairLabel.CHI_PLUS,
+}
 
 # Uniform draws a cascade consumes at most: 2 availability, 3 absorbers,
 # 1 coincidence unraveling, 1 detection.
@@ -326,17 +338,24 @@ def run_cascade(
 ) -> CascadeRecord:
     """One full cascade trial, deterministic in ``rng_seed``.
 
+    The trial decides only its detector signature and, for an identifying
+    one, the receiver state ``bob_pre``; the signature alone then fixes the
+    stage, the certified branch and the correction (see :class:`CascadeEvent`).
+
     Uniform draws are consumed in a fixed order: input availability, pair
     availability, one draw per absorber reached, one branch-unraveling draw
-    on a coincidence, and one detection draw for any fired signature; at most
-    ``CASCADE_DRAWS`` (7) in all.  ``draws``, if given, must equal
-    ``uniform_draws(rng_seed, CASCADE_DRAWS)``.
+    on a coincidence, and one detection draw for any fired signature.  That
+    is 2 draws when both sources are dark, 3 for a single-detector event, and
+    4 / 5 / 6 / 7 for D1 / D2 / D4 / D3C, whether or not the detection draw
+    then loses the signature; at most ``CASCADE_DRAWS`` (7) in all.
+    ``draws``, if given, must equal ``uniform_draws(rng_seed, CASCADE_DRAWS)``.
     """
     if draws is None:
         draws = uniform_draws(rng_seed, CASCADE_DRAWS)
     draw = iter(draws).__next__
     input_available = draw() < cfg.p_in
     pair_available = draw() < cfg.p_pdc
+    bob_pre = None
 
     if not (input_available and pair_available):
         if pair_available:
@@ -345,95 +364,36 @@ def run_cascade(
             kind = CascadeEventKind.D3_SINGLE_TOP
         else:
             kind = CascadeEventKind.NO_EVENT
-        if kind is not CascadeEventKind.NO_EVENT and draw() >= cfg.eta_det:
-            kind = CascadeEventKind.NO_EVENT
-        return CascadeRecord(
-            input=input_state,
-            event=CascadeEvent(kind=kind),
-            bob_pre=None,
-            bob_post=None,
-            fidelity_value=None,
-            rng_seed=rng_seed,
-        )
+    else:
+        state = build_three_mode(input_state)
+        kind = CascadeEventKind.D1
+        absorbed, state = absorption_stage(state, cfg.eta_abs, draw())
+        if not absorbed:
+            kind = CascadeEventKind.D2
+            state = waveplate(state, 1)
+            absorbed, state = absorption_stage(state, cfg.eta_abs, draw())
+        if not absorbed:
+            kind, state = stage_final(state, cfg.eta_abs, draw())
+        if kind is CascadeEventKind.D3_COINCIDENCE:
+            bob_pre = _sample_pair_branch(state, draw())
+        else:
+            _, component = _selected_component(state, _ABSORBED_PAIR[kind])
+            bob_pre = component.normalized()
 
-    state = build_three_mode(input_state)
+    if kind is not CascadeEventKind.NO_EVENT and draw() >= cfg.eta_det:
+        kind, bob_pre = CascadeEventKind.NO_EVENT, None
 
-    absorbed, state = absorption_stage(state, cfg.eta_abs, draw())
-    if absorbed:
-        return _identified(
-            input_state, state, CascadeEventKind.D1,
-            CascadeStage.FIRST_SINGLET_ABSORBER, draw, cfg, rng_seed,
-        )
-
-    state = waveplate(state, 1)
-    absorbed, state = absorption_stage(state, cfg.eta_abs, draw())
-    if absorbed:
-        return _identified(
-            input_state, state, CascadeEventKind.D2,
-            CascadeStage.SECOND_SINGLET_ABSORBER, draw, cfg, rng_seed,
-        )
-
-    kind, state = stage_final(state, cfg.eta_abs, draw())
-    if kind is CascadeEventKind.D4:
-        return _identified(
-            input_state, state, CascadeEventKind.D4,
-            CascadeStage.FINAL_ABSORBER, draw, cfg, rng_seed,
-        )
-
-    _, bob_pre = _sample_pair_branch(state, draw())
-    return _finish_identifying(
-        input_state, CascadeEventKind.D3_COINCIDENCE,
-        CascadeStage.FINAL_ABSORBER, bob_pre, draw, cfg, rng_seed,
-    )
-
-
-def _identified(
-    input_state: UnknownState,
-    conditioned_state: StateVector,
-    kind: CascadeEventKind,
-    stage: CascadeStage,
-    draw: Callable[[], float],
-    cfg: EfficiencyConfig,
-    rng_seed: int,
-) -> CascadeRecord:
-    selector = (
-        PairLabel.CHI_PLUS
-        if kind is CascadeEventKind.D4
-        else PairLabel.CHI_MINUS
-    )
-    bob_pre = contract_with(
-        conditioned_state, (0, 1), pair_basis_state(selector)
-    ).normalized()
-    return _finish_identifying(input_state, kind, stage, bob_pre, draw, cfg, rng_seed)
-
-
-def _finish_identifying(
-    input_state: UnknownState,
-    kind: CascadeEventKind,
-    stage: CascadeStage,
-    bob_pre: StateVector,
-    draw: Callable[[], float],
-    cfg: EfficiencyConfig,
-    rng_seed: int,
-) -> CascadeRecord:
-    if draw() >= cfg.eta_det:
-        return CascadeRecord(
-            input=input_state,
-            event=CascadeEvent(kind=CascadeEventKind.NO_EVENT),
-            bob_pre=None,
-            bob_post=None,
-            fidelity_value=None,
-            rng_seed=rng_seed,
-        )
-    original = EVENT_ORIGINAL_BRANCH[kind]
-    correction = correction_for_photonic(original)
-    bob_post = StateVector._trusted(correction.matrix @ bob_pre.amplitudes)
+    bob_post = fidelity_value = None
+    if bob_pre is not None:
+        correction = correction_for_photonic(EVENT_ORIGINAL_BRANCH[kind])
+        bob_post = StateVector._trusted(correction.matrix @ bob_pre.amplitudes)
+        fidelity_value = fidelity(bob_post, input_state.state_vector())
     return CascadeRecord(
         input=input_state,
-        event=CascadeEvent(kind=kind, stage=stage, original_bell=original),
+        event=CascadeEvent(kind),
         bob_pre=bob_pre,
         bob_post=bob_post,
-        fidelity_value=fidelity(bob_post, input_state.state_vector()),
+        fidelity_value=fidelity_value,
         rng_seed=rng_seed,
     )
 

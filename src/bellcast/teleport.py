@@ -273,29 +273,21 @@ def run_baseline_computational(
 
     identified = outcome_index in _PSI_SECTOR and draws[1] < 0.5
     if identified:
-        branch = next(
+        outcome = BellOutcome.PSI_MINUS
+        bob = next(
             vec for label, vec, _ in decompose_branches(input_state)
-            if label is BellOutcome.PSI_MINUS
+            if label is outcome
         )
-        record = TrialRecord(
-            input=input_state,
-            outcome=BellOutcome.PSI_MINUS,
-            message=ClassicalMessage.from_outcome(BellOutcome.PSI_MINUS),
-            bob_pre=branch,
-            bob_post=branch,
-            fidelity_value=fidelity(branch, input_state.state_vector()),
-            rng_seed=rng_seed,
-        )
-        return True, record
-
-    bob = StateVector(psi[outcome_index >> 1, outcome_index & 1, :]).normalized()
+    else:
+        outcome = None
+        bob = StateVector(psi[outcome_index >> 1, outcome_index & 1, :]).normalized()
     record = TrialRecord(
         input=input_state,
-        outcome=None,
-        message=None,
+        outcome=outcome,
+        message=ClassicalMessage.from_outcome(outcome) if identified else None,
         bob_pre=bob,
         bob_post=bob,
         fidelity_value=fidelity(bob, input_state.state_vector()),
         rng_seed=rng_seed,
     )
-    return False, record
+    return identified, record

@@ -469,6 +469,11 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="line 2: trials"):
             parse_config("mode=spin\ntrials=zero")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_master_seed_out_of_range_names_the_line(self, seed):
+        with pytest.raises(ValueError, match="line 2: master_seed must fit in 64 bits"):
+            parse_config(f"mode=spin\nmaster_seed={seed}")
+
     def test_efficiency_out_of_range(self):
         with pytest.raises(ValueError, match="line 2: eta_abs"):
             parse_config("mode=photon\neta_abs=1.5")

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellcast.photonic import (
+    CASCADE_DRAWS,
     EVENT_ORIGINAL_BRANCH,
     IDENTIFYING_EVENTS,
     WAVEPLATE,
@@ -262,22 +263,31 @@ class TestIdealCascade:
                 break
         assert seen == IDENTIFYING_EVENTS
 
-    def test_event_metadata_names_stage_and_branch(self):
+    @pytest.mark.parametrize(
+        "cfg",
+        [IDEAL, EfficiencyConfig(eta_abs=0.5, eta_det=0.9, p_in=0.9, p_pdc=0.9)],
+        ids=["ideal", "lossy"],
+    )
+    def test_event_metadata_names_stage_and_branch(self, cfg):
         expected_stage = {
             CascadeEventKind.D1: CascadeStage.FIRST_SINGLET_ABSORBER,
             CascadeEventKind.D2: CascadeStage.SECOND_SINGLET_ABSORBER,
             CascadeEventKind.D4: CascadeStage.FINAL_ABSORBER,
             CascadeEventKind.D3_COINCIDENCE: CascadeStage.FINAL_ABSORBER,
         }
+        expected_kinds = set(CascadeEventKind) if cfg != IDEAL else IDENTIFYING_EVENTS
         seen = {}
-        for seed in range(300):
-            record = run_cascade(UnknownState.normalized(1, 1), IDEAL, seed)
+        for seed in range(1000):
+            record = run_cascade(UnknownState.normalized(1, 1), cfg, seed)
             seen[record.event.kind] = record.event
-            if len(seen) == 4:
+            if len(seen) == len(expected_kinds):
                 break
+        assert set(seen) == expected_kinds
         for kind, event in seen.items():
-            assert event.stage is expected_stage[kind]
-            assert event.original_bell is EVENT_ORIGINAL_BRANCH[kind]
+            assert event.stage is expected_stage.get(kind)
+            assert event.original_bell is EVENT_ORIGINAL_BRANCH.get(kind)
+            if kind not in IDENTIFYING_EVENTS:
+                assert event.stage is None and event.original_bell is None
 
     def test_same_seed_reproduces_the_record(self):
         input_state = UnknownState.normalized(2.0, 1.0j)
@@ -415,3 +425,58 @@ class TestSourceFailures:
             CascadeEventKind.D3_SINGLE_LOWER,
             CascadeEventKind.NO_EVENT,
         }
+
+
+class CountingDraws:
+    """A fixed row of uniforms that records how many of them were read."""
+
+    def __init__(self, values):
+        self._values = list(values)
+        self.read = 0
+
+    def __len__(self):
+        return len(self._values)
+
+    def __getitem__(self, index):
+        value = self._values[index]
+        self.read = max(self.read, index + 1)
+        return value
+
+
+# Draw values that steer the cascade: a source is lit or dark against
+# p = 0.5, an ideal absorber fires or passes (branch weights are 1/4, 1/3
+# and 1/2 in turn), and the detection draw keeps or loses the signature
+# against eta_det = 0.5.
+LIT, DARK = 0.0, 0.99
+FIRE, PASS = 0.0, 0.99
+DETECTED, LOST = 0.0, 0.99
+
+
+class TestDrawCount:
+    CFG = EfficiencyConfig(eta_det=0.5, p_in=0.5, p_pdc=0.5)
+
+    @pytest.mark.parametrize(
+        "steer, kind, expected",
+        [
+            pytest.param(steer, kind, expected, id=kind.value)
+            for steer, kind, expected in [
+                ((DARK, DARK), CascadeEventKind.NO_EVENT, 2),
+                ((LIT, DARK), CascadeEventKind.D3_SINGLE_TOP, 3),
+                ((DARK, LIT), CascadeEventKind.D3_SINGLE_LOWER, 3),
+                ((LIT, LIT, FIRE), CascadeEventKind.D1, 4),
+                ((LIT, LIT, PASS, FIRE), CascadeEventKind.D2, 5),
+                ((LIT, LIT, PASS, PASS, FIRE), CascadeEventKind.D4, 6),
+                ((LIT, LIT, PASS, PASS, PASS, 0.5), CascadeEventKind.D3_COINCIDENCE, 7),
+            ]
+        ],
+    )
+    @pytest.mark.parametrize("detection", [DETECTED, LOST], ids=["detected", "lost"])
+    def test_draws_consumed_per_outcome(self, steer, kind, expected, detection):
+        values = (steer + (detection,) + (0.5,) * CASCADE_DRAWS)[:CASCADE_DRAWS]
+        draws = CountingDraws(values)
+        record = run_cascade(UnknownState(0.6, 0.8j), self.CFG, 0, draws)
+        if detection == LOST:
+            kind = CascadeEventKind.NO_EVENT
+        assert record.event.kind is kind
+        assert (record.fidelity_value is not None) == (kind in IDENTIFYING_EVENTS)
+        assert draws.read == expected
