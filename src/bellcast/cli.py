@@ -16,6 +16,7 @@ import os
 import sys
 
 from .harness import (
+    MASTER_SEED_MAX,
     SEED_ENV_VAR,
     Mode,
     RunConfig,
@@ -123,9 +124,12 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
-            updates["master_seed"] = int(env_seed)
+            master_seed = int(env_seed)
         except ValueError:
             raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
+        if not 0 <= master_seed <= MASTER_SEED_MAX:
+            raise ValueError(f"{SEED_ENV_VAR} must fit in 64 bits, got {env_seed!r}")
+        updates["master_seed"] = master_seed
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 

@@ -10,6 +10,15 @@ those seeds.  Batches compute seeds and draws in bulk, ``CHUNK_TRIALS``
 trials at a time (:mod:`bellcast.stream`), bit-identical to building one
 generator per trial, so a record's ``seed`` still replays it alone.
 
+Physics: each chunk makes one call to its mode's batched kernel
+(``teleport_rows``, ``baseline_rows``, ``swap_rows`` or ``cascade_rows``),
+which runs every trial of the chunk as one row of an ``(N, 8)`` or
+``(N, 16)`` state array.  The one-trial entry points (``run_trial``,
+``run_baseline_computational``, ``run_entangled_input``, ``run_cascade``)
+are the same kernels called with one row, and every row is bit-identical to
+that call.  A Haar input is still converted from its draws one row at a
+time (``haar_from_uniforms``).
+
 Record schema (one JSON object per line, keys in this order):
 
     trial, seed, outcome, message_bits, fidelity, event*, a_re, a_im, b_re, b_im
@@ -34,17 +43,22 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .observables import BellOutcome, bell_state
+from .observables import MEASUREMENT_ORDER, BellOutcome, bell_state
 from .photonic import (
     CASCADE_DRAWS,
     EFFICIENCY_KNOBS,
+    EVENT_ORIGINAL_BRANCH,
     IDENTIFYING_EVENTS,
     CascadeEventKind,
     EfficiencyConfig,
     analytic_distribution,
-    run_cascade,
+    cascade_rows,
+    run_cascade,  # noqa: F401 - perfbench's tracer looks it up here
 )
-from .qcore import fidelity
+from .qcore import (
+    fidelity,  # noqa: F401 - perfbench's tracer looks it up here
+    fidelity_rows,
+)
 from .stream import derive_seeds, uniforms
 from .teleport import (
     BASELINE_DRAWS,
@@ -53,20 +67,22 @@ from .teleport import (
     TRIAL_DRAWS,
     ClassicalMessage,
     UnknownState,
+    baseline_rows,
     haar_from_uniforms,
     haar_random_input,  # noqa: F401 - perfbench's tracer looks it up here
-    run_baseline_computational,
-    run_entangled_input,
-    run_trial,
+    run_entangled_input,  # noqa: F401 - perfbench's tracer looks it up here
+    run_trial,  # noqa: F401 - perfbench's tracer looks it up here
+    swap_rows,
+    teleport_rows,
 )
 
-_MASK64 = (1 << 64) - 1
+MASTER_SEED_MAX = (1 << 64) - 1
 
 SUCCESS_FIDELITY = 1.0 - 1e-10
 SEED_ENV_VAR = "BELLCAST_SEED"
 
-# Trials whose seeds and draws are computed in one bulk call.
-CHUNK_TRIALS = 4096
+# Trials whose seeds, draws and physics are computed in one bulk call.
+CHUNK_TRIALS = 1024
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -96,7 +112,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.master_seed <= _MASK64:
+        if not 0 <= self.master_seed <= MASTER_SEED_MAX:
             raise ValueError("master_seed must fit in 64 bits")
 
 
@@ -133,6 +149,7 @@ _MESSAGE_BITS = {
     outcome: ClassicalMessage.from_outcome(outcome).as_string()
     for outcome in BellOutcome
 }
+_NO_AMPLITUDES = (None, None, None, None)
 
 
 def _wire_record(
@@ -141,10 +158,13 @@ def _wire_record(
     outcome: str | None,
     message_bits: str | None,
     fidelity_value: float | None,
-    input_state: UnknownState | None,
+    amplitudes: tuple | list,
     event: str | None = None,
 ) -> dict:
-    """One wire record, keys in schema order; ``event`` only in photon mode."""
+    """One wire record, keys in schema order; ``event`` only in photon mode.
+
+    ``amplitudes`` is ``(a_re, a_im, b_re, b_im)``, all None in swap mode.
+    """
     record = {
         "trial": index,
         "seed": base_seed,
@@ -154,14 +174,7 @@ def _wire_record(
     }
     if event is not None:
         record["event"] = event
-    if input_state is None:
-        record.update(a_re=None, a_im=None, b_re=None, b_im=None)
-    else:
-        a, b = input_state.a, input_state.b
-        record.update(
-            a_re=float(a.real), a_im=float(a.imag),
-            b_re=float(b.real), b_im=float(b.imag),
-        )
+    record["a_re"], record["a_im"], record["b_re"], record["b_im"] = amplitudes
     return record
 
 
@@ -172,73 +185,86 @@ _PROTOCOL_DRAWS = {
     Mode.PHOTON: CASCADE_DRAWS,
 }
 
+# Wire (outcome, message_bits) per measurement outcome index, and (outcome,
+# message_bits, event) per cascade event code.
+_OUTCOME_WIRE = [(o.value, _MESSAGE_BITS[o]) for o in MEASUREMENT_ORDER]
+_EVENT_WIRE = [
+    (branch.value, _MESSAGE_BITS[branch.bell_analog], kind.value)
+    if (branch := EVENT_ORIGINAL_BRANCH.get(kind))
+    else (None, None, kind.value)
+    for kind in CascadeEventKind
+]
+_SWAP_TARGET = bell_state(BellOutcome.PSI_MINUS).amplitudes
 
-def _trial_seeds(
+
+def _chunks(
     cfg: RunConfig,
-) -> Iterator[tuple[int, int, UnknownState | None, int, list[float]]]:
-    """Per trial: index, base seed, input state, protocol seed, protocol draws.
-
-    The input is None in swap mode, which has no single-qubit input.
-    """
-    haar = cfg.fixed_input is None and cfg.mode is not Mode.SWAP
+) -> Iterator[tuple[int, list[int], np.ndarray | None, np.ndarray]]:
+    """Per chunk: first trial index, base seeds, ``(n, 2)`` inputs and
+    ``(n, k)`` protocol draws.  The inputs are None in swap mode, which has
+    no single-qubit input."""
     for start in range(0, cfg.trials, CHUNK_TRIALS):
         stop = min(start + CHUNK_TRIALS, cfg.trials)
         indices = np.arange(start, stop, dtype=np.uint64)
         base_seeds = derive_seeds(cfg.master_seed, indices)
         protocol_seeds = derive_seeds(base_seeds, 1)
-        if haar:
-            input_draws = uniforms(derive_seeds(base_seeds, 0), HAAR_DRAWS).tolist()
-            inputs = (haar_from_uniforms(*row) for row in input_draws)
+        if cfg.mode is Mode.SWAP:
+            inputs = None
+        elif cfg.fixed_input is None:
+            # One UnknownState per row: vectorized arccos, cos, sin and exp
+            # are not shown to round as their scalar calls do.
+            rows = uniforms(derive_seeds(base_seeds, 0), HAAR_DRAWS).tolist()
+            states = [haar_from_uniforms(*row) for row in rows]
+            inputs = np.array([(s.a, s.b) for s in states], dtype=np.complex128)
         else:
-            inputs = itertools.repeat(cfg.fixed_input)
-        yield from zip(
-            range(start, stop),
-            base_seeds.tolist(),
-            inputs,
-            protocol_seeds.tolist(),
-            uniforms(protocol_seeds, _PROTOCOL_DRAWS[cfg.mode]).tolist(),
+            amplitudes = cfg.fixed_input.state_vector().amplitudes
+            inputs = np.tile(amplitudes, (stop - start, 1))
+        draws = uniforms(protocol_seeds, _PROTOCOL_DRAWS[cfg.mode])
+        yield start, base_seeds.tolist(), inputs, draws
+
+
+def _chunk_wire(cfg: RunConfig, inputs: np.ndarray | None, draws: np.ndarray):
+    """Run one chunk through the mode's kernel; yield each trial's
+    ``(outcome, message_bits, fidelity, event)`` in trial order."""
+    if cfg.mode is Mode.SPIN:
+        outcomes, _, _, fidelities = teleport_rows(inputs, draws)
+        for outcome, value in zip(outcomes.tolist(), fidelities):
+            yield (*_OUTCOME_WIRE[outcome], value, None)
+    elif cfg.mode is Mode.BASELINE:
+        identified, _, fidelities = baseline_rows(inputs, draws)
+        certified = (BellOutcome.PSI_MINUS.value, _MESSAGE_BITS[BellOutcome.PSI_MINUS])
+        for hit, value in zip(identified.tolist(), fidelities):
+            yield (*(certified if hit else (None, None)), value, None)
+    elif cfg.mode is Mode.SWAP:
+        outcomes, final = swap_rows(draws)
+        fidelities = fidelity_rows(final, np.broadcast_to(_SWAP_TARGET, final.shape))
+        for outcome, value in zip(outcomes.tolist(), fidelities):
+            yield (*_OUTCOME_WIRE[outcome], value, None)
+    elif cfg.mode is Mode.PHOTON:
+        kinds, _, _, fidelities = cascade_rows(
+            inputs, cfg.efficiency, draws.__getitem__
         )
+        for kind, value in zip(kinds.tolist(), fidelities):
+            outcome, message_bits, event = _EVENT_WIRE[kind]
+            yield outcome, message_bits, value, event
+    else:  # pragma: no cover - Mode is exhaustive
+        raise ValueError(f"unsupported mode {cfg.mode}")
 
 
 def iter_records(cfg: RunConfig) -> Iterator[dict]:
-    """Generate the batch's wire records in trial order."""
-    singlet = bell_state(BellOutcome.PSI_MINUS)
-    for index, base_seed, input_state, protocol_seed, draws in _trial_seeds(cfg):
-        if cfg.mode is Mode.SPIN or cfg.mode is Mode.BASELINE:
-            if cfg.mode is Mode.SPIN:
-                record = run_trial(input_state, protocol_seed, draws)
-            else:
-                _, record = run_baseline_computational(
-                    input_state, protocol_seed, draws
-                )
-            yield _wire_record(
-                index,
-                base_seed,
-                record.outcome.value if record.outcome else None,
-                record.message.as_string() if record.message else None,
-                record.fidelity_value,
-                record.input,
-            )
-        elif cfg.mode is Mode.SWAP:
-            outcome, final = run_entangled_input(protocol_seed, draws)
-            yield _wire_record(
-                index, base_seed, outcome.value, _MESSAGE_BITS[outcome],
-                fidelity(final, singlet), None,
-            )
-        elif cfg.mode is Mode.PHOTON:
-            cascade = run_cascade(input_state, cfg.efficiency, protocol_seed, draws)
-            original = cascade.event.original_bell
-            yield _wire_record(
-                index,
-                base_seed,
-                original.value if original else None,
-                _MESSAGE_BITS[original.bell_analog] if original else None,
-                cascade.fidelity_value,
-                cascade.input,
-                event=cascade.event.kind.value,
-            )
-        else:  # pragma: no cover - Mode is exhaustive
-            raise ValueError(f"unsupported mode {cfg.mode}")
+    """Generate the batch's wire records in trial order, one kernel call per
+    chunk of ``CHUNK_TRIALS`` trials."""
+    for start, base_seeds, inputs, draws in _chunks(cfg):
+        if inputs is None:
+            amplitudes = itertools.repeat(_NO_AMPLITUDES)
+        else:
+            amplitudes = inputs.view(np.float64).tolist()
+        trials = zip(
+            itertools.count(start), base_seeds, _chunk_wire(cfg, inputs, draws),
+            amplitudes,
+        )
+        for index, base_seed, (outcome, bits, value, event), amps in trials:
+            yield _wire_record(index, base_seed, outcome, bits, value, amps, event)
 
 
 def record_to_line(record: dict) -> str:
@@ -443,7 +469,7 @@ def parse_config(text: str) -> RunConfig:
                 master_seed = int(value)
             except ValueError:
                 raise ValueError(f"line {line_no}: master_seed must be an integer")
-            if not 0 <= master_seed <= _MASK64:
+            if not 0 <= master_seed <= MASTER_SEED_MAX:
                 raise ValueError(f"line {line_no}: master_seed must fit in 64 bits")
             values["master_seed"] = master_seed
         elif key in EFFICIENCY_KNOBS:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,8 +47,13 @@ from .qcore import (
     StateVector,
     apply,
     contract_with,  # noqa: F401 - perfbench's tracer looks it up here
-    fidelity,
+    fidelity,  # noqa: F401 - perfbench's tracer looks it up here
+    fidelity_rows,
+    normalized_rows,
+    overlap_rows,
+    require_draws_rows,
     tensor,
+    tensor_rows,
     unitary_table,
 )
 from .teleport import UnknownState, uniform_draws
@@ -217,57 +222,79 @@ class CascadeRecord:
 
 
 def _selected_component(s: StateVector, label: PairLabel) -> tuple[float, StateVector]:
-    # The cascade's one pair-basis projection: the (Born weight, mode-2
-    # component) of ``label`` on modes (0, 1).  Equivalent to
-    # contract_with(s, (0, 1), pair_basis_state(label)) without the per-call
-    # target checks; this runs several times per trial.
+    # The (Born weight, mode-2 component) of ``label`` on modes (0, 1), for
+    # pair_components and the analytic oracle.  Equivalent to
+    # contract_with(s, (0, 1), pair_basis_state(label)).
     amps = _PAIR_BRAS[label] @ s.amplitudes.reshape(4, 2)
     component = StateVector._trusted(amps)
     probability = min(float(np.real(np.vdot(amps, amps))), 1.0)
     return probability, component
 
 
-def _conditioned(
-    s: StateVector, label: PairLabel, component: StateVector, absorbed: bool
-) -> StateVector:
+def _declined(s: StateVector, label: PairLabel, component: StateVector) -> StateVector:
+    # The oracle's active-negative absorber window: ``label``'s branch removed.
     pair = pair_basis_state(label)
-    if absorbed:
-        return tensor(pair, component.normalized())
     remainder = s.amplitudes - np.multiply.outer(
         pair.amplitudes, component.amplitudes
     ).ravel()
     return StateVector._trusted(remainder).normalized()
 
 
-def _stage_windows(
-    s: StateVector, label: PairLabel, eta_abs: float, rng_sample: float
-) -> tuple[bool, StateVector]:
-    """Single-draw absorber model.
+# The row-batched cascade.  States are (N, 8) arrays over modes (0, 1, 2),
+# one trial per row.  Every step keeps the float operations of its scalar
+# form (see qcore's row-batched forms), so each row is bit-identical to a
+# one-trial call.
+
+
+def _project_rows(
+    states: np.ndarray, label: PairLabel
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cascade's one pair-basis projection: each row's Born weight of
+    ``label`` on modes (0, 1) and its unnormalized mode-2 component."""
+    components = _PAIR_BRAS[label] @ states.reshape(-1, 4, 2)
+    return np.minimum(overlap_rows(components, components).real, 1.0), components
+
+
+def _stage_rows(
+    states: np.ndarray, label: PairLabel, eta_abs: float, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Single-draw absorber model, one draw per row.
 
     The draw lands in one of three windows: ``[0, eta*p)`` the absorber is
     active and fires (state conditioned on the selected branch), ``[eta*p,
     eta)`` it is active but the projection comes out negative (selected
     branch removed), ``[eta, 1)`` it is inactive this trial and the state
     passes through unprojected.  With ``eta_abs == 1`` this is exactly the
-    ideal projective selection.
+    ideal projective selection.  Returns which rows fired and the new states.
     """
-    if not 0.0 <= rng_sample < 1.0:
-        raise ValueError(f"rng_sample must lie in [0, 1), got {rng_sample}")
+    require_draws_rows(draws)
     if not 0.0 <= eta_abs <= 1.0:
         raise ValueError(f"eta_abs must lie in [0, 1], got {eta_abs}")
-    probability, component = _selected_component(s, label)
-    if rng_sample < eta_abs * probability:
-        return True, _conditioned(s, label, component, absorbed=True)
-    if rng_sample < eta_abs:
-        return False, _conditioned(s, label, component, absorbed=False)
-    return False, s
+    probability, components = _project_rows(states, label)
+    fired = draws < eta_abs * probability
+    declined = ~fired & (draws < eta_abs)
+    pair = _PAIR_STATES[label].amplitudes
+    out = states.copy()
+    out[fired] = tensor_rows(pair, normalized_rows(components[fired]))
+    out[declined] = normalized_rows(
+        states[declined] - tensor_rows(pair, components[declined])
+    )
+    return fired, out
+
+
+def _stage(
+    s: StateVector, label: PairLabel, eta_abs: float, rng_sample: float
+) -> tuple[bool, StateVector]:
+    draws = np.array([rng_sample])
+    fired, out = _stage_rows(s.amplitudes[None], label, eta_abs, draws)
+    return bool(fired[0]), StateVector._trusted(out[0])
 
 
 def absorption_stage(
     s: StateVector, eta_abs: float, rng_sample: float
 ) -> tuple[bool, StateVector]:
     """Resonant two-photon absorber selecting the zero-spin pair ``chi-``."""
-    return _stage_windows(s, PairLabel.CHI_MINUS, eta_abs, rng_sample)
+    return _stage(s, PairLabel.CHI_MINUS, eta_abs, rng_sample)
 
 
 def stage_final(
@@ -278,9 +305,17 @@ def stage_final(
     Absorption fires D4; either non-absorption path sends both photons on to
     the coincidence detectors (D3 pair).
     """
-    absorbed, post = _stage_windows(s, PairLabel.CHI_PLUS, eta_abs, rng_sample)
+    absorbed, post = _stage(s, PairLabel.CHI_PLUS, eta_abs, rng_sample)
     kind = CascadeEventKind.D4 if absorbed else CascadeEventKind.D3_COINCIDENCE
     return kind, post
+
+
+def _waveplate_rows(states: np.ndarray) -> np.ndarray:
+    """The half-wave rotation on mode 1 of every row (``waveplate(s, 1)``)."""
+    n = states.shape[0]
+    moved = states.reshape(n, 2, 2, 2).transpose(0, 2, 1, 3).reshape(n, 2, 4)
+    rotated = (WAVEPLATE.matrix @ moved).reshape(n, 2, 2, 2)
+    return rotated.transpose(0, 2, 1, 3).reshape(n, 8)
 
 
 _CORRECTIONS: dict[PairLabel, np.ndarray] = {
@@ -303,7 +338,7 @@ def correction_for_photonic(label: PairLabel) -> Operator:
     return _CORRECTION_OPS[label]
 
 
-def _sample_pair_branch(s: StateVector, rng_sample: float) -> StateVector:
+def _sample_pair_branch_rows(states: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Sample which pair branch a polarization-blind coincidence consumed.
 
     The coincidence detectors cannot resolve the pair state, so the receiver
@@ -312,22 +347,99 @@ def _sample_pair_branch(s: StateVector, rng_sample: float) -> StateVector:
     Under ideal absorbers only one branch survives to this point and the
     sampling is deterministic.
     """
-    weights, components = zip(*(_selected_component(s, label) for label in PairLabel))
-    cumulative = np.cumsum(weights)
-    index = int(np.searchsorted(cumulative, rng_sample * cumulative[-1], side="right"))
-    return components[min(index, len(components) - 1)].normalized()
+    weights, components = zip(*(_project_rows(states, label) for label in PairLabel))
+    cumulative = np.cumsum(np.stack(weights, axis=1), axis=1)
+    # searchsorted(cumulative, u * cumulative[-1], side="right"), clamped
+    target = (draws * cumulative[:, -1])[:, None]
+    index = np.minimum((cumulative <= target).sum(axis=1), len(PairLabel) - 1)
+    return normalized_rows(np.stack(components, axis=1)[np.arange(len(index)), index])
 
-
-# The pair state each absorber signature projected modes (0, 1) onto.
-_ABSORBED_PAIR = {
-    CascadeEventKind.D1: PairLabel.CHI_MINUS,
-    CascadeEventKind.D2: PairLabel.CHI_MINUS,
-    CascadeEventKind.D4: PairLabel.CHI_PLUS,
-}
 
 # Uniform draws a cascade consumes at most: 2 availability, 3 absorbers,
 # 1 coincidence unraveling, 1 detection.
 CASCADE_DRAWS = 7
+
+
+# Kinds by their index in the kernel's event codes.
+_KINDS = tuple(CascadeEventKind)
+_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+_IDENTIFYING_CODES = np.array([kind in IDENTIFYING_EVENTS for kind in _KINDS])
+# The correction per event code; non-identifying codes, never corrected, get
+# the identity (the gamma- correction).
+_CORRECTION_BY_CODE = np.array(
+    [
+        _CORRECTION_OPS[EVENT_ORIGINAL_BRANCH.get(kind, PairLabel.GAMMA_MINUS)].matrix
+        for kind in _KINDS
+    ]
+)
+# The absorbers in cascade order: the signature each fires, the pair state it
+# selects, and whether the half-wave rotation on mode 1 comes before it.
+_ABSORBERS = (
+    (CascadeEventKind.D1, PairLabel.CHI_MINUS, False),
+    (CascadeEventKind.D2, PairLabel.CHI_MINUS, True),
+    (CascadeEventKind.D4, PairLabel.CHI_PLUS, False),
+)
+
+DrawReader = Callable[[tuple[np.ndarray, np.ndarray]], np.ndarray]
+
+
+def cascade_rows(
+    inputs: np.ndarray, cfg: EfficiencyConfig, read_draws: DrawReader
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float | None]]:
+    """:func:`run_cascade` for a batch of ``(N, 2)`` input rows.
+
+    Each trial reads its draws in order through its own column cursor:
+    ``read_draws((rows, columns))`` returns the draw in column ``columns[j]``
+    of trial ``rows[j]``'s ``CASCADE_DRAWS``-long row, as indexing an
+    ``(N, CASCADE_DRAWS)`` array does; a batch passes that array's
+    ``__getitem__``.
+
+    Returns the event codes (indices into ``CascadeEventKind``), ``bob_pre``
+    and ``bob_post`` as ``(N, 2)`` arrays, meaningful on identifying rows
+    only, and the fidelities, ``None`` on the other rows.
+    """
+    n = inputs.shape[0]
+    cursor = np.zeros(n, dtype=np.intp)
+
+    def draw(rows: np.ndarray) -> np.ndarray:
+        values = read_draws((rows, cursor[rows]))
+        cursor[rows] += 1
+        return values
+
+    every = np.arange(n)
+    input_available = draw(every) < cfg.p_in
+    pair_available = draw(every) < cfg.p_pdc
+    kinds = np.full(n, _CODE[CascadeEventKind.NO_EVENT])
+    kinds[pair_available & ~input_available] = _CODE[CascadeEventKind.D3_SINGLE_LOWER]
+    kinds[input_available & ~pair_available] = _CODE[CascadeEventKind.D3_SINGLE_TOP]
+
+    bob_pre = np.zeros((n, 2), dtype=np.complex128)
+    rows = np.flatnonzero(input_available & pair_available)
+    states = tensor_rows(inputs[rows], pdc_pair().amplitudes)  # build_three_mode
+    for kind, label, rotate in _ABSORBERS:
+        if rotate:
+            states = _waveplate_rows(states)
+        fired, states = _stage_rows(states, label, cfg.eta_abs, draw(rows))
+        kinds[rows[fired]] = _CODE[kind]
+        bob_pre[rows[fired]] = normalized_rows(_project_rows(states[fired], label)[1])
+        rows, states = rows[~fired], states[~fired]
+    kinds[rows] = _CODE[CascadeEventKind.D3_COINCIDENCE]
+    bob_pre[rows] = _sample_pair_branch_rows(states, draw(rows))
+
+    signalled = np.flatnonzero(kinds != _CODE[CascadeEventKind.NO_EVENT])
+    lost = draw(signalled) >= cfg.eta_det
+    kinds[signalled[lost]] = _CODE[CascadeEventKind.NO_EVENT]
+
+    identified = np.flatnonzero(_IDENTIFYING_CODES[kinds])
+    bob_post = np.zeros((n, 2), dtype=np.complex128)
+    bob_post[identified] = (
+        _CORRECTION_BY_CODE[kinds[identified]] @ bob_pre[identified][:, :, None]
+    )[:, :, 0]
+    fidelities: list[float | None] = [None] * n
+    values = fidelity_rows(bob_post[identified], inputs[identified])
+    for row, value in zip(identified.tolist(), values):
+        fidelities[row] = value
+    return kinds, bob_pre, bob_post, fidelities
 
 
 def run_cascade(
@@ -347,53 +459,26 @@ def run_cascade(
     on a coincidence, and one detection draw for any fired signature.  That
     is 2 draws when both sources are dark, 3 for a single-detector event, and
     4 / 5 / 6 / 7 for D1 / D2 / D4 / D3C, whether or not the detection draw
-    then loses the signature; at most ``CASCADE_DRAWS`` (7) in all.
+    then loses the signature; at most ``CASCADE_DRAWS`` (7) in all.  Only
+    those draws are read.
     ``draws``, if given, must equal ``uniform_draws(rng_seed, CASCADE_DRAWS)``.
     """
     if draws is None:
         draws = uniform_draws(rng_seed, CASCADE_DRAWS)
-    draw = iter(draws).__next__
-    input_available = draw() < cfg.p_in
-    pair_available = draw() < cfg.p_pdc
-    bob_pre = None
 
-    if not (input_available and pair_available):
-        if pair_available:
-            kind = CascadeEventKind.D3_SINGLE_LOWER
-        elif input_available:
-            kind = CascadeEventKind.D3_SINGLE_TOP
-        else:
-            kind = CascadeEventKind.NO_EVENT
-    else:
-        state = build_three_mode(input_state)
-        kind = CascadeEventKind.D1
-        absorbed, state = absorption_stage(state, cfg.eta_abs, draw())
-        if not absorbed:
-            kind = CascadeEventKind.D2
-            state = waveplate(state, 1)
-            absorbed, state = absorption_stage(state, cfg.eta_abs, draw())
-        if not absorbed:
-            kind, state = stage_final(state, cfg.eta_abs, draw())
-        if kind is CascadeEventKind.D3_COINCIDENCE:
-            bob_pre = _sample_pair_branch(state, draw())
-        else:
-            _, component = _selected_component(state, _ABSORBED_PAIR[kind])
-            bob_pre = component.normalized()
+    def read_draws(key: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        return np.array([draws[column] for column in key[1].tolist()], dtype=np.float64)
 
-    if kind is not CascadeEventKind.NO_EVENT and draw() >= cfg.eta_det:
-        kind, bob_pre = CascadeEventKind.NO_EVENT, None
-
-    bob_post = fidelity_value = None
-    if bob_pre is not None:
-        correction = correction_for_photonic(EVENT_ORIGINAL_BRANCH[kind])
-        bob_post = StateVector._trusted(correction.matrix @ bob_pre.amplitudes)
-        fidelity_value = fidelity(bob_post, input_state.state_vector())
+    kinds, bob_pre, bob_post, fidelities = cascade_rows(
+        input_state.state_vector().amplitudes[None], cfg, read_draws
+    )
+    identified = fidelities[0] is not None
     return CascadeRecord(
         input=input_state,
-        event=CascadeEvent(kind),
-        bob_pre=bob_pre,
-        bob_post=bob_post,
-        fidelity_value=fidelity_value,
+        event=CascadeEvent(_KINDS[kinds[0]]),
+        bob_pre=StateVector._trusted(bob_pre[0]) if identified else None,
+        bob_post=StateVector._trusted(bob_post[0]) if identified else None,
+        fidelity_value=fidelities[0],
         rng_seed=rng_seed,
     )
 
@@ -436,7 +521,7 @@ def analytic_distribution(
             miss_active = weight * cfg.eta_abs * (1.0 - probability)
             if miss_active > 1e-18:
                 remaining.append(
-                    (miss_active, _conditioned(state, label, component, absorbed=False))
+                    (miss_active, _declined(state, label, component))
                 )
             inactive = weight * (1.0 - cfg.eta_abs)
             if inactive > 1e-18:

@@ -324,6 +324,95 @@ def fidelity(s: StateVector, t: StateVector) -> float:
     return min(float(abs(np.vdot(s.amplitudes, t.amplitudes)) ** 2), 1.0)
 
 
+# Row-batched forms of the operations above.  A batch holds one state per row
+# of an ``(N, dim)`` complex128 array.  Every contraction is a stacked ``@``:
+# numpy hands each row to the same BLAS dot or gemv call as the scalar
+# ``np.vdot`` or ``@``, so every row is bit-identical to the scalar result.
+# ``einsum`` and ``.sum(-1)`` sum in another order and are not used.
+
+
+def tensor_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`tensor` of ``a`` and ``b`` row by row, ``a`` leftmost.
+
+    Either side may instead be one 1-d state, shared by every row.
+    """
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    return (a[:, :, None] * b[:, None, :]).reshape(-1, a.shape[1] * b.shape[1])
+
+
+def overlap_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.vdot(x[i], y[i])`` for every row, as an ``(N,)`` complex array."""
+    return (x.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _norm_rows(x: np.ndarray) -> np.ndarray:
+    """:attr:`StateVector.norm` of every row."""
+    return np.sqrt(np.maximum(overlap_rows(x, x).real, 0.0))
+
+
+def normalized_rows(x: np.ndarray) -> np.ndarray:
+    """:meth:`StateVector.normalized` of every row, with the same error."""
+    n = _norm_rows(x)
+    if np.any(n < 1e-12):
+        raise ValueError("cannot normalize a (near-)zero state vector")
+    return x / n[:, None]
+
+
+def _require_normalized_rows(x: np.ndarray, what: str) -> None:
+    n = _norm_rows(x)
+    bad = np.abs(n - 1.0) > _NORM_ATOL
+    if bad.any():
+        raise ValueError(f"{what} must be normalized (norm {n[bad][0]:.12g})")
+
+
+def require_draws_rows(draws: np.ndarray) -> None:
+    """Reject any draw outside [0, 1), with :func:`measure_projective`'s error."""
+    bad = ~((draws >= 0.0) & (draws < 1.0))
+    if bad.any():
+        raise ValueError(f"rng_sample must lie in [0, 1), got {draws[bad][0]}")
+
+
+def measure_rows(
+    states: np.ndarray, projectors: np.ndarray, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`measure_projective` of every row against one projector set.
+
+    ``projectors`` is a ``(K, dim, dim)`` array of a complete, audited set;
+    ``draws`` holds one uniform per row.  Returns the ``(N,)`` outcome indices
+    and the ``(N, dim)`` renormalized post states.  The rules and errors are
+    :func:`measure_projective`'s: the first cumulative edge above the draw
+    wins, a draw past every edge falls back to the highest outcome above
+    ``MIN_PROBABILITY``, and an all-degenerate row is an error.
+    """
+    require_draws_rows(draws)
+    _require_normalized_rows(states, "measured state")
+    projected = (projectors @ states[:, None, :, None])[..., 0]
+    probs = np.maximum(overlap_rows(states[:, None, :], projected).real, 0.0)
+    if np.any(probs.max(axis=1) < MIN_PROBABILITY):
+        raise ValueError("all outcome probabilities are degenerate (below 1e-15)")
+    above = draws[:, None] < np.cumsum(probs, axis=1)
+    live = probs > MIN_PROBABILITY
+    last_live = live.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
+    chosen = np.where(above.any(axis=1), np.argmax(above, axis=1), last_live)
+    rows = np.arange(states.shape[0])
+    post = projected[rows, chosen] / np.sqrt(probs[rows, chosen])[:, None]
+    return chosen, post
+
+
+def fidelity_rows(s: np.ndarray, t: np.ndarray) -> list[float]:
+    """:func:`fidelity` of every row pair, with the same checks.
+
+    The modulus and the square are taken per row on Python floats, the
+    scalar operations :func:`fidelity` uses; vectorized ``abs`` and ``**`` are
+    not shown to round the same.
+    """
+    if s.shape[-1] != t.shape[-1]:
+        raise ValueError(f"dimension mismatch: {s.shape[-1]} vs {t.shape[-1]}")
+    _require_normalized_rows(s, "first state")
+    _require_normalized_rows(t, "second state")
+    return [min(abs(z) ** 2, 1.0) for z in overlap_rows(s, t).tolist()]
+
+
 def embed_operator(op: Operator, n_qubits: int, targets) -> Operator:
     """Expand ``op`` to the full ``n_qubits`` register (identity elsewhere)."""
     dim = 1 << n_qubits

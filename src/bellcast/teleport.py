@@ -21,26 +21,33 @@ on a quarter of trials.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .observables import (
+    MEASUREMENT_ORDER,
     PAULI_I,
     PAULI_X,
     PAULI_Z,
     BellOutcome,
-    bell_measure,
+    bell_measure,  # noqa: F401 - perfbench's tracer looks it up here
+    bell_projectors,
     bell_state,
 )
 from .qcore import (
     Operator,
     StateVector,
-    apply,
-    contract_with,
-    fidelity,
+    apply,  # noqa: F401 - perfbench's tracer looks it up here
+    contract_with,  # noqa: F401 - perfbench's tracer looks it up here
+    fidelity,  # noqa: F401 - perfbench's tracer looks it up here
+    fidelity_rows,
+    measure_rows,
+    normalized_rows,
     tensor,
+    tensor_rows,
     unitary_table,
 )
 
@@ -144,8 +151,15 @@ class TrialRecord:
     rng_seed: int
 
     def __post_init__(self) -> None:
-        if not -1e-12 <= self.fidelity_value <= 1.0 + 1e-12:
-            raise ValueError(f"fidelity {self.fidelity_value} outside [0, 1]")
+        _require_fidelity_range([self.fidelity_value])
+
+
+def _require_fidelity_range(values: list[float]) -> None:
+    """:class:`TrialRecord`'s fidelity check, over a batch's values."""
+    array = np.asarray(values, dtype=np.float64)
+    bad = ~((array >= -1e-12) & (array <= 1.0 + 1e-12))
+    if bad.any():
+        raise ValueError(f"fidelity {array[bad][0]} outside [0, 1]")
 
 
 def prepare_singlet() -> StateVector:
@@ -194,6 +208,51 @@ def correction_for(outcome: BellOutcome) -> Operator:
     return _CORRECTION_OPS[outcome]
 
 
+# The row-batched kernel.  Each protocol below runs a whole batch of trials
+# as (N, 8) or (N, 16) complex arrays, one trial per row, with the same float
+# operations in the same order as the scalar qcore calls (see qcore's
+# row-batched forms), so every row is bit-identical to a one-trial call.
+# Outcome indices follow MEASUREMENT_ORDER.
+_SINGLET = prepare_singlet().amplitudes
+_BELL_BRAS = np.array([bell_state(o).amplitudes.conj() for o in MEASUREMENT_ORDER])
+_CORRECTION_MATRICES = np.array([_CORRECTION_OPS[o].matrix for o in MEASUREMENT_ORDER])
+_SWAP_STATE = tensor(prepare_singlet(), prepare_singlet()).amplitudes
+
+
+@functools.cache
+def _projector_stack(n_qubits: int, qubits: tuple[int, int]) -> np.ndarray:
+    """The Bell projectors on ``qubits`` as one read-only ``(4, dim, dim)``
+    array, built on first use like :func:`bell_projectors` itself."""
+    stack = np.array([p.matrix for p in bell_projectors(n_qubits, qubits)])
+    stack.setflags(write=False)
+    return stack
+
+
+def _draw_row(draws: Sequence[float]) -> np.ndarray:
+    return np.asarray(draws, dtype=np.float64).reshape(1, -1)
+
+
+def teleport_rows(
+    inputs: np.ndarray, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
+    """:func:`run_trial` for a batch: one ``(N, 2)`` input row and one
+    ``(N, TRIAL_DRAWS)`` draw row per trial.
+
+    Returns the outcome indices, ``bob_pre`` and ``bob_post`` as ``(N, 2)``
+    arrays, and the fidelities.
+    """
+    n = inputs.shape[0]
+    projectors = _projector_stack(3, (0, 1))
+    outcome, post = measure_rows(tensor_rows(inputs, _SINGLET), projectors, draws[:, 0])
+    # <Bell(outcome)| contracted over qubits (0, 1), as contract_with does.
+    bras = _BELL_BRAS[outcome][:, None, :]
+    bob_pre = normalized_rows((bras @ post.reshape(n, 4, 2))[:, 0])
+    bob_post = (_CORRECTION_MATRICES[outcome] @ bob_pre[:, :, None])[:, :, 0]
+    fidelities = fidelity_rows(bob_post, inputs)
+    _require_fidelity_range(fidelities)
+    return outcome, bob_pre, bob_post, fidelities
+
+
 def run_trial(
     input_state: UnknownState, rng_seed: int, draws: Sequence[float] | None = None
 ) -> TrialRecord:
@@ -203,20 +262,35 @@ def run_trial(
     """
     if draws is None:
         draws = uniform_draws(rng_seed, TRIAL_DRAWS)
-    state = tensor(input_state.state_vector(), prepare_singlet())
-    outcome, post = bell_measure(state, (0, 1), draws[0])
-    bob_pre = contract_with(post, (0, 1), bell_state(outcome)).normalized()
-    correction = correction_for(outcome)
-    bob_post = StateVector._trusted(correction.matrix @ bob_pre.amplitudes)
+    outcome, bob_pre, bob_post, fidelities = teleport_rows(
+        input_state.state_vector().amplitudes[None], _draw_row(draws)
+    )
+    outcome = MEASUREMENT_ORDER[outcome[0]]
     return TrialRecord(
         input=input_state,
         outcome=outcome,
         message=ClassicalMessage.from_outcome(outcome),
-        bob_pre=bob_pre,
-        bob_post=bob_post,
-        fidelity_value=fidelity(bob_post, input_state.state_vector()),
+        bob_pre=StateVector._trusted(bob_pre[0]),
+        bob_post=StateVector._trusted(bob_post[0]),
+        fidelity_value=fidelities[0],
         rng_seed=rng_seed,
     )
+
+
+def swap_rows(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`run_entangled_input` for a batch of ``(N, SWAP_DRAWS)`` draw rows.
+
+    Returns the outcome indices and the ``(N, 4)`` states of qubits (0, 3).
+    """
+    n = draws.shape[0]
+    state = np.broadcast_to(_SWAP_STATE, (n, 16))
+    outcome, post = measure_rows(state, _projector_stack(4, (1, 2)), draws[:, 0])
+    # The correction on qubit 3, then <Bell| contracted over qubits (1, 2).
+    moved = post.reshape(n, 8, 2).transpose(0, 2, 1)
+    corrected = (_CORRECTION_MATRICES[outcome] @ moved).transpose(0, 2, 1)
+    pair_first = corrected.reshape(n, 2, 4, 2).transpose(0, 2, 1, 3).reshape(n, 4, 4)
+    final = normalized_rows((_BELL_BRAS[outcome][:, None, :] @ pair_first)[:, 0])
+    return outcome, final
 
 
 def run_entangled_input(
@@ -231,16 +305,34 @@ def run_entangled_input(
     """
     if draws is None:
         draws = uniform_draws(rng_seed, SWAP_DRAWS)
-    state = tensor(prepare_singlet(), prepare_singlet())
-    outcome, post = bell_measure(state, (1, 2), draws[0])
-    corrected = apply(correction_for(outcome), post, (3,))
-    final = contract_with(corrected, (1, 2), bell_state(outcome)).normalized()
-    return outcome, final
+    outcome, final = swap_rows(_draw_row(draws))
+    return MEASUREMENT_ORDER[outcome[0]], StateVector._trusted(final[0])
 
 
-# Product basis on the measured pair, ordered |uu>, |ud>, |du>, |dd>.
-_PRODUCT_LABELS = ("uu", "ud", "du", "dd")
-_PSI_SECTOR = frozenset((1, 2))
+def baseline_rows(
+    inputs: np.ndarray, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """:func:`run_baseline_computational` for a batch: one ``(N, 2)`` input
+    row and one ``(N, BASELINE_DRAWS)`` draw row per trial.
+
+    Returns which trials were identified, the receiver states (``bob_pre``,
+    which is also ``bob_post``) as an ``(N, 2)`` array, and the fidelities.
+    """
+    n = inputs.shape[0]
+    # Product outcomes on the measured pair: |uu>, |ud>, |du>, |dd>.
+    psi = tensor_rows(inputs, _SINGLET).reshape(n, 4, 2)
+    squares = np.abs(psi) ** 2
+    cumulative = np.cumsum(squares[:, :, 0] + squares[:, :, 1], axis=1)
+    # searchsorted(cumulative, draw, side="right"), clamped to the last outcome
+    outcome = np.minimum((cumulative <= draws[:, :1]).sum(axis=1), 3)
+    identified = ((outcome == 1) | (outcome == 2)) & (draws[:, 1] < 0.5)
+    # A certified trial holds the singlet branch (-a, -b) of decompose_branches.
+    bob = -inputs
+    missed = np.flatnonzero(~identified)
+    bob[missed] = normalized_rows(psi[missed, outcome[missed]])
+    fidelities = fidelity_rows(bob, inputs)
+    _require_fidelity_range(fidelities)
+    return identified, bob, fidelities
 
 
 def run_baseline_computational(
@@ -262,32 +354,19 @@ def run_baseline_computational(
     """
     if draws is None:
         draws = uniform_draws(rng_seed, BASELINE_DRAWS)
-    state = tensor(input_state.state_vector(), prepare_singlet())
-    psi = state.tensor_view()
-    pair_probs = np.array(
-        [float(np.sum(np.abs(psi[i >> 1, i & 1, :]) ** 2)) for i in range(4)]
+    identified, bob, fidelities = baseline_rows(
+        input_state.state_vector().amplitudes[None], _draw_row(draws)
     )
-    cumulative = np.cumsum(pair_probs)
-    outcome_index = int(np.searchsorted(cumulative, draws[0], side="right"))
-    outcome_index = min(outcome_index, 3)
-
-    identified = outcome_index in _PSI_SECTOR and draws[1] < 0.5
-    if identified:
-        outcome = BellOutcome.PSI_MINUS
-        bob = next(
-            vec for label, vec, _ in decompose_branches(input_state)
-            if label is outcome
-        )
-    else:
-        outcome = None
-        bob = StateVector(psi[outcome_index >> 1, outcome_index & 1, :]).normalized()
+    identified = bool(identified[0])
+    outcome = BellOutcome.PSI_MINUS if identified else None
+    bob = StateVector._trusted(bob[0])
     record = TrialRecord(
         input=input_state,
         outcome=outcome,
         message=ClassicalMessage.from_outcome(outcome) if identified else None,
         bob_pre=bob,
         bob_post=bob,
-        fidelity_value=fidelity(bob, input_state.state_vector()),
+        fidelity_value=fidelities[0],
         rng_seed=rng_seed,
     )
     return identified, record

@@ -1,10 +1,9 @@
 """End-to-end acceptance checks, one test per top-level claim.
 
 Each test prints a single PASS or FAIL line (run ``pytest -s`` to see them)
-and pins the tolerance it enforces.  The module gates every commit; it takes
-15-18 s on a 2-core machine (Python 3.11, numpy 2.4), and ROADMAP item 4a
-(the batched trial kernel) aims to bring it back under ten seconds without
-shrinking any trial count.
+and pins the tolerance it enforces.  The module gates every commit.  Its
+trial loops run as batch kernel calls, with trial ``i`` drawing from
+``rng_seed=i`` exactly as the one-trial entry points do.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import pytest
 
 from bellcast.harness import Mode, RunConfig, run_batch
 from bellcast.observables import (
+    MEASUREMENT_ORDER,
     BellOutcome,
     bell_state,
     build_spin_observables,
@@ -25,6 +25,7 @@ from bellcast.observables import (
     verify_eigen_table,
 )
 from bellcast.photonic import (
+    CASCADE_DRAWS,
     CascadeEventKind,
     EfficiencyConfig,
     IDENTIFYING_EVENTS,
@@ -32,20 +33,23 @@ from bellcast.photonic import (
     absorption_stage,
     analytic_distribution,
     build_three_mode,
+    cascade_rows,
     pair_basis_state,
     pdc_pair,
-    run_cascade,
     waveplate,
 )
 from bellcast.qcore import StateVector, contract_with, fidelity, tensor
+from bellcast.stream import uniforms
 from bellcast.teleport import (
+    BASELINE_DRAWS,
+    TRIAL_DRAWS,
     UnknownState,
+    baseline_rows,
     decompose_branches,
     haar_random_input,
     prepare_singlet,
-    run_baseline_computational,
     run_entangled_input,
-    run_trial,
+    teleport_rows,
 )
 
 ATOL_EXACT = 1e-12       # analytic identities evaluated in float64
@@ -94,6 +98,36 @@ def haar_inputs() -> list[UnknownState]:
     return [haar_random_input(rng) for _ in range(10_000)]
 
 
+def amplitude_rows(states: list[UnknownState]) -> np.ndarray:
+    return np.array([state.state_vector().amplitudes for state in states])
+
+
+def seed_draws(seeds: range, k: int) -> np.ndarray:
+    """Row ``i`` holds the first ``k`` uniforms of ``default_rng(seeds[i])``,
+    the draws the trial entry points take from ``rng_seed``."""
+    return uniforms(np.arange(seeds.start, seeds.stop, dtype=np.uint64), k)
+
+
+def cascade_kinds_and_fidelities(
+    states: list[UnknownState], cfg: EfficiencyConfig, trials: int
+) -> tuple[Counter, list]:
+    """Trial ``i`` runs ``states[i % len(states)]`` with ``rng_seed=i``, in
+    chunks of 10^4 trials so that memory stays small."""
+    inputs = amplitude_rows(states)
+    counts: Counter[CascadeEventKind] = Counter()
+    fidelities = []
+    kinds = list(CascadeEventKind)
+    for start in range(0, trials, 10_000):
+        seeds = range(start, min(start + 10_000, trials))
+        codes, _, _, values = cascade_rows(
+            inputs[np.array(seeds) % len(states)], cfg,
+            seed_draws(seeds, CASCADE_DRAWS).__getitem__,
+        )
+        counts.update(kinds[code] for code in codes.tolist())
+        fidelities += values
+    return counts, fidelities
+
+
 @criterion("commuting-set verification")
 def test_squared_spin_set_commutes_with_exact_eigen_table():
     start = time.perf_counter()
@@ -117,13 +151,15 @@ def test_squared_spin_set_commutes_with_exact_eigen_table():
 
 @criterion("total teleportation")
 def test_teleportation_succeeds_on_every_haar_input(haar_inputs):
-    counts: Counter[BellOutcome] = Counter()
-    min_fid = 1.0
+    # Trial i runs haar_inputs[i] with rng_seed=i.
+    trials = len(haar_inputs)
+    outcomes, _, _, fidelities = teleport_rows(
+        amplitude_rows(haar_inputs), seed_draws(range(trials), TRIAL_DRAWS)
+    )
+    counts = Counter(MEASUREMENT_ORDER[i] for i in outcomes.tolist())
+    min_fid = min(fidelities)
     worst_branch_dev = 0.0
-    for i, state in enumerate(haar_inputs):
-        record = run_trial(state, rng_seed=i)
-        counts[record.outcome] += 1
-        min_fid = min(min_fid, record.fidelity_value)
+    for state in haar_inputs:
         for _, branch, coefficient in decompose_branches(state):
             weight = coefficient**2 * float(
                 np.vdot(branch.amplitudes, branch.amplitudes).real
@@ -132,7 +168,6 @@ def test_teleportation_succeeds_on_every_haar_input(haar_inputs):
 
     assert min_fid >= SUCCESS_FIDELITY
     assert worst_branch_dev < ATOL_EXACT
-    trials = len(haar_inputs)
     assert set(counts) == set(BellOutcome)
     for outcome in BellOutcome:
         assert abs(counts[outcome] / trials - 0.25) <= FREQ_TOL_10K
@@ -211,14 +246,9 @@ def test_cascade_distribution_residuals_and_event_fidelity(haar_inputs):
         )
     assert worst_residual_err < ATOL_EXACT
 
-    counts: Counter[CascadeEventKind] = Counter()
-    min_fid = 1.0
     trials = 100_000
-    n_inputs = len(haar_inputs)
-    for i in range(trials):
-        record = run_cascade(haar_inputs[i % n_inputs], ideal, rng_seed=i)
-        counts[record.event.kind] += 1
-        min_fid = min(min_fid, record.fidelity_value)
+    counts, fidelities = cascade_kinds_and_fidelities(haar_inputs, ideal, trials)
+    min_fid = min(fidelities)
 
     assert set(counts) == IDENTIFYING_EVENTS
     for kind in IDENTIFYING_EVENTS:
@@ -250,17 +280,15 @@ def test_waveplate_creates_chi_plus_and_transports_pair_basis():
 
 @criterion("baseline contrast")
 def test_product_basis_baseline_caps_at_one_quarter(haar_inputs):
-    successes = 0
-    for i, state in enumerate(haar_inputs):
-        identified, _ = run_baseline_computational(state, rng_seed=i)
-        successes += identified
-    rate = successes / len(haar_inputs)
+    # Trial i runs haar_inputs[i] with rng_seed=i, in both protocols.
+    trials = range(len(haar_inputs))
+    inputs = amplitude_rows(haar_inputs)
+    identified, _, _ = baseline_rows(inputs, seed_draws(trials, BASELINE_DRAWS))
+    rate = int(identified.sum()) / len(trials)
     assert abs(rate - 0.25) <= FREQ_TOL_10K
 
-    min_fid = min(
-        run_trial(state, rng_seed=i).fidelity_value
-        for i, state in enumerate(haar_inputs)
-    )
+    _, _, _, fidelities = teleport_rows(inputs, seed_draws(trials, TRIAL_DRAWS))
+    min_fid = min(fidelities)
     assert min_fid >= SUCCESS_FIDELITY
     return (
         f"product-basis analysis certifies {rate:.4f} of trials, "
@@ -293,16 +321,10 @@ def test_lossy_detection_keeps_conditional_results_ideal(haar_inputs):
     )
     assert worst_cond < ATOL_EXACT
 
-    min_fid = 1.0
-    identified = 0
-    missed = 0
-    for i in range(2_000):
-        record = run_cascade(haar_inputs[i], lossy, rng_seed=i)
-        if record.event.kind in IDENTIFYING_EVENTS:
-            identified += 1
-            min_fid = min(min_fid, record.fidelity_value)
-        elif record.event.kind is CascadeEventKind.NO_EVENT:
-            missed += 1
+    counts, fidelities = cascade_kinds_and_fidelities(haar_inputs[:2_000], lossy, 2_000)
+    identified = sum(counts[kind] for kind in IDENTIFYING_EVENTS)
+    missed = counts[CascadeEventKind.NO_EVENT]
+    min_fid = min(value for value in fidelities if value is not None)
     assert identified > 0 and missed > 0
     assert min_fid >= SUCCESS_FIDELITY
     return (

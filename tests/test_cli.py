@@ -187,6 +187,16 @@ class TestSeedEnvOverride:
         assert code == 1
         assert "BELLCAST_SEED" in err
 
+    @pytest.mark.parametrize("value", ["-5", str(2**64)])
+    def test_out_of_range_env_value_names_the_variable(
+        self, capsys, monkeypatch, value
+    ):
+        monkeypatch.setenv("BELLCAST_SEED", value)
+        code, out, err = run_cli(capsys, "run-spin", "--trials", "1", "--seed", "3")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: BELLCAST_SEED must fit in 64 bits, got '{value}'\n"
+
 
 class TestSweep:
     def test_analytic_sweep_to_stdout(self, capsys):

@@ -84,6 +84,14 @@ PINNED_FILE_DIGESTS = {
     Mode.PHOTON: "39c4bb87fde8f98cfa5e490d8e8150a7769c6c1e58f77a943ce0f958b6733c88",
 }
 
+# The same pin for photon batches at eta_abs .5, eta_det .9, p_in = p_pdc = .9.
+# These are the configs whose last bits of ``fidelity`` follow the float order
+# of the cascade: the Haar ones move first when that order changes.
+PINNED_PHOTON_DIGESTS = {
+    "haar": "3112f23764ee296f462af7c287a01253b07d33505965df760b2b1bceaf310044",
+    "fixed-1-0": "8ff29242bec1f5aed36033f5b694fad85b487ef0a955dccb59b6e523e2e420c8",
+}
+
 
 class TestSeedDerivation:
     def test_pinned_values(self):
@@ -263,6 +271,19 @@ class TestRunBatch:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == PINNED_FILE_DIGESTS[mode]
 
+    @pytest.mark.parametrize("name", list(PINNED_PHOTON_DIGESTS))
+    def test_pinned_lossy_photon_file_digest(self, tmp_path, name):
+        path = tmp_path / "records.jsonl"
+        run_batch(
+            RunConfig(
+                mode=Mode.PHOTON, trials=2000, master_seed=7, efficiency=LOSSY,
+                fixed_input=None if name == "haar" else UP_INPUT,
+                output_path=str(path),
+            )
+        )
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == PINNED_PHOTON_DIGESTS[name]
+
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
     def test_summary_recomputes_from_the_record_file(self, tmp_path, mode):
         path = tmp_path / "records.jsonl"
@@ -325,7 +346,7 @@ class TestRunBatch:
     def test_bad_output_path_fails_before_any_trial(
         self, tmp_path, monkeypatch, target
     ):
-        calls = self._count_calls(monkeypatch, "run_trial")
+        calls = self._count_calls(monkeypatch, "teleport_rows")
         cfg = RunConfig(
             mode=Mode.SPIN, trials=5, output_path=str(tmp_path / target)
         )
@@ -340,7 +361,7 @@ class TestRunBatch:
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)
-        calls = self._count_calls(monkeypatch, "run_trial")
+        calls = self._count_calls(monkeypatch, "teleport_rows")
         cfg = RunConfig(mode=Mode.SPIN, trials=5, output_path="")
         with pytest.raises(ValueError, match="cannot write output path ''"):
             run_batch(cfg)
@@ -348,14 +369,22 @@ class TestRunBatch:
         assert os.listdir(tmp_path) == ["work"]
         assert os.listdir(work) == []
 
-    @pytest.mark.parametrize("failing", ["run_trial", "record_to_line"])
+    @pytest.mark.parametrize(
+        "failing, fail_at, trials",
+        [
+            # The kernel runs once per chunk: its second call fails after
+            # a whole chunk of records has been written.
+            pytest.param("teleport_rows", 2, CHUNK_TRIALS + 5, id="teleport_rows"),
+            pytest.param("record_to_line", 3, 5, id="record_to_line"),
+        ],
+    )
     def test_failed_batch_leaves_existing_file_and_no_temp(
-        self, tmp_path, monkeypatch, failing
+        self, tmp_path, monkeypatch, failing, fail_at, trials
     ):
         path = tmp_path / "records.jsonl"
         path.write_text("previous run\n")
-        self._count_calls(monkeypatch, failing, fail_at=3)
-        cfg = RunConfig(mode=Mode.SPIN, trials=5, output_path=str(path))
+        self._count_calls(monkeypatch, failing, fail_at=fail_at)
+        cfg = RunConfig(mode=Mode.SPIN, trials=trials, output_path=str(path))
         with pytest.raises(RuntimeError, match=f"{failing} failed"):
             run_batch(cfg)
         assert path.read_text() == "previous run\n"

@@ -1,0 +1,236 @@
+"""The row-batched kernel against the scalar rules it must reproduce bit for bit.
+
+``measure_projective`` stays independent of the kernel, so it is the oracle
+for ``measure_rows``.  Both get the same states and draws at the edges of the
+outcome rule: a draw of 0.0, each exact cumulative edge (a draw on an edge
+resolves to the next outcome), and ``nextafter(1, 0)``, which lies past every
+edge of a slightly sub-normalized state and so exercises the fallback to the
+highest outcome above ``MIN_PROBABILITY``.  The cascade's coincidence sampler
+is checked the same way against its clamp rule, and every error a batch
+raises must read as the one-trial call's.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from bellcast.observables import (
+    MEASUREMENT_ORDER,
+    BellOutcome,
+    bell_projectors,
+    bell_state,
+)
+from bellcast.photonic import (
+    CASCADE_DRAWS,
+    CascadeEventKind,
+    EfficiencyConfig,
+    PairLabel,
+    _sample_pair_branch_rows,
+    build_three_mode,
+    cascade_rows,
+    pair_basis_state,
+    pair_components,
+    run_cascade,
+    waveplate,
+)
+from bellcast.qcore import StateVector, measure_projective, measure_rows, tensor
+from bellcast.teleport import (
+    UnknownState,
+    haar_random_input,
+    prepare_singlet,
+    run_trial,
+    teleport_rows,
+)
+
+LAST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+# Inside the 1e-9 normalization tolerance, but short of 1 by far more than
+# rounding: every cumulative edge ends below LAST_BELOW_ONE.
+SHORT = 1.0 - 1e-12
+
+
+def random_state(rng: np.random.Generator, dim: int) -> StateVector:
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return StateVector(amps / np.linalg.norm(amps))
+
+
+def scaled(state: StateVector, factor: float) -> StateVector:
+    return StateVector(state.amplitudes * factor)
+
+
+def edge_draws(state: StateVector, projectors) -> list[float]:
+    """0.0, each cumulative edge below 1 and ``nextafter(1, 0)``, with the
+    edges summed exactly as measure_projective sums them."""
+    amps = state.amplitudes
+    probs = [max(float(np.vdot(amps, p.matrix @ amps).real), 0.0) for p in projectors]
+    edges = [edge for edge in np.cumsum(probs).tolist() if edge < 1.0]
+    return [0.0, *edges, LAST_BELOW_ONE]
+
+
+def measure_both(states: list[StateVector], projectors):
+    """Every (state, edge draw) pair through the batch and the scalar rule."""
+    cases = [(s, d) for s in states for d in edge_draws(s, projectors)]
+    chosen, post = measure_rows(
+        np.array([s.amplitudes for s, _ in cases]),
+        np.array([p.matrix for p in projectors]),
+        np.array([d for _, d in cases]),
+    )
+    for row, (state, draw) in enumerate(cases):
+        expected = measure_projective(state, projectors, draw, validate=False)
+        assert chosen[row] == expected.outcome_index, (row, draw)
+        assert post[row].tobytes() == expected.post_state.amplitudes.tobytes(), row
+    return cases, chosen
+
+
+class TestMeasureRowsEdges:
+    def test_spin_register(self):
+        rng = np.random.default_rng(3)
+        projectors = bell_projectors(3, (0, 1))
+        inputs = [UnknownState(1.0, 0.0), UnknownState.normalized(0.6, 0.8j)]
+        inputs += [haar_random_input(rng) for _ in range(4)]
+        protocol = [tensor(s.state_vector(), prepare_singlet()) for s in inputs]
+        # Only PsiPlus is live: the fallback must pick it, not the last outcome.
+        single = tensor(bell_state(BellOutcome.PSI_PLUS), StateVector([1.0, 0.0]))
+        states = protocol + [random_state(rng, 8) for _ in range(4)]
+        states += [scaled(s, SHORT) for s in states] + [scaled(single, SHORT)]
+        cases, chosen = measure_both(states, projectors)
+        assert cases[-1][1] == LAST_BELOW_ONE
+        assert MEASUREMENT_ORDER[chosen[-1]] is BellOutcome.PSI_PLUS
+
+    def test_swap_register(self):
+        rng = np.random.default_rng(4)
+        projectors = bell_projectors(4, (1, 2))
+        # Qubits (1, 2) in PhiMinus: the fallback must not pick PhiPlus.
+        phi_minus = tensor(
+            tensor(StateVector([1.0, 0.0]), bell_state(BellOutcome.PHI_MINUS)),
+            StateVector([0.0, 1.0]),
+        )
+        states = [tensor(prepare_singlet(), prepare_singlet())]
+        states += [random_state(rng, 16) for _ in range(4)]
+        states += [scaled(s, SHORT) for s in states] + [scaled(phi_minus, SHORT)]
+        cases, chosen = measure_both(states, projectors)
+        assert MEASUREMENT_ORDER[chosen[-1]] is BellOutcome.PHI_MINUS
+
+    def test_degenerate_rows_raise_as_the_scalar_rule(self):
+        # A projector set that misses the state: every probability is zero.
+        state = tensor(bell_state(BellOutcome.PSI_MINUS), StateVector([1.0, 0.0]))
+        projectors = bell_projectors(3, (0, 1))[1:]
+        with pytest.raises(ValueError) as one:
+            measure_projective(state, projectors, 0.5, validate=False)
+        live = tensor(bell_state(BellOutcome.PSI_PLUS), StateVector([1.0, 0.0]))
+        with pytest.raises(ValueError) as many:
+            measure_rows(
+                np.array([live.amplitudes, state.amplitudes]),
+                np.array([p.matrix for p in projectors]),
+                np.array([0.5, 0.5]),
+            )
+        assert "degenerate" in str(one.value)
+        assert str(many.value) == str(one.value)
+
+
+def reference_branch(state: StateVector, u: float) -> np.ndarray:
+    """The coincidence rule on scalar pair projections:
+    ``searchsorted(cum, u * cum[-1], "right")``, clamped to the last branch."""
+    components = list(pair_components(state).values())
+    weights = [
+        min(float(np.vdot(c.amplitudes, c.amplitudes).real), 1.0) for c in components
+    ]
+    cumulative = np.cumsum(weights)
+    index = int(np.searchsorted(cumulative, u * cumulative[-1], side="right"))
+    return components[min(index, len(components) - 1)].normalized().amplitudes
+
+
+class TestCoincidenceClamp:
+    def test_sampler_follows_the_clamp_rule(self):
+        rng = np.random.default_rng(5)
+        # Branch weights (w, w', 0, 0): past the last live edge the rule must
+        # pick ChiMinus, never a branch of weight zero.
+        leading = StateVector(
+            np.kron(pair_basis_state(PairLabel.CHI_PLUS).amplitudes, [0.6, 0.8j])
+            + np.kron(pair_basis_state(PairLabel.CHI_MINUS).amplitudes, [0.0, 1.0])
+        ).normalized()
+        states = [leading] + [random_state(rng, 8) for _ in range(6)]
+        cases = [(s, u) for s in states for u in (0.0, 0.5, LAST_BELOW_ONE)]
+        picked = _sample_pair_branch_rows(
+            np.array([s.amplitudes for s, _ in cases]), np.array([u for _, u in cases])
+        )
+        for row, (state, u) in enumerate(cases):
+            assert picked[row].tobytes() == reference_branch(state, u).tobytes(), row
+        chi_minus = pair_components(leading)[PairLabel.CHI_MINUS].normalized()
+        assert picked[2].tobytes() == chi_minus.amplitudes.tobytes()
+
+    def test_coincidence_trial_at_the_last_draw(self):
+        # Inactive absorbers (draw 0.99 >= eta_abs) leave all four branches to
+        # the coincidence; the branch draw is nextafter(1, 0).
+        cfg = EfficiencyConfig(eta_abs=0.5)
+        input_state = UnknownState.normalized(0.6, 0.8j)
+        draws = [0.0, 0.0, 0.99, 0.99, 0.99, LAST_BELOW_ONE, 0.0]
+        record = run_cascade(input_state, cfg, 0, draws)
+        assert record.event.kind is CascadeEventKind.D3_COINCIDENCE
+        reaching = waveplate(build_three_mode(input_state), 1)
+        expected = reference_branch(reaching, LAST_BELOW_ONE)
+        assert record.bob_pre.amplitudes.tobytes() == expected.tobytes()
+
+
+def batch_error(call) -> str:
+    with pytest.raises(ValueError) as caught:
+        call()
+    return str(caught.value)
+
+
+class TestBatchErrorsMatchTheOneTrialCall:
+    ROWS = 6
+    BAD_ROW = 3
+
+    def inputs(self) -> np.ndarray:
+        rng = np.random.default_rng(8)
+        states = [haar_random_input(rng) for _ in range(self.ROWS)]
+        return np.array([s.state_vector().amplitudes for s in states])
+
+    @pytest.mark.parametrize("bad", [-0.25, 1.0, float("nan")])
+    def test_out_of_range_spin_draw(self, bad):
+        draws = np.full((self.ROWS, 1), 0.5)
+        draws[self.BAD_ROW, 0] = bad
+        one = batch_error(lambda: run_trial(UnknownState(1.0, 0.0), 0, [bad]))
+        assert one == f"rng_sample must lie in [0, 1), got {bad}"
+        assert batch_error(lambda: teleport_rows(self.inputs(), draws)) == one
+
+    def test_unnormalized_spin_input(self):
+        inputs = self.inputs()
+        inputs[self.BAD_ROW] *= 1.001
+        draws = np.full((self.ROWS, 1), 0.5)
+        bad = slice(self.BAD_ROW, self.BAD_ROW + 1)
+        one = batch_error(lambda: teleport_rows(inputs[bad], draws[bad]))
+        scalar = batch_error(
+            lambda: measure_projective(
+                tensor(StateVector(inputs[self.BAD_ROW]), prepare_singlet()),
+                bell_projectors(3, (0, 1)), 0.5, validate=False,
+            )
+        )
+        assert one == scalar
+        assert "measured state must be normalized" in one
+        assert batch_error(lambda: teleport_rows(inputs, draws)) == one
+
+    @pytest.mark.parametrize("bad", [-0.25, 1.0])
+    def test_out_of_range_absorber_draw(self, bad):
+        cfg = EfficiencyConfig()
+        draws = np.full((self.ROWS, CASCADE_DRAWS), 0.0)
+        draws[self.BAD_ROW, 2] = bad
+        one = batch_error(
+            lambda: run_cascade(UnknownState(1.0, 0.0), cfg, 0, draws[self.BAD_ROW])
+        )
+        assert one == f"rng_sample must lie in [0, 1), got {bad}"
+        batch = self.inputs()
+        assert batch_error(lambda: cascade_rows(batch, cfg, draws.__getitem__)) == one
+
+    def test_unnormalized_cascade_input(self):
+        cfg = EfficiencyConfig()
+        inputs = self.inputs()
+        inputs[self.BAD_ROW] *= 1.001
+        draws = np.zeros((self.ROWS, CASCADE_DRAWS))
+        bad = slice(self.BAD_ROW, self.BAD_ROW + 1)
+        one = batch_error(
+            lambda: cascade_rows(inputs[bad], cfg, draws[bad].__getitem__)
+        )
+        assert "must be normalized" in one
+        assert batch_error(lambda: cascade_rows(inputs, cfg, draws.__getitem__)) == one

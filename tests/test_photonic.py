@@ -385,6 +385,32 @@ class TestLossyCascade:
             assert record.fidelity_value is None
 
 
+class TestAnalyticInputIndependence:
+    """A Haar photon batch takes its chi-square reference table from
+    ``UnknownState(1, 0)``, which holds only while the event table does not
+    depend on the input."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            IDEAL,
+            EfficiencyConfig(eta_abs=0.9, eta_det=0.8, p_in=0.95, p_pdc=0.95),
+            EfficiencyConfig(eta_abs=0.5, eta_det=0.9, p_in=0.9, p_pdc=0.9),
+            EfficiencyConfig(eta_abs=0.2),
+        ],
+        ids=["ideal", "a.9-d.8-p.95", "a.5-d.9-p.9", "a.2"],
+    )
+    def test_event_table_is_the_same_for_every_input(self, cfg):
+        reference = analytic_distribution(UnknownState(1.0, 0.0), cfg)
+        rng = np.random.default_rng(2718)
+        inputs = [UnknownState.normalized(0.6, 0.8j)]
+        inputs += [haar_random_input(rng) for _ in range(20)]
+        for input_state in inputs:
+            table = analytic_distribution(input_state, cfg)
+            for kind in CascadeEventKind:
+                assert table[kind] == pytest.approx(reference[kind], abs=1e-12), kind
+
+
 class TestSourceFailures:
     def test_missing_input_photon_gives_lower_single(self):
         cfg = EfficiencyConfig(p_in=0.0)
