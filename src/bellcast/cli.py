@@ -108,6 +108,8 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "trials", None) is not None:
         updates["trials"] = args.trials
     if getattr(args, "seed", None) is not None:
+        if not 0 <= args.seed <= MASTER_SEED_MAX:
+            raise ValueError(f"--seed must fit in 64 bits, got {args.seed}")
         updates["master_seed"] = args.seed
     if getattr(args, "input", None) is not None:
         updates["fixed_input"] = parse_input(args.input)

@@ -13,11 +13,16 @@ generator per trial, so a record's ``seed`` still replays it alone.
 Physics: each chunk makes one call to its mode's batched kernel
 (``teleport_rows``, ``baseline_rows``, ``swap_rows`` or ``cascade_rows``),
 which runs every trial of the chunk as one row of an ``(N, 8)`` or
-``(N, 16)`` state array.  The one-trial entry points (``run_trial``,
-``run_baseline_computational``, ``run_entangled_input``, ``run_cascade``)
-are the same kernels called with one row, and every row is bit-identical to
-that call.  A Haar input is still converted from its draws one row at a
-time (``haar_from_uniforms``).
+``(N, 16)`` state array, on inputs from one ``haar_rows`` call.  The
+one-trial entry points (``run_trial``, ``run_baseline_computational``,
+``run_entangled_input``, ``run_cascade``) are the same kernels called with
+one row, and every row is bit-identical to that call.
+
+Columns: a chunk stays columns (seeds, codes, fidelities, inputs) from the
+kernel on.  ``run_batch`` writes its lines in one write, each filled into a
+per-code line template, and adds its columns to the summary's running
+totals; ``iter_records`` builds the same records as dicts, and
+``summarize`` feeds dicts to the same totals a block at a time.
 
 Record schema (one JSON object per line, keys in this order):
 
@@ -30,20 +35,22 @@ amplitude fields are null in swap mode, which has no single-qubit input.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import enum
 import errno
 import itertools
 import json
+import operator
 import os
 import time
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .observables import MEASUREMENT_ORDER, BellOutcome, bell_state
+from .observables import MEASUREMENT_ORDER, BellOutcome
 from .photonic import (
     CASCADE_DRAWS,
     EFFICIENCY_KNOBS,
@@ -55,10 +62,7 @@ from .photonic import (
     cascade_rows,
     run_cascade,  # noqa: F401 - perfbench's tracer looks it up here
 )
-from .qcore import (
-    fidelity,  # noqa: F401 - perfbench's tracer looks it up here
-    fidelity_rows,
-)
+from .qcore import fidelity  # noqa: F401 - perfbench's tracer looks it up here
 from .stream import derive_seeds, uniforms
 from .teleport import (
     BASELINE_DRAWS,
@@ -68,7 +72,7 @@ from .teleport import (
     ClassicalMessage,
     UnknownState,
     baseline_rows,
-    haar_from_uniforms,
+    haar_rows,
     haar_random_input,  # noqa: F401 - perfbench's tracer looks it up here
     run_entangled_input,  # noqa: F401 - perfbench's tracer looks it up here
     run_trial,  # noqa: F401 - perfbench's tracer looks it up here
@@ -151,33 +155,6 @@ _MESSAGE_BITS = {
 }
 _NO_AMPLITUDES = (None, None, None, None)
 
-
-def _wire_record(
-    index: int,
-    base_seed: int,
-    outcome: str | None,
-    message_bits: str | None,
-    fidelity_value: float | None,
-    amplitudes: tuple | list,
-    event: str | None = None,
-) -> dict:
-    """One wire record, keys in schema order; ``event`` only in photon mode.
-
-    ``amplitudes`` is ``(a_re, a_im, b_re, b_im)``, all None in swap mode.
-    """
-    record = {
-        "trial": index,
-        "seed": base_seed,
-        "outcome": outcome,
-        "message_bits": message_bits,
-        "fidelity": fidelity_value,
-    }
-    if event is not None:
-        record["event"] = event
-    record["a_re"], record["a_im"], record["b_re"], record["b_im"] = amplitudes
-    return record
-
-
 _PROTOCOL_DRAWS = {
     Mode.SPIN: TRIAL_DRAWS,
     Mode.BASELINE: BASELINE_DRAWS,
@@ -185,90 +162,136 @@ _PROTOCOL_DRAWS = {
     Mode.PHOTON: CASCADE_DRAWS,
 }
 
-# Wire (outcome, message_bits) per measurement outcome index, and (outcome,
-# message_bits, event) per cascade event code.
-_OUTCOME_WIRE = [(o.value, _MESSAGE_BITS[o]) for o in MEASUREMENT_ORDER]
-_EVENT_WIRE = [
-    (branch.value, _MESSAGE_BITS[branch.bell_analog], kind.value)
-    if (branch := EVENT_ORIGINAL_BRANCH.get(kind))
-    else (None, None, kind.value)
-    for kind in CascadeEventKind
-]
-_SWAP_TARGET = bell_state(BellOutcome.PSI_MINUS).amplitudes
+# Per mode, the wire (outcome, message_bits, event) of each code its kernel
+# returns: the measurement outcome index (spin, swap), whether the trial was
+# identified (baseline), or the cascade event code (photon).
+_OUTCOME_WIRE = [(o.value, _MESSAGE_BITS[o], None) for o in MEASUREMENT_ORDER]
+_WIRE = {
+    Mode.SPIN: _OUTCOME_WIRE,
+    Mode.SWAP: _OUTCOME_WIRE,
+    Mode.BASELINE: [
+        (None, None, None),
+        (BellOutcome.PSI_MINUS.value, _MESSAGE_BITS[BellOutcome.PSI_MINUS], None),
+    ],
+    Mode.PHOTON: [
+        (branch.value, _MESSAGE_BITS[branch.bell_analog], kind.value)
+        if (branch := EVENT_ORIGINAL_BRANCH.get(kind))
+        else (None, None, kind.value)
+        for kind in CascadeEventKind
+    ],
+}
+# Per mode and code, the value of the field the summary counts by.
+_COUNTED = {
+    mode: [event if mode is Mode.PHOTON else outcome for outcome, _, event in wire]
+    for mode, wire in _WIRE.items()
+}
+# Per mode and code, its record line with everything the code decides
+# pre-encoded; each trial fills in its index, seed, fidelity and amplitudes.
+# Ints are ``str`` and floats ``repr``, as ``json.dumps`` writes them.
+_LINES = {
+    mode: [
+        f'{{"trial":%d,"seed":%d,"outcome":{json.dumps(outcome)},'
+        f'"message_bits":{json.dumps(bits)},"fidelity":%s'
+        + ("" if event is None else f',"event":{json.dumps(event)}')
+        + "%s}\n"
+        for outcome, bits, event in wire
+    ]
+    for mode, wire in _WIRE.items()
+}
+_AMPLITUDES = ',"a_re":%r,"a_im":%r,"b_re":%r,"b_im":%r'
 
 
-def _chunks(
-    cfg: RunConfig,
-) -> Iterator[tuple[int, list[int], np.ndarray | None, np.ndarray]]:
-    """Per chunk: first trial index, base seeds, ``(n, 2)`` inputs and
-    ``(n, k)`` protocol draws.  The inputs are None in swap mode, which has
-    no single-qubit input."""
+class _Chunk(NamedTuple):
+    """A chunk of a batch as columns in trial order.  ``codes`` index the
+    mode's ``_WIRE`` table; ``inputs`` is None in swap mode."""
+
+    start: int
+    seeds: list[int]
+    codes: np.ndarray
+    fidelities: list[float | None]
+    inputs: np.ndarray | None
+
+
+def _columns(cfg: RunConfig) -> Iterator[_Chunk]:
+    """The batch's chunks, ``CHUNK_TRIALS`` trials each: their seeds, draws
+    and inputs in bulk, then one call to the mode's kernel."""
     for start in range(0, cfg.trials, CHUNK_TRIALS):
         stop = min(start + CHUNK_TRIALS, cfg.trials)
         indices = np.arange(start, stop, dtype=np.uint64)
         base_seeds = derive_seeds(cfg.master_seed, indices)
-        protocol_seeds = derive_seeds(base_seeds, 1)
         if cfg.mode is Mode.SWAP:
             inputs = None
         elif cfg.fixed_input is None:
-            # One UnknownState per row: vectorized arccos, cos, sin and exp
-            # are not shown to round as their scalar calls do.
-            rows = uniforms(derive_seeds(base_seeds, 0), HAAR_DRAWS).tolist()
-            states = [haar_from_uniforms(*row) for row in rows]
-            inputs = np.array([(s.a, s.b) for s in states], dtype=np.complex128)
+            inputs = haar_rows(uniforms(derive_seeds(base_seeds, 0), HAAR_DRAWS))
         else:
             amplitudes = cfg.fixed_input.state_vector().amplitudes
             inputs = np.tile(amplitudes, (stop - start, 1))
-        draws = uniforms(protocol_seeds, _PROTOCOL_DRAWS[cfg.mode])
-        yield start, base_seeds.tolist(), inputs, draws
-
-
-def _chunk_wire(cfg: RunConfig, inputs: np.ndarray | None, draws: np.ndarray):
-    """Run one chunk through the mode's kernel; yield each trial's
-    ``(outcome, message_bits, fidelity, event)`` in trial order."""
-    if cfg.mode is Mode.SPIN:
-        outcomes, _, _, fidelities = teleport_rows(inputs, draws)
-        for outcome, value in zip(outcomes.tolist(), fidelities):
-            yield (*_OUTCOME_WIRE[outcome], value, None)
-    elif cfg.mode is Mode.BASELINE:
-        identified, _, fidelities = baseline_rows(inputs, draws)
-        certified = (BellOutcome.PSI_MINUS.value, _MESSAGE_BITS[BellOutcome.PSI_MINUS])
-        for hit, value in zip(identified.tolist(), fidelities):
-            yield (*(certified if hit else (None, None)), value, None)
-    elif cfg.mode is Mode.SWAP:
-        outcomes, final = swap_rows(draws)
-        fidelities = fidelity_rows(final, np.broadcast_to(_SWAP_TARGET, final.shape))
-        for outcome, value in zip(outcomes.tolist(), fidelities):
-            yield (*_OUTCOME_WIRE[outcome], value, None)
-    elif cfg.mode is Mode.PHOTON:
-        kinds, _, _, fidelities = cascade_rows(
-            inputs, cfg.efficiency, draws.__getitem__
-        )
-        for kind, value in zip(kinds.tolist(), fidelities):
-            outcome, message_bits, event = _EVENT_WIRE[kind]
-            yield outcome, message_bits, value, event
-    else:  # pragma: no cover - Mode is exhaustive
-        raise ValueError(f"unsupported mode {cfg.mode}")
+        draws = uniforms(derive_seeds(base_seeds, 1), _PROTOCOL_DRAWS[cfg.mode])
+        # Each kernel returns its codes first and its fidelities last.
+        if cfg.mode is Mode.SPIN:
+            result = teleport_rows(inputs, draws)
+        elif cfg.mode is Mode.BASELINE:
+            result = baseline_rows(inputs, draws)  # identified flags: 0/1 codes
+        elif cfg.mode is Mode.SWAP:
+            result = swap_rows(draws)
+        else:
+            result = cascade_rows(inputs, cfg.efficiency, draws.__getitem__)
+        yield _Chunk(start, base_seeds.tolist(), result[0], result[-1], inputs)
 
 
 def iter_records(cfg: RunConfig) -> Iterator[dict]:
-    """Generate the batch's wire records in trial order, one kernel call per
-    chunk of ``CHUNK_TRIALS`` trials."""
-    for start, base_seeds, inputs, draws in _chunks(cfg):
-        if inputs is None:
+    """Generate the batch's wire records in trial order, built from the same
+    chunks of columns as the record file."""
+    wire = _WIRE[cfg.mode]
+    for chunk in _columns(cfg):
+        if chunk.inputs is None:
             amplitudes = itertools.repeat(_NO_AMPLITUDES)
         else:
-            amplitudes = inputs.view(np.float64).tolist()
-        trials = zip(
-            itertools.count(start), base_seeds, _chunk_wire(cfg, inputs, draws),
-            amplitudes,
+            amplitudes = chunk.inputs.view(np.float64).tolist()
+        rows = zip(
+            itertools.count(chunk.start), chunk.seeds, chunk.codes.tolist(),
+            chunk.fidelities, amplitudes,
         )
-        for index, base_seed, (outcome, bits, value, event), amps in trials:
-            yield _wire_record(index, base_seed, outcome, bits, value, amps, event)
+        for index, seed, code, value, (a_re, a_im, b_re, b_im) in rows:
+            outcome, bits, event = wire[code]
+            record = dict(
+                trial=index, seed=seed, outcome=outcome, message_bits=bits,
+                fidelity=value,
+            )
+            if event is not None:
+                record["event"] = event
+            record.update(a_re=a_re, a_im=a_im, b_re=b_re, b_im=b_im)
+            yield record
 
 
 def record_to_line(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"), allow_nan=False)
+
+
+def _chunk_lines(cfg: RunConfig, chunk: _Chunk) -> str:
+    """The chunk's record lines, each ``record_to_line`` of its record plus a
+    newline.  A non-finite float raises ``ValueError``, as ``allow_nan=False``
+    does."""
+    present = [value for value in chunk.fidelities if value is not None]
+    inputs = () if chunk.inputs is None else chunk.inputs
+    if not (np.isfinite(present).all() and np.isfinite(inputs).all()):
+        raise ValueError("Out of range float values are not JSON compliant")
+    if chunk.inputs is None:
+        amplitudes = itertools.repeat(_AMPLITUDES.replace("%r", "null"))
+    elif cfg.fixed_input is not None:  # every row holds the same input
+        row = tuple(chunk.inputs[0].view(np.float64).tolist())
+        amplitudes = itertools.repeat(_AMPLITUDES % row)
+    else:
+        columns = chunk.inputs.view(np.float64).T.tolist()
+        amplitudes = map(_AMPLITUDES.__mod__, zip(*columns))
+    fields = zip(
+        itertools.count(chunk.start),
+        chunk.seeds,
+        ["null" if value is None else repr(value) for value in chunk.fidelities],
+        amplitudes,
+    )
+    lines = map(_LINES[cfg.mode].__getitem__, chunk.codes.tolist())
+    return "".join(map(operator.mod, lines, fields))
 
 
 @contextlib.contextmanager
@@ -304,40 +327,138 @@ def atomic_writer(path: str) -> Iterator[IO[str]]:
             os.unlink(temp)
 
 
-def _written(records: Iterable[dict], handle: IO[str]) -> Iterator[dict]:
-    """Pass ``records`` through, writing each one's line to ``handle``."""
-    for record in records:
-        handle.write(record_to_line(record) + "\n")
-        yield record
-
-
 def run_batch(cfg: RunConfig) -> BatchSummary:
-    """Run the batch in one streaming pass through :func:`summarize`, writing
-    each record's JSON line as it passes when ``cfg.output_path`` is set."""
+    """Run the batch one chunk of columns at a time: each chunk's lines go
+    to ``cfg.output_path``, when set, in one write, and its codes and
+    fidelities to the summary's running totals."""
     start = time.perf_counter()
     analytic = None
     if cfg.mode is Mode.PHOTON:
         reference_input = cfg.fixed_input or UnknownState(1.0, 0.0)
         analytic = analytic_distribution(reference_input, cfg.efficiency)
-    records = iter_records(cfg)
-    with contextlib.ExitStack() as stack:
-        if cfg.output_path is not None:
-            handle = stack.enter_context(atomic_writer(cfg.output_path))
-            records = _written(records, handle)
-        summary = summarize(records, mode=cfg.mode, analytic=analytic)
+    tally = _Tally(cfg.mode)
+    counted = _COUNTED[cfg.mode]
+    output = contextlib.nullcontext()
+    if cfg.output_path is not None:
+        output = atomic_writer(cfg.output_path)
+    with output as handle:
+        for chunk in _columns(cfg):
+            if handle is not None:
+                handle.write(_chunk_lines(cfg, chunk))
+            counts = np.bincount(chunk.codes, minlength=len(counted)).tolist()
+            tally.add(zip(counted, counts), chunk.fidelities)
+    summary = tally.summary(analytic)
     return dataclasses.replace(summary, duration_seconds=time.perf_counter() - start)
 
 
+_DECODER = json.JSONDecoder()
+
+
 def load_records(path: str) -> Iterator[dict]:
-    """Yield wire records back from a JSON-lines file."""
+    """Yield wire records back from a JSON-lines file.
+
+    Each non-blank line must hold exactly one JSON value; anything else
+    raises ``ValueError`` naming the path and the 1-based line number.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
-                yield json.loads(line)
+            if not line:
+                continue
+            try:
+                record, end = _DECODER.raw_decode(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{path!r} line {line_no}: {exc.msg} at char {exc.pos}"
+                ) from None
+            if end != len(line):
+                raise ValueError(f"{path!r} line {line_no}: extra data at char {end}")
+            yield record
 
 
 _IDENTIFYING_WIRE = frozenset(kind.value for kind in IDENTIFYING_EVENTS)
+
+
+class _Tally:
+    """The running totals behind a :class:`BatchSummary`, fed one block of
+    trials at a time, in constant memory.
+
+    Counting key: the event string in photon mode, else the outcome string
+    (missing outcomes count under "none").  Mean/min fidelity cover only the
+    trials that carry one; the sum runs in trial order, carried from block to
+    block.  Success means fidelity at the recovery threshold for spin/swap,
+    an identified trial for baseline, and a detected branch-identifying
+    event for photon mode.
+    """
+
+    def __init__(self, mode: Mode) -> None:
+        self.mode = mode
+        self.counts: dict[str, int] = {}
+        self.total = 0
+        self.successes = 0
+        self.fidelity_count = 0
+        self.fidelity_sum = 0.0
+        self.fidelity_min = float("inf")
+
+    def add(
+        self, counted: Iterable[tuple[str | None, int]], fidelities: list
+    ) -> None:
+        """Add a block: ``(value, count)`` pairs of the field the key comes
+        from (``event`` in photon mode, else ``outcome``), and the block's
+        fidelities in trial order, None where a trial has none."""
+        for value, count in counted:
+            if not count:
+                continue
+            if self.mode is Mode.PHOTON:
+                key, success = value, value in _IDENTIFYING_WIRE
+            else:
+                key = value or "none"
+                success = self.mode is Mode.BASELINE and value is not None
+            self.counts[key] = self.counts.get(key, 0) + count
+            self.successes += count if success else 0
+            self.total += count
+        present = [value for value in fidelities if value is not None]
+        if not present:
+            return
+        values = np.array([self.fidelity_sum, *present], dtype=np.float64)
+        # np.add.accumulate adds left to right, as a loop would; np.sum is
+        # pairwise and would change the last bits of the mean.
+        self.fidelity_sum = float(np.add.accumulate(values)[-1])
+        self.fidelity_count += len(present)
+        self.fidelity_min = min(self.fidelity_min, *present)
+        if self.mode in (Mode.SPIN, Mode.SWAP):
+            self.successes += int(np.count_nonzero(values[1:] >= SUCCESS_FIDELITY))
+
+    def summary(
+        self, analytic: dict[CascadeEventKind, float] | None
+    ) -> BatchSummary:
+        if self.total == 0:
+            raise ValueError("cannot summarize an empty record stream")
+        chi_square = None
+        if analytic is not None:
+            chi_square = 0.0
+            for kind, probability in analytic.items():
+                observed = self.counts.get(kind.value, 0)
+                expected = probability * self.total
+                if expected <= 0.0:
+                    if observed:
+                        chi_square = float("inf")
+                        break
+                    continue
+                chi_square += (observed - expected) ** 2 / expected
+        has_fidelity = self.fidelity_count > 0
+        return BatchSummary(
+            mode=self.mode,
+            trials=self.total,
+            counts=self.counts,
+            frequencies={key: n / self.total for key, n in self.counts.items()},
+            mean_fidelity=(
+                self.fidelity_sum / self.fidelity_count if has_fidelity else None
+            ),
+            min_fidelity=self.fidelity_min if has_fidelity else None,
+            success_rate=self.successes / self.total,
+            chi_square=chi_square,
+        )
 
 
 def summarize(
@@ -345,65 +466,21 @@ def summarize(
     mode: Mode,
     analytic: dict[CascadeEventKind, float] | None = None,
 ) -> BatchSummary:
-    """Aggregate a stream of wire records in one pass, in constant memory.
+    """Aggregate a stream of wire records in one pass, in constant memory,
+    through the running totals a batch keeps (see ``_Tally``).
 
-    Counting key: the event string in photon mode, else the outcome string
-    (missing outcomes count under "none").  Mean/min fidelity cover only the
-    records that carry one.  Success means fidelity at the recovery threshold
-    for spin/swap, an identified trial for baseline, and a detected
-    branch-identifying event for photon mode.
+    Only each record's ``fidelity`` and its ``event`` (photon mode) or
+    ``outcome`` (other modes) are read.
     """
-    counts: dict[str, int] = {}
-    fidelity_count = 0
-    fidelity_sum = 0.0
-    fidelity_min = float("inf")
-    successes = 0
-    total = 0
-    for record in records:
-        total += 1
-        value = record["fidelity"]
-        if mode is Mode.PHOTON:
-            key = record["event"]
-            if key in _IDENTIFYING_WIRE:
-                successes += 1
-        else:
-            key = record["outcome"] or "none"
-            if mode is Mode.BASELINE:
-                successes += record["outcome"] is not None
-            elif value is not None:
-                successes += value >= SUCCESS_FIDELITY
-        counts[key] = counts.get(key, 0) + 1
-        if value is not None:
-            fidelity_count += 1
-            fidelity_sum += value
-            if value < fidelity_min:
-                fidelity_min = value
-    if total == 0:
-        raise ValueError("cannot summarize an empty record stream")
-
-    frequencies = {key: count / total for key, count in counts.items()}
-    chi_square = None
-    if analytic is not None:
-        chi_square = 0.0
-        for kind, probability in analytic.items():
-            observed = counts.get(kind.value, 0)
-            expected = probability * total
-            if expected <= 0.0:
-                if observed:
-                    chi_square = float("inf")
-                    break
-                continue
-            chi_square += (observed - expected) ** 2 / expected
-    return BatchSummary(
-        mode=mode,
-        trials=total,
-        counts=counts,
-        frequencies=frequencies,
-        mean_fidelity=fidelity_sum / fidelity_count if fidelity_count else None,
-        min_fidelity=fidelity_min if fidelity_count else None,
-        success_rate=successes / total,
-        chi_square=chi_square,
-    )
+    tally = _Tally(mode)
+    field = "event" if mode is Mode.PHOTON else "outcome"
+    records = iter(records)
+    while block := list(itertools.islice(records, CHUNK_TRIALS)):
+        tally.add(
+            collections.Counter([record[field] for record in block]).items(),
+            [record["fidelity"] for record in block],
+        )
+    return tally.summary(analytic)
 
 
 _CONFIG_KEYS = (

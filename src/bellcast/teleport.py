@@ -94,19 +94,29 @@ def uniform_draws(rng_seed: int, k: int) -> list[float]:
     return np.random.default_rng(rng_seed).random(k).tolist()
 
 
-def haar_from_uniforms(u_cos: float, u_phi: float) -> UnknownState:
-    """Haar-uniform qubit state: cos(theta) uniform on [-1, 1], phase uniform.
-
-    The two arguments are uniforms on [0, 1), scaled exactly as
-    ``Generator.uniform(-1, 1)`` and ``Generator.uniform(0, 2 pi)`` do.
+def haar_rows(draws: np.ndarray) -> np.ndarray:
+    """``(N, 2)`` Haar-uniform qubit inputs from ``(N, HAAR_DRAWS)`` uniforms:
+    cos(theta) uniform on [-1, 1] and the phase on [0, 2 pi), scaled as
+    ``Generator.uniform`` does.  Each row is checked as :class:`UnknownState`
+    checks, and is bit-identical to the scalar numpy calls in this order.
     """
-    cos_theta = -1.0 + 2.0 * u_cos
-    phi = 2.0 * np.pi * u_phi
+    cos_theta = -1.0 + 2.0 * draws[:, 0]
+    phi = 2.0 * np.pi * draws[:, 1]
     theta = np.arccos(cos_theta)
-    return UnknownState(
-        complex(np.cos(theta / 2.0)),
-        np.exp(1j * phi) * np.sin(theta / 2.0),
-    )
+    rows = np.empty((draws.shape[0], 2), dtype=np.complex128)
+    rows[:, 0] = np.cos(theta / 2.0)
+    rows[:, 1] = np.exp(1j * phi) * np.sin(theta / 2.0)
+    totals = np.abs(rows[:, 0]) ** 2 + np.abs(rows[:, 1]) ** 2
+    bad = ~(np.abs(totals - 1.0) <= _NORM_ATOL)
+    if bad.any():
+        total = float(totals[bad][0])
+        raise ValueError(f"input state not normalized: |a|^2+|b|^2 = {total!r}")
+    return rows
+
+
+def haar_from_uniforms(u_cos: float, u_phi: float) -> UnknownState:
+    """:func:`haar_rows` of one row of uniforms."""
+    return UnknownState(*haar_rows(np.array([[u_cos, u_phi]])).tolist()[0])
 
 
 def haar_random_input(rng: np.random.Generator) -> UnknownState:
@@ -277,20 +287,27 @@ def run_trial(
     )
 
 
-def swap_rows(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def swap_rows(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """:func:`run_entangled_input` for a batch of ``(N, SWAP_DRAWS)`` draw rows.
 
-    Returns the outcome indices and the ``(N, 4)`` states of qubits (0, 3).
+    Returns the outcome indices, the ``(N, 4)`` states of qubits (0, 3) and
+    their fidelities to the singlet.  Every trial starts from the same state,
+    so it is measured once against all the draws, and the steps after the
+    measurement run once per distinct outcome.
     """
-    n = draws.shape[0]
-    state = np.broadcast_to(_SWAP_STATE, (n, 16))
-    outcome, post = measure_rows(state, _projector_stack(4, (1, 2)), draws[:, 0])
+    projectors = _projector_stack(4, (1, 2))
+    outcome, post = measure_rows(_SWAP_STATE[None], projectors, draws[:, 0])
+    distinct, first, inverse = np.unique(
+        outcome, return_index=True, return_inverse=True
+    )
+    n = distinct.size
     # The correction on qubit 3, then <Bell| contracted over qubits (1, 2).
-    moved = post.reshape(n, 8, 2).transpose(0, 2, 1)
-    corrected = (_CORRECTION_MATRICES[outcome] @ moved).transpose(0, 2, 1)
+    moved = post[first].reshape(n, 8, 2).transpose(0, 2, 1)
+    corrected = (_CORRECTION_MATRICES[distinct] @ moved).transpose(0, 2, 1)
     pair_first = corrected.reshape(n, 2, 4, 2).transpose(0, 2, 1, 3).reshape(n, 4, 4)
-    final = normalized_rows((_BELL_BRAS[outcome][:, None, :] @ pair_first)[:, 0])
-    return outcome, final
+    final = normalized_rows((_BELL_BRAS[distinct][:, None, :] @ pair_first)[:, 0])
+    values = fidelity_rows(final, np.broadcast_to(_SINGLET, final.shape))
+    return outcome, final[inverse], [values[i] for i in inverse.tolist()]
 
 
 def run_entangled_input(
@@ -305,7 +322,7 @@ def run_entangled_input(
     """
     if draws is None:
         draws = uniform_draws(rng_seed, SWAP_DRAWS)
-    outcome, final = swap_rows(_draw_row(draws))
+    outcome, final, _ = swap_rows(_draw_row(draws))
     return MEASUREMENT_ORDER[outcome[0]], StateVector._trusted(final[0])
 
 

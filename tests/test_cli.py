@@ -278,6 +278,18 @@ class TestArgumentErrors:
             main(["run-spin", "--warp", "9"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("value", ["-1", str(2**64)])
+    def test_out_of_range_seed_flag_names_the_flag(self, capsys, tmp_path, value):
+        output = tmp_path / "records.jsonl"
+        code, out, err = run_cli(
+            capsys, "run-spin", "--trials", "1", "--seed", value,
+            "--output", str(output),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --seed must fit in 64 bits, got {value}\n"
+        assert not output.exists()
+
 
 def test_module_entry_point():
     proc = subprocess.run(

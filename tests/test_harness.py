@@ -375,7 +375,9 @@ class TestRunBatch:
             # The kernel runs once per chunk: its second call fails after
             # a whole chunk of records has been written.
             pytest.param("teleport_rows", 2, CHUNK_TRIALS + 5, id="teleport_rows"),
-            pytest.param("record_to_line", 3, 5, id="record_to_line"),
+            # The writer encodes one chunk per call: its second call fails
+            # after the first chunk's lines have been written.
+            pytest.param("_chunk_lines", 2, CHUNK_TRIALS + 5, id="_chunk_lines"),
         ],
     )
     def test_failed_batch_leaves_existing_file_and_no_temp(
@@ -389,6 +391,63 @@ class TestRunBatch:
             run_batch(cfg)
         assert path.read_text() == "previous run\n"
         assert os.listdir(tmp_path) == ["records.jsonl"]
+
+    @pytest.mark.parametrize(
+        "mode, fixed_input, efficiency",
+        [
+            (Mode.SPIN, None, EfficiencyConfig()),
+            (Mode.BASELINE, None, EfficiencyConfig()),
+            (Mode.SWAP, None, EfficiencyConfig()),
+            (Mode.PHOTON, None, LOSSY),
+            (Mode.PHOTON, UP_INPUT, LOSSY),
+        ],
+        ids=["spin", "baseline", "swap", "photon-haar", "photon-fixed-1-0"],
+    )
+    def test_file_is_record_to_line_of_every_record(
+        self, tmp_path, mode, fixed_input, efficiency
+    ):
+        path = tmp_path / "records.jsonl"
+        cfg = RunConfig(
+            mode=mode, trials=2 * CHUNK_TRIALS + 3, master_seed=4,
+            fixed_input=fixed_input, efficiency=efficiency, output_path=str(path),
+        )
+        run_batch(cfg)
+        expected = "".join(record_to_line(r) + "\n" for r in iter_records(cfg))
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_non_finite_fidelity_fails_the_writer(self, tmp_path, monkeypatch):
+        original = harness.teleport_rows
+
+        def infinite_fidelity(inputs, draws):
+            outcomes, bob_pre, bob_post, fidelities = original(inputs, draws)
+            fidelities[5] = float("inf")
+            return outcomes, bob_pre, bob_post, fidelities
+
+        monkeypatch.setattr(harness, "teleport_rows", infinite_fidelity)
+        path = tmp_path / "records.jsonl"
+        path.write_text("previous run\n")
+        cfg = RunConfig(mode=Mode.SPIN, trials=20, output_path=str(path))
+        record = list(iter_records(cfg))[5]
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            record_to_line(record)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            run_batch(cfg)
+        assert path.read_text() == "previous run\n"
+        assert os.listdir(tmp_path) == ["records.jsonl"]
+
+    @pytest.mark.parametrize("part", [0, 3])
+    def test_non_finite_amplitude_fails_the_writer(self, part):
+        cfg = RunConfig(mode=Mode.SPIN, trials=3)
+        chunk = next(harness._columns(cfg))
+        chunk.inputs.view(np.float64)[1, part] = float("nan")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            harness._chunk_lines(cfg, chunk)
+
+    def test_pinned_baseline_mean_fidelity(self):
+        # The fidelity sum runs in trial order across chunks; a pairwise sum
+        # (np.sum) gives 0.5832671042758739 here.
+        cfg = RunConfig(mode=Mode.BASELINE, trials=20_000, master_seed=1)
+        assert run_batch(cfg).mean_fidelity == 0.5832671042758759
 
     def test_memory_stays_flat_as_the_batch_grows(self, tmp_path):
         path = str(tmp_path / "records.jsonl")
@@ -440,11 +499,79 @@ class TestSummarize:
         )
         assert summary.chi_square == float("inf")
 
+    def test_counts_any_key_and_only_keys_seen(self):
+        records = [
+            {"outcome": "Xyz", "fidelity": 0.5},
+            {"outcome": None, "fidelity": None},
+            {"outcome": "Xyz", "fidelity": 1.0},
+            {"outcome": "", "fidelity": 0.25},
+        ]
+        summary = summarize(records, mode=Mode.SPIN)
+        assert summary.counts == {"Xyz": 2, "none": 2}
+        assert summary.mean_fidelity == (0.5 + 1.0 + 0.25) / 3
+        assert summary.min_fidelity == 0.25
+        assert summary.success_rate == 0.25
+        live = run_batch(RunConfig(mode=Mode.SPIN, trials=1, master_seed=3))
+        assert len(live.counts) == 1
+
+    def test_summary_spans_blocks_in_trial_order(self):
+        cfg = RunConfig(
+            mode=Mode.PHOTON, trials=2 * CHUNK_TRIALS + 3, master_seed=6,
+            efficiency=LOSSY,
+        )
+        analytic = analytic_distribution(UP_INPUT, LOSSY)
+        summary = summarize(iter_records(cfg), mode=Mode.PHOTON, analytic=analytic)
+        assert summary == run_batch(cfg)
+        values = [r["fidelity"] for r in iter_records(cfg) if r["fidelity"] is not None]
+        total = 0.0
+        for value in values:
+            total += value
+        assert summary.mean_fidelity == total / len(values)
+        assert summary.min_fidelity == min(values)
+
     def test_json_view_is_serializable(self):
         summary = run_batch(RunConfig(mode=Mode.SWAP, trials=20, master_seed=8))
         text = json.dumps(summary.to_json_obj())
         assert json.loads(text)["mode"] == "swap"
         assert isinstance(summary, BatchSummary)
+
+
+class TestLoadRecords:
+    def test_reads_back_what_json_loads_reads(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        run_batch(RunConfig(mode=Mode.PHOTON, trials=40, output_path=str(path)))
+        with open(path, "a") as handle:
+            handle.write("\n  \n")
+        lines = path.read_text().splitlines()
+        expected = [json.loads(line) for line in lines if line.strip()]
+        assert list(load_records(str(path))) == expected
+
+    def test_truncated_line_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"trial":0,"seed":1}\n{"trial":1,\n{"trial":2}\n')
+        records = load_records(str(path))
+        assert next(records) == {"trial": 0, "seed": 1}
+        with pytest.raises(ValueError) as caught:
+            next(records)
+        message = str(caught.value)
+        assert message.startswith(f"{str(path)!r} line 2: ")
+        assert "Expecting property name" in message
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ('{"a":1} {"b":2}\n', 1),
+            # Each line must parse alone, even where the lines joined would.
+            ('{"a":[1\n2]},{"b":0}\n', 1),
+            ('{"a":1}\n{"b":2}}\n', 2),
+        ],
+        ids=["two-values", "split-value", "trailing-brace"],
+    )
+    def test_each_line_holds_exactly_one_value(self, tmp_path, text, line):
+        path = tmp_path / "records.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f" line {line}: "):
+            list(load_records(str(path)))
 
 
 class TestParseConfig:

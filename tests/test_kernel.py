@@ -7,7 +7,9 @@ resolves to the next outcome), and ``nextafter(1, 0)``, which lies past every
 edge of a slightly sub-normalized state and so exercises the fallback to the
 highest outcome above ``MIN_PROBABILITY``.  The cascade's coincidence sampler
 is checked the same way against its clamp rule, and every error a batch
-raises must read as the one-trial call's.
+raises must read as the one-trial call's.  The Haar inputs are checked
+against the scalar numpy calls, and swap's once-per-outcome steps against
+running them on every row.
 """
 
 from __future__ import annotations
@@ -34,12 +36,28 @@ from bellcast.photonic import (
     run_cascade,
     waveplate,
 )
-from bellcast.qcore import StateVector, measure_projective, measure_rows, tensor
+from bellcast.qcore import (
+    StateVector,
+    fidelity_rows,
+    measure_projective,
+    measure_rows,
+    normalized_rows,
+    tensor,
+)
+from bellcast.stream import derive_seeds, uniforms
 from bellcast.teleport import (
+    _BELL_BRAS,
+    _CORRECTION_MATRICES,
+    _SWAP_STATE,
+    _projector_stack,
     UnknownState,
+    haar_from_uniforms,
     haar_random_input,
+    haar_rows,
     prepare_singlet,
+    run_entangled_input,
     run_trial,
+    swap_rows,
     teleport_rows,
 )
 
@@ -234,3 +252,87 @@ class TestBatchErrorsMatchTheOneTrialCall:
         )
         assert "must be normalized" in one
         assert batch_error(lambda: cascade_rows(inputs, cfg, draws.__getitem__)) == one
+
+
+def scalar_haar(u_cos: float, u_phi: float) -> tuple[complex, complex]:
+    """The one-row Haar conversion as scalar numpy calls."""
+    cos_theta = -1.0 + 2.0 * u_cos
+    phi = 2.0 * np.pi * u_phi
+    theta = np.arccos(cos_theta)
+    return complex(np.cos(theta / 2.0)), np.exp(1j * phi) * np.sin(theta / 2.0)
+
+
+class TestHaarRows:
+    EDGES = [0.0, LAST_BELOW_ONE, 0.5, 0.25, 0.75, 2.0**-53]
+
+    @staticmethod
+    def assert_matches_scalar(draws: np.ndarray) -> None:
+        expected = np.array([scalar_haar(*row) for row in draws.tolist()])
+        assert haar_rows(draws).tobytes() == expected.tobytes()
+
+    def test_edge_uniforms(self):
+        self.assert_matches_scalar(
+            np.array([(a, b) for a in self.EDGES for b in self.EDGES])
+        )
+
+    def test_batch_draws(self):
+        seeds = derive_seeds(derive_seeds(5, np.arange(100_000, dtype=np.uint64)), 0)
+        self.assert_matches_scalar(uniforms(seeds, 2))
+
+    def test_one_row_call(self):
+        state = haar_from_uniforms(0.3, 0.8)
+        assert (state.a, state.b) == scalar_haar(0.3, 0.8)
+        assert type(state.a) is complex and type(state.b) is complex
+
+    def test_unnormalized_row_reads_as_the_scalar_check(self):
+        draws = np.full((5, 2), 0.5)
+        draws[2, 0] = draws[4, 1] = float("nan")
+        amplitudes = [complex(z) for z in scalar_haar(float("nan"), 0.5)]
+        one = batch_error(lambda: UnknownState(*amplitudes))
+        assert batch_error(lambda: haar_rows(draws)) == one
+        assert one == "input state not normalized: |a|^2+|b|^2 = nan"
+
+
+def swap_every_row(draws: np.ndarray):
+    """Swap's steps run on every row, each measuring its own copy of the state."""
+    n = draws.shape[0]
+    state = np.broadcast_to(_SWAP_STATE, (n, 16))
+    outcome, post = measure_rows(state, _projector_stack(4, (1, 2)), draws[:, 0])
+    moved = post.reshape(n, 8, 2).transpose(0, 2, 1)
+    corrected = (_CORRECTION_MATRICES[outcome] @ moved).transpose(0, 2, 1)
+    pair_first = corrected.reshape(n, 2, 4, 2).transpose(0, 2, 1, 3).reshape(n, 4, 4)
+    final = normalized_rows((_BELL_BRAS[outcome][:, None, :] @ pair_first)[:, 0])
+    target = np.broadcast_to(prepare_singlet().amplitudes, final.shape)
+    return outcome, final, fidelity_rows(final, target)
+
+
+class TestSwapRows:
+    def test_once_per_outcome_equals_every_row(self):
+        edges = [0.0, 0.25, 0.5, 0.75, LAST_BELOW_ONE]
+        draws = np.concatenate(
+            [np.array(edges)[:, None], uniforms(np.arange(3000, dtype=np.uint64), 1)]
+        )
+        outcome, final, fidelities = swap_rows(draws)
+        expected = swap_every_row(draws)
+        assert outcome.tolist() == expected[0].tolist()
+        assert set(outcome.tolist()) == {0, 1, 2, 3}
+        assert final.tobytes() == expected[1].tobytes()
+        assert fidelities == expected[2]
+
+    def test_one_outcome_chunk_and_one_row_call(self):
+        draws = np.full((7, 1), 0.1)
+        outcome, final, fidelities = swap_rows(draws)
+        expected = swap_every_row(draws)
+        assert final.tobytes() == expected[1].tobytes()
+        assert fidelities == expected[2]
+        label, state = run_entangled_input(0, [0.1])
+        assert label is MEASUREMENT_ORDER[outcome[0]]
+        assert state.amplitudes.tobytes() == final[0].tobytes()
+
+    @pytest.mark.parametrize("bad", [-0.25, 1.0, float("nan")])
+    def test_out_of_range_draw(self, bad):
+        draws = np.full((6, 1), 0.5)
+        draws[3, 0] = bad
+        one = batch_error(lambda: run_entangled_input(0, [bad]))
+        assert one == f"rng_sample must lie in [0, 1), got {bad}"
+        assert batch_error(lambda: swap_rows(draws)) == one
