@@ -16,11 +16,11 @@ import os
 import sys
 
 from .harness import (
-    MASTER_SEED_MAX,
     SEED_ENV_VAR,
     Mode,
     RunConfig,
     atomic_writer,
+    master_seed_from,
     parse_config,
     parse_input,
     run_batch,
@@ -51,8 +51,6 @@ def _round_floats(obj):
         return float(_sig(obj))
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_round_floats(v) for v in obj]
     return obj
 
 
@@ -108,9 +106,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "trials", None) is not None:
         updates["trials"] = args.trials
     if getattr(args, "seed", None) is not None:
-        if not 0 <= args.seed <= MASTER_SEED_MAX:
-            raise ValueError(f"--seed must fit in 64 bits, got {args.seed}")
-        updates["master_seed"] = args.seed
+        updates["master_seed"] = master_seed_from(args.seed, "--seed")
     if getattr(args, "input", None) is not None:
         updates["fixed_input"] = parse_input(args.input)
     if getattr(args, "output", None) is not None:
@@ -125,13 +121,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         updates["efficiency"] = dataclasses.replace(efficiency, **eff_updates)
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
-        try:
-            master_seed = int(env_seed)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
-        if not 0 <= master_seed <= MASTER_SEED_MAX:
-            raise ValueError(f"{SEED_ENV_VAR} must fit in 64 bits, got {env_seed!r}")
-        updates["master_seed"] = master_seed
+        updates["master_seed"] = master_seed_from(env_seed, SEED_ENV_VAR)
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 

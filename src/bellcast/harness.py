@@ -89,6 +89,18 @@ SEED_ENV_VAR = "BELLCAST_SEED"
 CHUNK_TRIALS = 1024
 
 
+def master_seed_from(value, name: str) -> int:
+    """``value`` (an int, or a string to parse) as a master seed.  Errors
+    name ``name``, where the value came from, and show the value as given."""
+    try:
+        seed = int(value)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not 0 <= seed <= MASTER_SEED_MAX:
+        raise ValueError(f"{name} must fit in 64 bits, got {value!r}")
+    return seed
+
+
 def derive_seed(master_seed: int, index: int) -> int:
     """Splitmix-style 64-bit mix of (master_seed, index)."""
     return int(derive_seeds(master_seed, index)[0])
@@ -116,8 +128,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.master_seed <= MASTER_SEED_MAX:
-            raise ValueError("master_seed must fit in 64 bits")
+        master_seed_from(self.master_seed, "master_seed")
 
 
 @dataclass(frozen=True)
@@ -235,7 +246,7 @@ def _columns(cfg: RunConfig) -> Iterator[_Chunk]:
         elif cfg.mode is Mode.SWAP:
             result = swap_rows(draws)
         else:
-            result = cascade_rows(inputs, cfg.efficiency, draws.__getitem__)
+            result = cascade_rows(inputs, cfg.efficiency, draws)
         yield _Chunk(start, base_seeds.tolist(), result[0], result[-1], inputs)
 
 
@@ -543,12 +554,9 @@ def parse_config(text: str) -> RunConfig:
             values["trials"] = trials
         elif key == "master_seed":
             try:
-                master_seed = int(value)
-            except ValueError:
-                raise ValueError(f"line {line_no}: master_seed must be an integer")
-            if not 0 <= master_seed <= MASTER_SEED_MAX:
-                raise ValueError(f"line {line_no}: master_seed must fit in 64 bits")
-            values["master_seed"] = master_seed
+                values["master_seed"] = master_seed_from(value, key)
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}")
         elif key in EFFICIENCY_KNOBS:
             try:
                 number = float(value)

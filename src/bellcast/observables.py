@@ -296,8 +296,9 @@ def verify_bell_projector_routes() -> float:
 def bell_projectors(n_qubits: int, qubits: tuple[int, int]) -> tuple[Operator, ...]:
     """Full-register rank-1 Bell projectors on ``qubits``, in outcome order.
 
-    Completeness is asserted here, once per cache entry, so measurement
-    calls can skip the per-call projector audit.
+    Completeness is asserted here, once per cache entry, so a bad embedding
+    fails where it is built.  It does not stand in for the projector audit:
+    :func:`measure_projective` still runs that on every call.
     """
     projectors = []
     for label in MEASUREMENT_ORDER:
@@ -322,6 +323,5 @@ def bell_measure(
     if len(pair) != 2:
         raise ValueError(f"exactly two qubits must be measured, got {pair}")
     projectors = bell_projectors(s.n_qubits, pair)
-    # The cached projector set was audited at construction.
-    result = measure_projective(s, projectors, rng_sample, validate=False)
+    result = measure_projective(s, projectors, rng_sample)
     return MEASUREMENT_ORDER[result.outcome_index], result.post_state

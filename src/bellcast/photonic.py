@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from .qcore import (
     tensor_rows,
     unitary_table,
 )
-from .teleport import UnknownState, uniform_draws
+from .teleport import UnknownState, _draw_row, uniform_draws
 
 
 class PairLabel(enum.Enum):
@@ -380,19 +380,13 @@ _ABSORBERS = (
     (CascadeEventKind.D4, PairLabel.CHI_PLUS, False),
 )
 
-DrawReader = Callable[[tuple[np.ndarray, np.ndarray]], np.ndarray]
-
 
 def cascade_rows(
-    inputs: np.ndarray, cfg: EfficiencyConfig, read_draws: DrawReader
+    inputs: np.ndarray, cfg: EfficiencyConfig, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float | None]]:
-    """:func:`run_cascade` for a batch of ``(N, 2)`` input rows.
-
-    Each trial reads its draws in order through its own column cursor:
-    ``read_draws((rows, columns))`` returns the draw in column ``columns[j]``
-    of trial ``rows[j]``'s ``CASCADE_DRAWS``-long row, as indexing an
-    ``(N, CASCADE_DRAWS)`` array does; a batch passes that array's
-    ``__getitem__``.
+    """:func:`run_cascade` for a batch: one ``(N, 2)`` input row and one
+    ``(N, CASCADE_DRAWS)`` draw row per trial, which the trial reads in order
+    through its own column cursor.
 
     Returns the event codes (indices into ``CascadeEventKind``), ``bob_pre``
     and ``bob_post`` as ``(N, 2)`` arrays, meaningful on identifying rows
@@ -402,7 +396,7 @@ def cascade_rows(
     cursor = np.zeros(n, dtype=np.intp)
 
     def draw(rows: np.ndarray) -> np.ndarray:
-        values = read_draws((rows, cursor[rows]))
+        values = draws[rows, cursor[rows]]
         cursor[rows] += 1
         return values
 
@@ -459,18 +453,14 @@ def run_cascade(
     on a coincidence, and one detection draw for any fired signature.  That
     is 2 draws when both sources are dark, 3 for a single-detector event, and
     4 / 5 / 6 / 7 for D1 / D2 / D4 / D3C, whether or not the detection draw
-    then loses the signature; at most ``CASCADE_DRAWS`` (7) in all.  Only
-    those draws are read.
+    then loses the signature; at most ``CASCADE_DRAWS`` (7) in all.  The
+    consumed draws are pinned by ``TestDrawCount``.
     ``draws``, if given, must equal ``uniform_draws(rng_seed, CASCADE_DRAWS)``.
     """
     if draws is None:
         draws = uniform_draws(rng_seed, CASCADE_DRAWS)
-
-    def read_draws(key: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        return np.array([draws[column] for column in key[1].tolist()], dtype=np.float64)
-
     kinds, bob_pre, bob_post, fidelities = cascade_rows(
-        input_state.state_vector().amplitudes[None], cfg, read_draws
+        input_state.state_vector().amplitudes[None], cfg, _draw_row(draws)
     )
     identified = fidelities[0] is not None
     return CascadeRecord(

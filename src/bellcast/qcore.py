@@ -185,70 +185,41 @@ def _check_targets(targets, n_qubits: int, op_qubits: int) -> tuple[int, ...]:
     return targets
 
 
-def _is_ascending_run(targets: tuple[int, ...]) -> bool:
-    return all(b == a + 1 for a, b in zip(targets, targets[1:]))
+def _axis_orders(n_qubits: int, targets: tuple[int, ...]):
+    """The axis order with ``targets`` first, in their order, then the rest
+    ascending, and its argsort, which moves them back."""
+    order = (*targets, *(q for q in range(n_qubits) if q not in targets))
+    return order, tuple(sorted(range(n_qubits), key=order.__getitem__))
 
 
 def apply(op: Operator, s: StateVector, targets) -> StateVector:
-    """Apply ``op`` to the given target qubits of ``s``.
+    """Apply ``op`` to the given target qubits of ``s``, in any order.
 
     Non-target qubits are acted on by the identity.  The norm is preserved
     exactly when ``op`` is unitary; projectors shrink it.
     """
     n = s.n_qubits
-    k = op.n_qubits
-    targets = _check_targets(targets, n, k)
-    if _is_ascending_run(targets):
-        # Contiguous targets reduce to one matmul on a reshaped view,
-        # which is much cheaper than tensordot at these sizes.
-        pre = 1 << targets[0]
-        post = 1 << (n - targets[-1] - 1)
-        view = s.amplitudes.reshape(pre, op.dim, post)
-        if pre == 1:
-            out = (op.matrix @ view.reshape(op.dim, post)).ravel()
-        else:
-            moved = view.transpose(1, 0, 2).reshape(op.dim, pre * post)
-            out = (
-                (op.matrix @ moved)
-                .reshape(op.dim, pre, post)
-                .transpose(1, 0, 2)
-                .ravel()
-            )
-        return StateVector._trusted(out)
-    psi = s.tensor_view()
-    op_tensor = op.matrix.reshape((2,) * (2 * k))
-    out = np.tensordot(op_tensor, psi, axes=(tuple(range(k, 2 * k)), targets))
-    # tensordot leaves the contracted target axes first; put them back.
-    out = np.moveaxis(out, tuple(range(k)), targets)
-    return StateVector(out.reshape(-1))
+    targets = _check_targets(targets, n, op.n_qubits)
+    order, inverse = _axis_orders(n, targets)
+    moved = s.tensor_view().transpose(order).reshape(op.dim, -1)
+    out = (op.matrix @ moved).reshape((2,) * n).transpose(inverse)
+    return StateVector._trusted(out.ravel())
 
 
 def contract_with(s: StateVector, qubits, factor: StateVector) -> StateVector:
-    """Contract ``<factor|`` against the given qubits of ``s``.
+    """Contract ``<factor|`` against the given qubits of ``s``, in any order.
 
-    Returns the (generally unnormalized) state of the remaining qubits; its
-    squared norm is the Born probability of finding ``factor`` there.
+    Returns the (generally unnormalized) state of the remaining qubits, in
+    ascending order; its squared norm is the Born probability of finding
+    ``factor`` there.
     """
     n = s.n_qubits
     qubits = _check_targets(qubits, n, factor.n_qubits)
     if len(qubits) >= n:
         raise ValueError("contraction must leave at least one qubit")
-    if _is_ascending_run(qubits):
-        pre = 1 << qubits[0]
-        post = 1 << (n - qubits[-1] - 1)
-        view = s.amplitudes.reshape(pre, factor.dim, post)
-        bra = factor.amplitudes.conj()
-        if pre == 1:
-            out = bra @ view.reshape(factor.dim, post)
-        else:
-            # Result comes out in (pre, post) C-order, matching the
-            # remaining-qubit order of the tensordot fallback.
-            out = bra @ view.transpose(1, 0, 2).reshape(factor.dim, pre * post)
-        return StateVector._trusted(out)
-    psi = s.tensor_view()
-    bra = factor.tensor_view().conj()
-    out = np.tensordot(bra, psi, axes=(tuple(range(factor.n_qubits)), qubits))
-    return StateVector(out.reshape(-1))
+    order, _ = _axis_orders(n, qubits)
+    moved = s.tensor_view().transpose(order).reshape(factor.dim, -1)
+    return StateVector._trusted(factor.amplitudes.conj() @ moved)
 
 
 def _require_normalized(s: StateVector, what: str) -> None:
@@ -257,17 +228,15 @@ def _require_normalized(s: StateVector, what: str) -> None:
 
 
 def measure_projective(
-    s: StateVector, projectors, rng_sample: float, validate: bool = True
+    s: StateVector, projectors, rng_sample: float
 ) -> MeasurementResult:
     """Projective measurement of ``s`` against a complete projector set.
 
     ``rng_sample`` is a uniform draw from [0, 1).  The outcome is selected by
     cumulative probability; a draw landing exactly on a boundary resolves to
     the higher-indexed outcome.  The returned post state is renormalized.
-
-    ``validate=False`` skips the hermitian/idempotent/completeness audit of
-    the projector set; pass it only for sets already verified at
-    construction time (they are cached, so the audit would repeat per call).
+    The projector set is audited first: each projector must be hermitian and
+    idempotent, and together they must sum to the identity.
     """
     if not 0.0 <= rng_sample < 1.0:
         raise ValueError(f"rng_sample must lie in [0, 1), got {rng_sample}")
@@ -276,21 +245,20 @@ def measure_projective(
     if not projectors:
         raise ValueError("projector set is empty")
     dim = s.dim
-    if validate:
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for i, proj in enumerate(projectors):
-            mat = proj.matrix
-            if mat.shape[0] != dim:
-                raise ValueError(
-                    f"projector {i} has dimension {mat.shape[0]}, state has {dim}"
-                )
-            if np.max(np.abs(mat - mat.conj().T)) > ATOL_PROJECTOR:
-                raise ValueError(f"projector {i} is not hermitian")
-            if np.max(np.abs(mat @ mat - mat)) > ATOL_PROJECTOR:
-                raise ValueError(f"projector {i} is not idempotent")
-            total += mat
-        if np.max(np.abs(total - np.eye(dim))) > ATOL_PROJECTOR:
-            raise ValueError("projector set incomplete: sum differs from identity")
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    for i, proj in enumerate(projectors):
+        mat = proj.matrix
+        if mat.shape[0] != dim:
+            raise ValueError(
+                f"projector {i} has dimension {mat.shape[0]}, state has {dim}"
+            )
+        if np.max(np.abs(mat - mat.conj().T)) > ATOL_PROJECTOR:
+            raise ValueError(f"projector {i} is not hermitian")
+        if np.max(np.abs(mat @ mat - mat)) > ATOL_PROJECTOR:
+            raise ValueError(f"projector {i} is not idempotent")
+        total += mat
+    if np.max(np.abs(total - np.eye(dim))) > ATOL_PROJECTOR:
+        raise ValueError("projector set incomplete: sum differs from identity")
 
     amps = s.amplitudes
     projected = [proj.matrix @ amps for proj in projectors]

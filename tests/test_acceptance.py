@@ -121,7 +121,7 @@ def cascade_kinds_and_fidelities(
         seeds = range(start, min(start + 10_000, trials))
         codes, _, _, values = cascade_rows(
             inputs[np.array(seeds) % len(states)], cfg,
-            seed_draws(seeds, CASCADE_DRAWS).__getitem__,
+            seed_draws(seeds, CASCADE_DRAWS),
         )
         counts.update(kinds[code] for code in codes.tolist())
         fidelities += values

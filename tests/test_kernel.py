@@ -14,6 +14,8 @@ running them on every row.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -94,7 +96,7 @@ def measure_both(states: list[StateVector], projectors):
         np.array([d for _, d in cases]),
     )
     for row, (state, draw) in enumerate(cases):
-        expected = measure_projective(state, projectors, draw, validate=False)
+        expected = measure_projective(state, projectors, draw)
         assert chosen[row] == expected.outcome_index, (row, draw)
         assert post[row].tobytes() == expected.post_state.amplitudes.tobytes(), row
     return cases, chosen
@@ -133,8 +135,6 @@ class TestMeasureRowsEdges:
         # A projector set that misses the state: every probability is zero.
         state = tensor(bell_state(BellOutcome.PSI_MINUS), StateVector([1.0, 0.0]))
         projectors = bell_projectors(3, (0, 1))[1:]
-        with pytest.raises(ValueError) as one:
-            measure_projective(state, projectors, 0.5, validate=False)
         live = tensor(bell_state(BellOutcome.PSI_PLUS), StateVector([1.0, 0.0]))
         with pytest.raises(ValueError) as many:
             measure_rows(
@@ -142,8 +142,13 @@ class TestMeasureRowsEdges:
                 np.array([p.matrix for p in projectors]),
                 np.array([0.5, 0.5]),
             )
-        assert "degenerate" in str(one.value)
-        assert str(many.value) == str(one.value)
+        assert str(many.value) == (
+            "all outcome probabilities are degenerate (below 1e-15)"
+        )
+        # The scalar rule audits its projector set before it measures.
+        with pytest.raises(ValueError) as one:
+            measure_projective(state, projectors, 0.5)
+        assert str(one.value) == "projector set incomplete: sum differs from identity"
 
 
 def reference_branch(state: StateVector, u: float) -> np.ndarray:
@@ -222,7 +227,7 @@ class TestBatchErrorsMatchTheOneTrialCall:
         scalar = batch_error(
             lambda: measure_projective(
                 tensor(StateVector(inputs[self.BAD_ROW]), prepare_singlet()),
-                bell_projectors(3, (0, 1)), 0.5, validate=False,
+                bell_projectors(3, (0, 1)), 0.5,
             )
         )
         assert one == scalar
@@ -239,7 +244,7 @@ class TestBatchErrorsMatchTheOneTrialCall:
         )
         assert one == f"rng_sample must lie in [0, 1), got {bad}"
         batch = self.inputs()
-        assert batch_error(lambda: cascade_rows(batch, cfg, draws.__getitem__)) == one
+        assert batch_error(lambda: cascade_rows(batch, cfg, draws)) == one
 
     def test_unnormalized_cascade_input(self):
         cfg = EfficiencyConfig()
@@ -248,10 +253,10 @@ class TestBatchErrorsMatchTheOneTrialCall:
         draws = np.zeros((self.ROWS, CASCADE_DRAWS))
         bad = slice(self.BAD_ROW, self.BAD_ROW + 1)
         one = batch_error(
-            lambda: cascade_rows(inputs[bad], cfg, draws[bad].__getitem__)
+            lambda: cascade_rows(inputs[bad], cfg, draws[bad])
         )
         assert "must be normalized" in one
-        assert batch_error(lambda: cascade_rows(inputs, cfg, draws.__getitem__)) == one
+        assert batch_error(lambda: cascade_rows(inputs, cfg, draws)) == one
 
 
 def scalar_haar(u_cos: float, u_phi: float) -> tuple[complex, complex]:
@@ -304,6 +309,24 @@ def swap_every_row(draws: np.ndarray):
     final = normalized_rows((_BELL_BRAS[outcome][:, None, :] @ pair_first)[:, 0])
     target = np.broadcast_to(prepare_singlet().amplitudes, final.shape)
     return outcome, final, fidelity_rows(final, target)
+
+
+class TestProjectorStackBits:
+    """The Bell projector stacks built through ``embed_operator`` and
+    ``apply``, pinned to their exact bytes."""
+
+    @pytest.mark.parametrize(
+        "n_qubits, qubits, digest",
+        [
+            (3, (0, 1), "596bce91683f01c4d070b2bbb4e7ff7a56ae1f916004aefbdafa65447b05863f"),
+            (4, (1, 2), "50acb9370950a5f6bd6edef1a93d08ad94f653cc9ec27804733fdadbb812e75a"),
+        ],
+    )
+    def test_sha256(self, n_qubits, qubits, digest):
+        stack = _projector_stack(n_qubits, qubits)
+        assert stack.shape == (4, 1 << n_qubits, 1 << n_qubits)
+        assert stack.dtype == np.complex128
+        assert hashlib.sha256(stack.tobytes()).hexdigest() == digest
 
 
 class TestSwapRows:

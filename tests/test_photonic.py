@@ -28,6 +28,7 @@ from bellcast.photonic import (
     absorption_stage,
     analytic_distribution,
     build_three_mode,
+    cascade_rows,
     correction_for_photonic,
     pair_basis_state,
     pair_components,
@@ -411,6 +412,37 @@ class TestAnalyticInputIndependence:
                 assert table[kind] == pytest.approx(reference[kind], abs=1e-12), kind
 
 
+class TestAnalyticBits:
+    """The oracle's exact floats, so a change to the operations it uses
+    (``apply`` through ``waveplate``, the pair projection) shows up here and
+    not only in the record digests."""
+
+    @pytest.mark.parametrize(
+        "cfg, input_state, expected",
+        [
+            pytest.param(
+                EfficiencyConfig(eta_abs=0.9, eta_det=0.8, p_in=0.95, p_pdc=0.95),
+                UnknownState.normalized(0.6, 0.8j),
+                ["0.1624500000000001", "0.16244999999999996", "0.16244999999999996",
+                 "0.23465", "0.038000000000000034", "0.038000000000000034", "0.202"],
+                id="a.9-d.8-p.95-fixed",
+            ),
+            pytest.param(
+                EfficiencyConfig(eta_abs=0.5, eta_det=0.9, p_in=0.9, p_pdc=0.9),
+                UnknownState(1.0, 0.0),
+                ["0.09112500000000004", "0.09112500000000004", "0.09112499999999998",
+                 "0.45562499999999995", "0.08099999999999999", "0.08099999999999999",
+                 "0.10899999999999996"],
+                id="a.5-d.9-p.9-R",
+            ),
+        ],
+    )
+    def test_event_table_reprs(self, cfg, input_state, expected):
+        table = analytic_distribution(input_state, cfg)
+        assert list(table) == list(CascadeEventKind)
+        assert [repr(value) for value in table.values()] == expected
+
+
 class TestSourceFailures:
     def test_missing_input_photon_gives_lower_single(self):
         cfg = EfficiencyConfig(p_in=0.0)
@@ -454,19 +486,20 @@ class TestSourceFailures:
 
 
 class CountingDraws:
-    """A fixed row of uniforms that records how many of them were read."""
+    """One trial's row of uniforms, indexed as ``draws[rows, columns]`` the
+    way ``cascade_rows`` reads its draw array, that records how many of them
+    were read."""
 
     def __init__(self, values):
-        self._values = list(values)
+        self._row = np.array([values], dtype=np.float64)
         self.read = 0
 
-    def __len__(self):
-        return len(self._values)
-
-    def __getitem__(self, index):
-        value = self._values[index]
-        self.read = max(self.read, index + 1)
-        return value
+    def __getitem__(self, key):
+        rows, columns = key
+        values = self._row[rows, columns]
+        if columns.size:
+            self.read = max(self.read, int(columns.max()) + 1)
+        return values
 
 
 # Draw values that steer the cascade: a source is lit or dark against
@@ -499,10 +532,16 @@ class TestDrawCount:
     @pytest.mark.parametrize("detection", [DETECTED, LOST], ids=["detected", "lost"])
     def test_draws_consumed_per_outcome(self, steer, kind, expected, detection):
         values = (steer + (detection,) + (0.5,) * CASCADE_DRAWS)[:CASCADE_DRAWS]
+        input_state = UnknownState(0.6, 0.8j)
         draws = CountingDraws(values)
-        record = run_cascade(UnknownState(0.6, 0.8j), self.CFG, 0, draws)
+        codes, _, _, fidelities = cascade_rows(
+            input_state.state_vector().amplitudes[None], self.CFG, draws
+        )
         if detection == LOST:
             kind = CascadeEventKind.NO_EVENT
-        assert record.event.kind is kind
-        assert (record.fidelity_value is not None) == (kind in IDENTIFYING_EVENTS)
+        assert list(CascadeEventKind)[codes[0]] is kind
+        assert (fidelities[0] is not None) == (kind in IDENTIFYING_EVENTS)
         assert draws.read == expected
+        record = run_cascade(input_state, self.CFG, 0, values)
+        assert record.event.kind is kind
+        assert record.fidelity_value == fidelities[0]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,12 +41,38 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def kron_embed(matrix: np.ndarray, n_qubits: int, target: int) -> np.ndarray:
-    """Independent oracle: explicit I x ... x op x ... x I product."""
-    out = np.array([[1.0 + 0j]])
-    for k in range(n_qubits):
-        out = np.kron(out, matrix if k == target else np.eye(2, dtype=complex))
-    return out
+def ordered_targets(n_qubits: int):
+    """Every ordered tuple of one or two distinct qubits of the register."""
+    for k in (1, 2):
+        yield from itertools.permutations(range(n_qubits), k)
+
+
+def qubit_permutation(n_qubits: int, order) -> np.ndarray:
+    """Permutation matrix taking ``|b_0 ... b_{n-1}>`` to
+    ``|b_order[0] ... b_order[n-1]>``, built bit by bit."""
+    dim = 1 << n_qubits
+    perm = np.zeros((dim, dim))
+    for i in range(dim):
+        bits = [(i >> (n_qubits - 1 - q)) & 1 for q in range(n_qubits)]
+        j = int("".join(str(bits[q]) for q in order), 2)
+        perm[j, i] = 1.0
+    return perm
+
+
+def kron_embed(matrix: np.ndarray, n_qubits: int, targets) -> np.ndarray:
+    """Independent oracle: ``op x I`` on the qubits reordered as ``targets``
+    then the rest, conjugated back by the permutation matrix."""
+    rest = [q for q in range(n_qubits) if q not in targets]
+    perm = qubit_permutation(n_qubits, [*targets, *rest])
+    return perm.T @ np.kron(matrix, np.eye(1 << len(rest))) @ perm
+
+
+def kron_contraction(bra: np.ndarray, n_qubits: int, qubits) -> np.ndarray:
+    """Independent oracle: ``<bra| x I`` on the qubits reordered as
+    ``qubits`` then the rest, which stay in ascending order."""
+    rest = [q for q in range(n_qubits) if q not in qubits]
+    perm = qubit_permutation(n_qubits, [*qubits, *rest])
+    return np.kron(bra.conj()[None, :], np.eye(1 << len(rest))) @ perm
 
 
 @st.composite
@@ -118,14 +146,15 @@ class TestApply:
         np.testing.assert_allclose(got.amplitudes, ket("010").amplitudes, atol=0)
 
     def test_matches_explicit_kron_embedding(self):
-        """apply() agrees with the I x op x I matrix for every target."""
+        """apply() agrees with the permuted op x I matrix for every ordered
+        one- and two-qubit target tuple, reversed and non-adjacent ones too."""
         rng = np.random.default_rng(5)
-        for n_qubits in (2, 3):
+        for n_qubits in (2, 3, 4):
             state = random_state(rng, n_qubits)
-            for target in range(n_qubits):
-                matrix = random_unitary(rng, 2)
-                via_apply = apply(Operator(matrix), state, (target,))
-                full = kron_embed(matrix, n_qubits, target)
+            for targets in ordered_targets(n_qubits):
+                matrix = random_unitary(rng, 1 << len(targets))
+                via_apply = apply(Operator(matrix), state, targets)
+                full = kron_embed(matrix, n_qubits, targets)
                 np.testing.assert_allclose(
                     via_apply.amplitudes, full @ state.amplitudes, atol=ATOL_EXACT
                 )
@@ -268,6 +297,26 @@ class TestContraction:
         plus = StateVector(np.array([SQRT_HALF, SQRT_HALF], dtype=complex))
         got = contract_with(tensor(plus, plus), (0,), ket("0"))
         assert got.norm**2 == pytest.approx(0.5, abs=1e-12)
+
+    def test_matches_explicit_kron_oracle(self):
+        """contract_with() agrees with the permuted <factor| x I matrix for
+        every ordered one- and two-qubit tuple that leaves a qubit over."""
+        rng = np.random.default_rng(13)
+        for n_qubits in (2, 3, 4):
+            state = random_state(rng, n_qubits)
+            for qubits in ordered_targets(n_qubits):
+                if len(qubits) == n_qubits:
+                    continue
+                factor = random_state(rng, len(qubits))
+                got = contract_with(state, qubits, factor)
+                oracle = kron_contraction(factor.amplitudes, n_qubits, qubits)
+                np.testing.assert_allclose(
+                    got.amplitudes, oracle @ state.amplitudes, atol=ATOL_EXACT
+                )
+
+    def test_rejects_contracting_every_qubit(self):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            contract_with(ket("01"), (1, 0), ket("10"))
 
 
 class TestOperatorAndDensityValidation:
