@@ -19,10 +19,11 @@ one-trial entry points (``run_trial``, ``run_baseline_computational``,
 one row, and every row is bit-identical to that call.
 
 Columns: a chunk stays columns (seeds, codes, fidelities, inputs) from the
-kernel on.  ``run_batch`` writes its lines in one write, each filled into a
-per-code line template, and adds its columns to the summary's running
-totals; ``iter_records`` builds the same records as dicts, and
-``summarize`` feeds dicts to the same totals a block at a time.
+kernel on.  ``run_batch`` writes its lines in one write, filled by one
+``%`` into the chunk's template (its codes' line templates, joined), and
+adds its columns to the summary's running totals; ``iter_records`` builds
+the same records as dicts, and ``summarize`` feeds dicts to the same totals
+a block at a time.
 
 Record schema (one JSON object per line, keys in this order):
 
@@ -42,7 +43,6 @@ import enum
 import errno
 import itertools
 import json
-import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -196,15 +196,15 @@ _COUNTED = {
     mode: [event if mode is Mode.PHOTON else outcome for outcome, _, event in wire]
     for mode, wire in _WIRE.items()
 }
-# Per mode and code, its record line with everything the code decides
-# pre-encoded; each trial fills in its index, seed, fidelity and amplitudes.
-# Ints are ``str`` and floats ``repr``, as ``json.dumps`` writes them.
-_LINES = {
+# Per mode and code, its record line up to the amplitudes, with everything
+# the code decides pre-encoded; each trial fills in its index, seed and
+# fidelity text, and its amplitudes unless the chunk shares one text for
+# them.  Ints are ``str`` and floats ``repr``, as ``json.dumps`` writes them.
+_LINE_HEADS = {
     mode: [
         f'{{"trial":%d,"seed":%d,"outcome":{json.dumps(outcome)},'
         f'"message_bits":{json.dumps(bits)},"fidelity":%s'
         + ("" if event is None else f',"event":{json.dumps(event)}')
-        + "%s}\n"
         for outcome, bits, event in wire
     ]
     for mode, wire in _WIRE.items()
@@ -281,28 +281,29 @@ def record_to_line(record: dict) -> str:
 
 def _chunk_lines(cfg: RunConfig, chunk: _Chunk) -> str:
     """The chunk's record lines, each ``record_to_line`` of its record plus a
-    newline.  A non-finite float raises ``ValueError``, as ``allow_nan=False``
-    does."""
+    newline, from one ``%`` of the chunk's line templates, joined.  A
+    non-finite float raises ``ValueError``, as ``allow_nan=False`` does."""
     present = [value for value in chunk.fidelities if value is not None]
     inputs = () if chunk.inputs is None else chunk.inputs
     if not (np.isfinite(present).all() and np.isfinite(inputs).all()):
         raise ValueError("Out of range float values are not JSON compliant")
-    if chunk.inputs is None:
-        amplitudes = itertools.repeat(_AMPLITUDES.replace("%r", "null"))
-    elif cfg.fixed_input is not None:  # every row holds the same input
-        row = tuple(chunk.inputs[0].view(np.float64).tolist())
-        amplitudes = itertools.repeat(_AMPLITUDES % row)
-    else:
-        columns = chunk.inputs.view(np.float64).T.tolist()
-        amplitudes = map(_AMPLITUDES.__mod__, zip(*columns))
-    fields = zip(
-        itertools.count(chunk.start),
+    texts = {value: repr(value) for value in set(present)}
+    texts[None] = "null"
+    columns = [
+        range(chunk.start, chunk.start + len(chunk.seeds)),
         chunk.seeds,
-        ["null" if value is None else repr(value) for value in chunk.fidelities],
-        amplitudes,
-    )
-    lines = map(_LINES[cfg.mode].__getitem__, chunk.codes.tolist())
-    return "".join(map(operator.mod, lines, fields))
+        map(texts.__getitem__, chunk.fidelities),
+    ]
+    if chunk.inputs is None:
+        amplitudes = _AMPLITUDES.replace("%r", "null")
+    elif cfg.fixed_input is not None:  # every row holds the same input
+        amplitudes = _AMPLITUDES % tuple(chunk.inputs[0].view(np.float64).tolist())
+    else:
+        amplitudes = _AMPLITUDES
+        columns += chunk.inputs.view(np.float64).T.tolist()
+    lines = [head + amplitudes + "}\n" for head in _LINE_HEADS[cfg.mode]]
+    template = "".join(map(lines.__getitem__, chunk.codes.tolist()))
+    return template % tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
 @contextlib.contextmanager

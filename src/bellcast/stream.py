@@ -10,10 +10,20 @@ arrays of seeds and returns rows bit-identical to numpy's.
   little-endian 32-bit words.  A seed below 2**32 has one word, but the pool
   (4 words) is padded by hashing zeros, so ``[w0, 0]`` gives the same pool.
   ``generate_state(4, uint64)`` then yields the four words of PCG64's seed.
+  The pool is one ``(4, N)`` array with a lane per word, and each hash call
+  of numpy's loops gets its own lane: one hash fills the pool, each source
+  word hashes its 3 destinations in one call, and one hash of the ``(8, N)``
+  tiled pool generates the state.  The hash constants never depend on the
+  entropy, so they are computed once.
 * PCG64 (O'Neill 2014, XSL-RR 128/64): ``initstate = s0 << 64 | s1`` and
   ``initseq = s2 << 64 | s3``.  Seeding sets ``state = 0``, ``inc = initseq
   << 1 | 1``, steps, adds ``initstate`` and steps again.  Each draw steps,
   then outputs; the double is ``(x >> 11) * 2**-53``.
+* Jump-ahead: a step is ``state * M + inc`` modulo 2**128, so the state at
+  draw ``j`` (1..k) is ``M**(j+1) * initstate + C_(j+2) * inc``, where
+  ``C_j = M**0 + ... + M**(j-1)``.  The constants are Python integers,
+  cached per ``k``, and all ``k`` draws of every seed come from one
+  ``(k, N)`` pass: two constant-times-variable products and one add.
 
 128-bit values are ``(hi, lo)`` pairs of ``uint64`` arrays, multiplied in
 32-bit limbs.  All integer arithmetic is on arrays, where numpy wraps
@@ -22,9 +32,12 @@ silently; scalar ``uint64`` arithmetic would warn on overflow.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _SPLITMIX_MULT1 = 0xBF58476D1CE4E5B9
@@ -40,8 +53,7 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 
-_PCG_MULT_HI = 0x2360ED051FC65DA4
-_PCG_MULT_LO = 0x4385DF649FCCF645
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _u64(values) -> np.ndarray:
@@ -64,8 +76,10 @@ def derive_seeds(master_seed, index) -> np.ndarray:
     return z
 
 
-def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
-    """The (xor, multiply) constants of ``count`` successive hash calls.
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The (xor, multiply) constants of ``count`` successive hash calls, as a
+    ``(count, 2, 1)`` ``uint32`` array: row ``i`` broadcasts over the lane of
+    call ``i``.
 
     SeedSequence's running hash constant starts at ``init`` and is multiplied
     by ``mult`` inside each call; it never depends on the entropy.
@@ -75,48 +89,45 @@ def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
         nxt = (init * mult) & _MASK32
         pairs.append((init, nxt))
         init = nxt
-    return pairs
+    return np.array(pairs, dtype=np.uint32)[:, :, None]
 
 
 # mix_entropy: 4 hashmix calls fill the pool, then 12 mix it in (source,
-# destination) loop order; a seed's 2 words leave no entropy over.
+# destination) loop order, 3 per source; a seed's 2 words leave no entropy
+# over.
 _MIX_ENTROPY = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE**2)
-_FILL_CONSTANTS, _MIX_CONSTANTS = _MIX_ENTROPY[:_POOL_SIZE], _MIX_ENTROPY[_POOL_SIZE:]
-# generate_state(4, uint64): 8 uint32 words.
+_FILL_CONSTANTS = _MIX_ENTROPY[:_POOL_SIZE]
+_MIX_CONSTANTS = _MIX_ENTROPY[_POOL_SIZE:].reshape(_POOL_SIZE, _POOL_SIZE - 1, 2, 1)
+# Each source's destinations: the other pool words, ascending.
+_MIX_DESTINATIONS = [
+    [dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE)
+]
+# generate_state(4, uint64): 8 uint32 words, hashed from pool words 0-3, 0-3.
 _GENERATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
 
 
-def _hash32(value: np.ndarray, xor: int, mult: int) -> np.ndarray:
-    value = (value ^ np.uint32(xor)) * np.uint32(mult)
+def _hash32(value: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of every lane: ``constants[i]`` holds lane
+    ``i``'s (xor, multiply) pair."""
+    value = (value ^ constants[:, 0]) * constants[:, 1]
     return value ^ (value >> np.uint32(_XSHIFT))
 
 
 def _seed_words(seeds: np.ndarray) -> list[np.ndarray]:
-    """SeedSequence(seed).generate_state(4, uint64) for each seed, as 4 arrays."""
-    entropy = [
-        (seeds & _u64(_MASK32)).astype(np.uint32),
-        (seeds >> _u64(32)).astype(np.uint32),
-    ]
-    zero = np.zeros_like(entropy[0])
-    pool = [
-        _hash32(entropy[i] if i < len(entropy) else zero, xor, mult)
-        for i, (xor, mult) in enumerate(_FILL_CONSTANTS)
-    ]
-    mix_constants = iter(_MIX_CONSTANTS)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed = _hash32(pool[src], *next(mix_constants))
-                mixed = (
-                    pool[dst] * np.uint32(_MIX_MULT_L)
-                    - hashed * np.uint32(_MIX_MULT_R)
-                )
-                pool[dst] = mixed ^ (mixed >> np.uint32(_XSHIFT))
-    words = [
-        _hash32(pool[i % _POOL_SIZE], xor, mult).astype(np.uint64)
-        for i, (xor, mult) in enumerate(_GENERATE_CONSTANTS)
-    ]
-    return [words[2 * j] | (words[2 * j + 1] << _u64(32)) for j in range(4)]
+    """SeedSequence(seed).generate_state(4, uint64) for each seed, as 4 arrays.
+
+    The pool is one ``(4, N)`` array with a lane per pool word.
+    """
+    entropy = np.zeros((_POOL_SIZE, seeds.shape[0]), dtype=np.uint32)
+    entropy[0] = seeds & _u64(_MASK32)
+    entropy[1] = seeds >> _u64(32)
+    pool = _hash32(entropy, _FILL_CONSTANTS)
+    for src, dst in enumerate(_MIX_DESTINATIONS):
+        hashed = _hash32(pool[src], _MIX_CONSTANTS[src])
+        mixed = pool[dst] * np.uint32(_MIX_MULT_L) - hashed * np.uint32(_MIX_MULT_R)
+        pool[dst] = mixed ^ (mixed >> np.uint32(_XSHIFT))
+    words = _hash32(np.tile(pool, (2, 1)), _GENERATE_CONSTANTS).astype(np.uint64)
+    return list(words[0::2] | (words[1::2] << _u64(32)))
 
 
 def _mul64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,32 +147,52 @@ def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
     return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo
 
 
-def _step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
-    """One PCG64 state step: ``state * MULT + inc`` modulo 2**128."""
-    prod_hi, prod_lo = _mul64(lo, _u64(_PCG_MULT_LO))
-    prod_hi += lo * _u64(_PCG_MULT_HI) + hi * _u64(_PCG_MULT_LO)
-    return _add128(prod_hi, prod_lo, inc_hi, inc_lo)
+def _mul128(c_hi, c_lo, hi, lo) -> tuple[np.ndarray, np.ndarray]:
+    """``c * x`` modulo 2**128, broadcast over the arrays of ``c`` and ``x``."""
+    prod_hi, prod_lo = _mul64(lo, c_lo)
+    prod_hi += lo * c_hi + hi * c_lo
+    return prod_hi, prod_lo
+
+
+def _split128(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as ``(hi, lo)`` columns of words, one row per value."""
+    words = _u64([divmod(value, 1 << 64) for value in values]).reshape(-1, 2)
+    return words[:, :1], words[:, 1:]
+
+
+@functools.cache
+def _jump_constants(k: int) -> tuple[np.ndarray, ...]:
+    """``M**(j+1)`` and ``C_(j+2)`` for draws ``j = 1..k``, as ``(hi, lo)``
+    pairs of ``(k, 1)`` ``uint64`` arrays (see the module docstring)."""
+    powers, sums = [], []
+    power, total = _PCG_MULT, 1 + _PCG_MULT  # M**1 and C_2
+    for _ in range(k):
+        power = power * _PCG_MULT & _MASK128
+        total = (total + power) & _MASK128
+        powers.append(power)
+        sums.append(total)
+    constants = (*_split128(powers), *_split128(sums))
+    for array in constants:
+        array.setflags(write=False)
+    return constants
 
 
 def uniforms(seeds, k: int) -> np.ndarray:
     """Row ``i`` equals ``np.random.default_rng(int(seeds[i])).random(k)``.
 
     ``seeds`` is a 1-d array of integers in ``[0, 2**64)``; the result is an
-    ``(N, k)`` float64 array.
+    ``(N, k)`` float64 array, the transpose of the ``(k, N)`` pass, so each
+    draw's column is contiguous.
     """
     seeds = np.atleast_1d(_u64(seeds))
     s0, s1, s2, s3 = _seed_words(seeds)
     inc_hi = (s2 << _u64(1)) | (s3 >> _u64(63))
     inc_lo = (s3 << _u64(1)) | _u64(1)
-    zero = np.zeros_like(seeds)
-    hi, lo = _step(zero, zero, inc_hi, inc_lo)
-    hi, lo = _add128(hi, lo, s0, s1)
-    hi, lo = _step(hi, lo, inc_hi, inc_lo)
-    out = np.empty((seeds.shape[0], k), dtype=np.float64)
-    for column in range(k):
-        hi, lo = _step(hi, lo, inc_hi, inc_lo)
-        rot = hi >> _u64(58)
-        x = hi ^ lo
-        x = (x >> rot) | (x << ((_u64(64) - rot) & _u64(63)))
-        out[:, column] = (x >> _u64(11)).astype(np.float64) * 2.0**-53
-    return out
+    power_hi, power_lo, sum_hi, sum_lo = _jump_constants(k)
+    hi, lo = _add128(
+        *_mul128(power_hi, power_lo, s0, s1), *_mul128(sum_hi, sum_lo, inc_hi, inc_lo)
+    )
+    rot = hi >> _u64(58)
+    x = hi ^ lo
+    x = (x >> rot) | (x << ((_u64(64) - rot) & _u64(63)))
+    return ((x >> _u64(11)).astype(np.float64) * 2.0**-53).T

@@ -46,6 +46,8 @@ from .qcore import (
     fidelity_rows,
     measure_rows,
     normalized_rows,
+    post_rows,
+    sample_rows,
     tensor,
     tensor_rows,
     unitary_table,
@@ -292,17 +294,17 @@ def swap_rows(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
 
     Returns the outcome indices, the ``(N, 4)`` states of qubits (0, 3) and
     their fidelities to the singlet.  Every trial starts from the same state,
-    so it is measured once against all the draws, and the steps after the
-    measurement run once per distinct outcome.
+    so one :func:`sample_rows` call measures it against all the draws, and
+    the post state and every step after it run once per distinct outcome:
+    at most 4 rows, whatever the batch size.
     """
     projectors = _projector_stack(4, (1, 2))
-    outcome, post = measure_rows(_SWAP_STATE[None], projectors, draws[:, 0])
-    distinct, first, inverse = np.unique(
-        outcome, return_index=True, return_inverse=True
-    )
+    outcome, projected, probs = sample_rows(_SWAP_STATE[None], projectors, draws[:, 0])
+    distinct, inverse = np.unique(outcome, return_inverse=True)
     n = distinct.size
+    post = post_rows(projected, probs, 0, distinct)
     # The correction on qubit 3, then <Bell| contracted over qubits (1, 2).
-    moved = post[first].reshape(n, 8, 2).transpose(0, 2, 1)
+    moved = post.reshape(n, 8, 2).transpose(0, 2, 1)
     corrected = (_CORRECTION_MATRICES[distinct] @ moved).transpose(0, 2, 1)
     pair_first = corrected.reshape(n, 2, 4, 2).transpose(0, 2, 1, 3).reshape(n, 4, 4)
     final = normalized_rows((_BELL_BRAS[distinct][:, None, :] @ pair_first)[:, 0])

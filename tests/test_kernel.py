@@ -19,6 +19,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from bellcast import teleport
 from bellcast.observables import (
     MEASUREMENT_ORDER,
     BellOutcome,
@@ -44,6 +45,7 @@ from bellcast.qcore import (
     measure_projective,
     measure_rows,
     normalized_rows,
+    post_rows,
     tensor,
 )
 from bellcast.stream import derive_seeds, uniforms
@@ -351,6 +353,21 @@ class TestSwapRows:
         label, state = run_entangled_input(0, [0.1])
         assert label is MEASUREMENT_ORDER[outcome[0]]
         assert state.amplitudes.tobytes() == final[0].tobytes()
+
+    def test_normalizes_one_post_state_per_distinct_outcome(self, monkeypatch):
+        normalized = []
+
+        def counting_post_rows(*args):
+            post = post_rows(*args)
+            normalized.append(post.shape[0])
+            return post
+
+        monkeypatch.setattr(teleport, "post_rows", counting_post_rows)
+        chunk = uniforms(np.arange(1024, dtype=np.uint64), 1)
+        for draws in (np.full((1, 1), 0.1), chunk):
+            outcome, _, _ = swap_rows(draws)
+            assert normalized.pop() == np.unique(outcome).size <= 4
+        assert not normalized
 
     @pytest.mark.parametrize("bad", [-0.25, 1.0, float("nan")])
     def test_out_of_range_draw(self, bad):

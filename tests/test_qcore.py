@@ -18,6 +18,7 @@ from bellcast.qcore import (
     contract_with,
     embed_operator,
     fidelity,
+    fidelity_rows,
     ket,
     measure_projective,
     tensor,
@@ -283,6 +284,67 @@ class TestFidelity:
     def test_symmetry(self, state):
         other = StateVector(np.roll(state.amplitudes, 1))
         assert fidelity(state, other) == pytest.approx(fidelity(other, state), abs=1e-12)
+
+
+def fidelity_pairs(rng: np.random.Generator, dim: int, count: int):
+    """``count`` normalized pairs each of four kinds: independent states,
+    equal states up to a global phase (overlap modulus near 1), orthogonal
+    states, and states a small perturbation apart (near-unit overlaps)."""
+
+    def unit(amps):
+        return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+    def gaussian():
+        return rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+
+    s = unit(gaussian())
+    phase = np.exp(2j * np.pi * rng.random((count, 1)))
+    other = gaussian()
+    # Gram-Schmidt against s, row by row.
+    other -= (s.conj() * other).sum(axis=1, keepdims=True) * s
+    nudged = unit(s + 10.0 ** rng.uniform(-9, -3, (count, 1)) * gaussian())
+    firsts = np.concatenate([unit(gaussian()), s, s, s])
+    seconds = np.concatenate([unit(gaussian()), s * phase, unit(other), nudged])
+    return firsts, seconds
+
+
+def real_pow_pairs(rng: np.random.Generator):
+    """Pairs whose overlap modulus ``h`` is exact and has ``h ** 2 != h * h``:
+    ``(1, 0)`` against ``(h, sqrt(1 - h*h))`` and ``(i h, sqrt(1 - h*h))``."""
+    hs = [h for h in rng.random(20000).tolist() if h**2 != h * h]
+    assert hs, "no modulus whose pow and product differ"
+    firsts, seconds = [], []
+    for h in hs:
+        for lead in (h, 1j * h):
+            firsts.append([1.0, 0.0])
+            seconds.append([lead, np.sqrt(1.0 - h * h)])
+    return np.array(firsts, dtype=complex), np.array(seconds, dtype=complex), hs
+
+
+def scalar_fidelities(s: np.ndarray, t: np.ndarray) -> list[float]:
+    """:func:`fidelity` of each row pair.  The rows are finite and of length
+    2 or 4, so they are wrapped unchecked; ``fidelity`` still checks norms."""
+    wrap = StateVector._trusted
+    return [fidelity(wrap(a), wrap(b)) for a, b in zip(s, t)]
+
+
+class TestFidelityRows:
+    """``fidelity_rows`` against the scalar ``fidelity``, byte for byte."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_random_pairs_equal_the_scalar_fidelity(self, dim):
+        s, t = fidelity_pairs(np.random.default_rng(dim), dim, 12500)
+        got = fidelity_rows(s, t)
+        expected = scalar_fidelities(s, t)
+        assert len(got) == 50000
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+    def test_moduli_whose_square_is_not_a_product(self):
+        s, t, hs = real_pow_pairs(np.random.default_rng(3))
+        got = fidelity_rows(s, t)
+        expected = scalar_fidelities(s, t)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        assert got[::2] == [h**2 for h in hs]
 
 
 class TestContraction:

@@ -9,11 +9,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bellcast.stream import derive_seeds, uniforms
+from bellcast.stream import _jump_constants, derive_seeds, uniforms
 
 pytestmark = pytest.mark.filterwarnings("error")
 
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 
@@ -55,13 +57,42 @@ class TestDeriveSeeds:
         assert derive_seeds(_MASK64, _MASK64).tolist() == [_splitmix(_MASK64, _MASK64)]
 
 
+def _draw_states(k: int) -> list[tuple[int, int]]:
+    """PCG64's state at draws 1..k as ``(a, b)`` with ``state = a * initstate
+    + b * inc``, stepped one at a time in Python integers: seeding steps from
+    0, adds ``initstate`` and steps again, and each draw steps first."""
+
+    def step(a, b):
+        return a * _PCG_MULT & _MASK128, (b * _PCG_MULT + 1) & _MASK128
+
+    a, b = step(0, 0)
+    a, b = step(a + 1, b)
+    states = []
+    for _ in range(k):
+        a, b = step(a, b)
+        states.append((a, b))
+    return states
+
+
 class TestUniforms:
     def test_rows_equal_default_rng_bitwise(self):
         seeds = EDGE_SEEDS + _harness_seeds()
-        got = uniforms(np.array(seeds, dtype=np.uint64), 7)
-        assert got.shape == (len(seeds), 7)
-        expected = np.array([np.random.default_rng(s).random(7) for s in seeds])
-        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        for k in range(1, 17):
+            got = uniforms(np.array(seeds, dtype=np.uint64), k)
+            assert got.shape == (len(seeds), k)
+            expected = np.array([np.random.default_rng(s).random(k) for s in seeds])
+            np.testing.assert_array_equal(
+                got.view(np.uint64), expected.view(np.uint64), err_msg=f"k={k}"
+            )
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 16])
+    def test_jump_constants_equal_sequential_steps(self, k):
+        constants = _jump_constants(k)
+        assert all(c.shape == (k, 1) and c.dtype == np.uint64 for c in constants)
+        power_hi, power_lo, sum_hi, sum_lo = (c[:, 0].tolist() for c in constants)
+        powers = [hi << 64 | lo for hi, lo in zip(power_hi, power_lo)]
+        sums = [hi << 64 | lo for hi, lo in zip(sum_hi, sum_lo)]
+        assert list(zip(powers, sums)) == _draw_states(k)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_shorter_rows_are_prefixes(self, k):
