@@ -10,28 +10,26 @@ those seeds.  Batches compute seeds and draws in bulk, ``CHUNK_TRIALS``
 trials at a time (:mod:`bellcast.stream`), bit-identical to building one
 generator per trial, so a record's ``seed`` still replays it alone.
 
-Physics: each chunk makes one call to its mode's batched kernel
-(``teleport_rows``, ``baseline_rows``, ``swap_rows`` or ``cascade_rows``),
-which runs every trial of the chunk as one row of an ``(N, 8)`` or
-``(N, 16)`` state array, on inputs from one ``haar_rows`` call.  The
-one-trial entry points (``run_trial``, ``run_baseline_computational``,
-``run_entangled_input``, ``run_cascade``) are the same kernels called with
-one row, and every row is bit-identical to that call.
+Physics: each chunk makes one call to its mode's batched kernel (see
+:mod:`bellcast.teleport`) on inputs from one ``haar_rows`` call; the
+one-trial entry points are its one-row calls, bit-identical row for row.
 
-Columns: a chunk stays columns (seeds, codes, fidelities, inputs) from the
-kernel on.  ``run_batch`` writes its lines in one write, filled by one
-``%`` into the chunk's template (its codes' line templates, joined), and
-adds its columns to the summary's running totals; ``iter_records`` builds
-the same records as dicts, and ``summarize`` feeds dicts to the same totals
-a block at a time.
+Columns: a chunk stays numpy columns (seeds, codes, fidelities, inputs)
+from the kernel to the summary's running totals, and whether a trial has a
+fidelity comes from its code.  ``run_batch`` writes its lines in one write,
+filled by one ``%`` into the chunk's template (its codes' line templates,
+joined); only that text and ``iter_records``, which builds the same records
+as dicts, turn columns into Python objects.  ``summarize`` feeds dicts to
+the same totals a block at a time.
 
 Record schema (one JSON object per line, keys in this order):
 
     trial, seed, outcome, message_bits, fidelity, event*, a_re, a_im, b_re, b_im
 
-``event`` appears in photon mode only.  ``outcome`` / ``message_bits`` /
-``fidelity`` are null when the trial identified nothing, and the input
-amplitude fields are null in swap mode, which has no single-qubit input.
+``event`` appears in photon mode only.  ``outcome`` / ``message_bits`` are
+null when the trial identified nothing, ``fidelity`` only in photon mode,
+and the input amplitude fields are null in swap mode, which has no
+single-qubit input.
 """
 
 from __future__ import annotations
@@ -147,16 +145,12 @@ class BatchSummary:
     duration_seconds: float = field(compare=False, default=0.0)
 
     def to_json_obj(self) -> dict:
+        """The fields in order, with the mode's value and sorted tables."""
         return {
+            **dataclasses.asdict(self),
             "mode": self.mode.value,
-            "trials": self.trials,
             "counts": dict(sorted(self.counts.items())),
             "frequencies": dict(sorted(self.frequencies.items())),
-            "mean_fidelity": self.mean_fidelity,
-            "min_fidelity": self.min_fidelity,
-            "success_rate": self.success_rate,
-            "chi_square": self.chi_square,
-            "duration_seconds": self.duration_seconds,
         }
 
 
@@ -191,6 +185,12 @@ _WIRE = {
         for kind in CascadeEventKind
     ],
 }
+_IDENTIFYING_WIRE = frozenset(kind.value for kind in IDENTIFYING_EVENTS)
+# Per mode and code, whether the trial has a fidelity (not photon's misses).
+_HAS_FIDELITY = {
+    mode: np.array([mode != Mode.PHOTON or e in _IDENTIFYING_WIRE for *_, e in wire])
+    for mode, wire in _WIRE.items()
+}
 # Per mode and code, the value of the field the summary counts by.
 _COUNTED = {
     mode: [event if mode is Mode.PHOTON else outcome for outcome, _, event in wire]
@@ -213,19 +213,23 @@ _AMPLITUDES = ',"a_re":%r,"a_im":%r,"b_re":%r,"b_im":%r'
 
 
 class _Chunk(NamedTuple):
-    """A chunk of a batch as columns in trial order.  ``codes`` index the
-    mode's ``_WIRE`` table; ``inputs`` is None in swap mode."""
+    """A chunk of a batch as numpy columns in trial order: ``uint64`` seeds,
+    ``intp`` codes indexing the mode's ``_WIRE`` table, ``float64``
+    fidelities, of which ``present`` holds the rows whose code has one, and
+    inputs (None in swap mode)."""
 
     start: int
-    seeds: list[int]
+    seeds: np.ndarray
     codes: np.ndarray
-    fidelities: list[float | None]
+    fidelities: np.ndarray
+    present: np.ndarray
     inputs: np.ndarray | None
 
 
 def _columns(cfg: RunConfig) -> Iterator[_Chunk]:
     """The batch's chunks, ``CHUNK_TRIALS`` trials each: their seeds, draws
     and inputs in bulk, then one call to the mode's kernel."""
+    has = _HAS_FIDELITY[cfg.mode]
     for start in range(0, cfg.trials, CHUNK_TRIALS):
         stop = min(start + CHUNK_TRIALS, cfg.trials)
         indices = np.arange(start, stop, dtype=np.uint64)
@@ -242,32 +246,35 @@ def _columns(cfg: RunConfig) -> Iterator[_Chunk]:
         if cfg.mode is Mode.SPIN:
             result = teleport_rows(inputs, draws)
         elif cfg.mode is Mode.BASELINE:
-            result = baseline_rows(inputs, draws)  # identified flags: 0/1 codes
+            result = baseline_rows(inputs, draws)
         elif cfg.mode is Mode.SWAP:
             result = swap_rows(draws)
         else:
             result = cascade_rows(inputs, cfg.efficiency, draws)
-        yield _Chunk(start, base_seeds.tolist(), result[0], result[-1], inputs)
+        codes, fidelities = result[0], result[-1]
+        present = fidelities if has.all() else fidelities[has[codes]]
+        yield _Chunk(start, base_seeds, codes, fidelities, present, inputs)
 
 
 def iter_records(cfg: RunConfig) -> Iterator[dict]:
     """Generate the batch's wire records in trial order, built from the same
     chunks of columns as the record file."""
     wire = _WIRE[cfg.mode]
+    has = _HAS_FIDELITY[cfg.mode].tolist()
     for chunk in _columns(cfg):
         if chunk.inputs is None:
             amplitudes = itertools.repeat(_NO_AMPLITUDES)
         else:
             amplitudes = chunk.inputs.view(np.float64).tolist()
         rows = zip(
-            itertools.count(chunk.start), chunk.seeds, chunk.codes.tolist(),
-            chunk.fidelities, amplitudes,
+            itertools.count(chunk.start), chunk.seeds.tolist(),
+            chunk.codes.tolist(), chunk.fidelities.tolist(), amplitudes,
         )
         for index, seed, code, value, (a_re, a_im, b_re, b_im) in rows:
             outcome, bits, event = wire[code]
             record = dict(
                 trial=index, seed=seed, outcome=outcome, message_bits=bits,
-                fidelity=value,
+                fidelity=value if has[code] else None,
             )
             if event is not None:
                 record["event"] = event
@@ -283,16 +290,15 @@ def _chunk_lines(cfg: RunConfig, chunk: _Chunk) -> str:
     """The chunk's record lines, each ``record_to_line`` of its record plus a
     newline, from one ``%`` of the chunk's line templates, joined.  A
     non-finite float raises ``ValueError``, as ``allow_nan=False`` does."""
-    present = [value for value in chunk.fidelities if value is not None]
     inputs = () if chunk.inputs is None else chunk.inputs
-    if not (np.isfinite(present).all() and np.isfinite(inputs).all()):
+    if not (np.isfinite(chunk.present).all() and np.isfinite(inputs).all()):
         raise ValueError("Out of range float values are not JSON compliant")
-    texts = {value: repr(value) for value in set(present)}
-    texts[None] = "null"
+    # Present values are finite, so no placeholder matches a key.
+    texts = {value: repr(value) for value in set(chunk.present.tolist())}
     columns = [
         range(chunk.start, chunk.start + len(chunk.seeds)),
-        chunk.seeds,
-        map(texts.__getitem__, chunk.fidelities),
+        chunk.seeds.tolist(),
+        map(texts.get, chunk.fidelities.tolist(), itertools.repeat("null")),
     ]
     if chunk.inputs is None:
         amplitudes = _AMPLITUDES.replace("%r", "null")
@@ -358,7 +364,7 @@ def run_batch(cfg: RunConfig) -> BatchSummary:
             if handle is not None:
                 handle.write(_chunk_lines(cfg, chunk))
             counts = np.bincount(chunk.codes, minlength=len(counted)).tolist()
-            tally.add(zip(counted, counts), chunk.fidelities)
+            tally.add(zip(counted, counts), chunk.present)
     summary = tally.summary(analytic)
     return dataclasses.replace(summary, duration_seconds=time.perf_counter() - start)
 
@@ -388,9 +394,6 @@ def load_records(path: str) -> Iterator[dict]:
             yield record
 
 
-_IDENTIFYING_WIRE = frozenset(kind.value for kind in IDENTIFYING_EVENTS)
-
-
 class _Tally:
     """The running totals behind a :class:`BatchSummary`, fed one block of
     trials at a time, in constant memory.
@@ -413,11 +416,11 @@ class _Tally:
         self.fidelity_min = float("inf")
 
     def add(
-        self, counted: Iterable[tuple[str | None, int]], fidelities: list
+        self, counted: Iterable[tuple[str | None, int]], fidelities: np.ndarray
     ) -> None:
         """Add a block: ``(value, count)`` pairs of the field the key comes
-        from (``event`` in photon mode, else ``outcome``), and the block's
-        fidelities in trial order, None where a trial has none."""
+        from (``event`` in photon mode, else ``outcome``), and the fidelities
+        of the block's trials that have one, in trial order."""
         for value, count in counted:
             if not count:
                 continue
@@ -429,17 +432,16 @@ class _Tally:
             self.counts[key] = self.counts.get(key, 0) + count
             self.successes += count if success else 0
             self.total += count
-        present = [value for value in fidelities if value is not None]
-        if not present:
+        if not fidelities.size:
             return
-        values = np.array([self.fidelity_sum, *present], dtype=np.float64)
+        values = np.concatenate(([self.fidelity_sum], fidelities))
         # np.add.accumulate adds left to right, as a loop would; np.sum is
         # pairwise and would change the last bits of the mean.
         self.fidelity_sum = float(np.add.accumulate(values)[-1])
-        self.fidelity_count += len(present)
-        self.fidelity_min = min(self.fidelity_min, *present)
+        self.fidelity_count += fidelities.size
+        self.fidelity_min = min(self.fidelity_min, float(fidelities.min()))
         if self.mode in (Mode.SPIN, Mode.SWAP):
-            self.successes += int(np.count_nonzero(values[1:] >= SUCCESS_FIDELITY))
+            self.successes += int(np.count_nonzero(fidelities >= SUCCESS_FIDELITY))
 
     def summary(
         self, analytic: dict[CascadeEventKind, float] | None
@@ -488,9 +490,10 @@ def summarize(
     field = "event" if mode is Mode.PHOTON else "outcome"
     records = iter(records)
     while block := list(itertools.islice(records, CHUNK_TRIALS)):
+        values = [record["fidelity"] for record in block]
         tally.add(
             collections.Counter([record[field] for record in block]).items(),
-            [record["fidelity"] for record in block],
+            np.array([value for value in values if value is not None], float),
         )
     return tally.summary(analytic)
 

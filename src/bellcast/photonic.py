@@ -46,6 +46,8 @@ from .qcore import (
     Operator,
     StateVector,
     apply,
+    apply_rows,
+    contract_rows,
     contract_with,  # noqa: F401 - perfbench's tracer looks it up here
     fidelity,  # noqa: F401 - perfbench's tracer looks it up here
     fidelity_rows,
@@ -246,12 +248,10 @@ def _declined(s: StateVector, label: PairLabel, component: StateVector) -> State
 # one-trial call.
 
 
-def _project_rows(
-    states: np.ndarray, label: PairLabel
-) -> tuple[np.ndarray, np.ndarray]:
+def _project_rows(states: np.ndarray, label: PairLabel) -> tuple[np.ndarray, ...]:
     """The cascade's one pair-basis projection: each row's Born weight of
     ``label`` on modes (0, 1) and its unnormalized mode-2 component."""
-    components = _PAIR_BRAS[label] @ states.reshape(-1, 4, 2)
+    components = contract_rows(states, (0, 1), _PAIR_BRAS[label])
     return np.minimum(overlap_rows(components, components).real, 1.0), components
 
 
@@ -310,14 +310,6 @@ def stage_final(
     return kind, post
 
 
-def _waveplate_rows(states: np.ndarray) -> np.ndarray:
-    """The half-wave rotation on mode 1 of every row (``waveplate(s, 1)``)."""
-    n = states.shape[0]
-    moved = states.reshape(n, 2, 2, 2).transpose(0, 2, 1, 3).reshape(n, 2, 4)
-    rotated = (WAVEPLATE.matrix @ moved).reshape(n, 2, 2, 2)
-    return rotated.transpose(0, 2, 1, 3).reshape(n, 8)
-
-
 _CORRECTIONS: dict[PairLabel, np.ndarray] = {
     # gamma-: branch already equals the input.
     PairLabel.GAMMA_MINUS: np.array([[1, 0], [0, 1]], dtype=np.complex128),
@@ -328,8 +320,6 @@ _CORRECTIONS: dict[PairLabel, np.ndarray] = {
     # chi+: |R> -> |L>, |L> -> -|R>.
     PairLabel.CHI_PLUS: np.array([[0, -1], [1, 0]], dtype=np.complex128),
 }
-
-
 _CORRECTION_OPS = unitary_table(_CORRECTIONS)
 
 
@@ -363,6 +353,7 @@ CASCADE_DRAWS = 7
 # Kinds by their index in the kernel's event codes.
 _KINDS = tuple(CascadeEventKind)
 _CODE = {kind: code for code, kind in enumerate(_KINDS)}
+# Per code, whether the trial identified a branch and so has a fidelity.
 _IDENTIFYING_CODES = np.array([kind in IDENTIFYING_EVENTS for kind in _KINDS])
 # The correction per event code; non-identifying codes, never corrected, get
 # the identity (the gamma- correction).
@@ -383,14 +374,14 @@ _ABSORBERS = (
 
 def cascade_rows(
     inputs: np.ndarray, cfg: EfficiencyConfig, draws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float | None]]:
+) -> tuple[np.ndarray, ...]:
     """:func:`run_cascade` for a batch: one ``(N, 2)`` input row and one
     ``(N, CASCADE_DRAWS)`` draw row per trial, which the trial reads in order
     through its own column cursor.
 
     Returns the event codes (indices into ``CascadeEventKind``), ``bob_pre``
-    and ``bob_post`` as ``(N, 2)`` arrays, meaningful on identifying rows
-    only, and the fidelities, ``None`` on the other rows.
+    and ``bob_post`` as ``(N, 2)`` arrays and the ``(N,)`` float64
+    fidelities; a row whose code is not identifying holds zeros and a NaN.
     """
     n = inputs.shape[0]
     cursor = np.zeros(n, dtype=np.intp)
@@ -411,8 +402,8 @@ def cascade_rows(
     rows = np.flatnonzero(input_available & pair_available)
     states = tensor_rows(inputs[rows], pdc_pair().amplitudes)  # build_three_mode
     for kind, label, rotate in _ABSORBERS:
-        if rotate:
-            states = _waveplate_rows(states)
+        if rotate:  # waveplate(s, 1)
+            states = apply_rows(WAVEPLATE.matrix, states, (1,))
         fired, states = _stage_rows(states, label, cfg.eta_abs, draw(rows))
         kinds[rows[fired]] = _CODE[kind]
         bob_pre[rows[fired]] = normalized_rows(_project_rows(states[fired], label)[1])
@@ -426,13 +417,10 @@ def cascade_rows(
 
     identified = np.flatnonzero(_IDENTIFYING_CODES[kinds])
     bob_post = np.zeros((n, 2), dtype=np.complex128)
-    bob_post[identified] = (
-        _CORRECTION_BY_CODE[kinds[identified]] @ bob_pre[identified][:, :, None]
-    )[:, :, 0]
-    fidelities: list[float | None] = [None] * n
-    values = fidelity_rows(bob_post[identified], inputs[identified])
-    for row, value in zip(identified.tolist(), values):
-        fidelities[row] = value
+    corrections = _CORRECTION_BY_CODE[kinds[identified]]
+    bob_post[identified] = apply_rows(corrections, bob_pre[identified], (0,))
+    fidelities = np.full(n, np.nan)
+    fidelities[identified] = fidelity_rows(bob_post[identified], inputs[identified])
     return kinds, bob_pre, bob_post, fidelities
 
 
@@ -462,13 +450,13 @@ def run_cascade(
     kinds, bob_pre, bob_post, fidelities = cascade_rows(
         input_state.state_vector().amplitudes[None], cfg, _draw_row(draws)
     )
-    identified = fidelities[0] is not None
+    identified = bool(_IDENTIFYING_CODES[kinds[0]])
     return CascadeRecord(
         input=input_state,
         event=CascadeEvent(_KINDS[kinds[0]]),
         bob_pre=StateVector._trusted(bob_pre[0]) if identified else None,
         bob_post=StateVector._trusted(bob_post[0]) if identified else None,
-        fidelity_value=fidelities[0],
+        fidelity_value=float(fidelities[0]) if identified else None,
         rng_seed=rng_seed,
     )
 

@@ -185,25 +185,14 @@ def _check_targets(targets, n_qubits: int, op_qubits: int) -> tuple[int, ...]:
     return targets
 
 
-def _axis_orders(n_qubits: int, targets: tuple[int, ...]):
-    """The axis order with ``targets`` first, in their order, then the rest
-    ascending, and its argsort, which moves them back."""
-    order = (*targets, *(q for q in range(n_qubits) if q not in targets))
-    return order, tuple(sorted(range(n_qubits), key=order.__getitem__))
-
-
 def apply(op: Operator, s: StateVector, targets) -> StateVector:
     """Apply ``op`` to the given target qubits of ``s``, in any order.
 
     Non-target qubits are acted on by the identity.  The norm is preserved
     exactly when ``op`` is unitary; projectors shrink it.
     """
-    n = s.n_qubits
-    targets = _check_targets(targets, n, op.n_qubits)
-    order, inverse = _axis_orders(n, targets)
-    moved = s.tensor_view().transpose(order).reshape(op.dim, -1)
-    out = (op.matrix @ moved).reshape((2,) * n).transpose(inverse)
-    return StateVector._trusted(out.ravel())
+    targets = _check_targets(targets, s.n_qubits, op.n_qubits)
+    return StateVector._trusted(apply_rows(op.matrix, s.amplitudes[None], targets)[0])
 
 
 def contract_with(s: StateVector, qubits, factor: StateVector) -> StateVector:
@@ -213,13 +202,11 @@ def contract_with(s: StateVector, qubits, factor: StateVector) -> StateVector:
     ascending order; its squared norm is the Born probability of finding
     ``factor`` there.
     """
-    n = s.n_qubits
-    qubits = _check_targets(qubits, n, factor.n_qubits)
-    if len(qubits) >= n:
+    qubits = _check_targets(qubits, s.n_qubits, factor.n_qubits)
+    if len(qubits) >= s.n_qubits:
         raise ValueError("contraction must leave at least one qubit")
-    order, _ = _axis_orders(n, qubits)
-    moved = s.tensor_view().transpose(order).reshape(factor.dim, -1)
-    return StateVector._trusted(factor.amplitudes.conj() @ moved)
+    bra = factor.amplitudes.conj()
+    return StateVector._trusted(contract_rows(s.amplitudes[None], qubits, bra)[0])
 
 
 def _require_normalized(s: StateVector, what: str) -> None:
@@ -308,6 +295,32 @@ def tensor_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] * b[:, None, :]).reshape(-1, a.shape[1] * b.shape[1])
 
 
+def _targets_first_rows(states: np.ndarray, targets: tuple, dim: int):
+    """Each row's ``targets`` axes moved to the front, in their order, then
+    the rest ascending, as ``(N, dim, -1)``; and the order moving them back."""
+    n = states.shape[1].bit_length() - 1
+    rest = (q for q in range(n) if q not in targets)
+    order = (0, *(1 + q for q in (*targets, *rest)))
+    moved = states.reshape(-1, *(2,) * n).transpose(order)
+    back = tuple(sorted(range(n + 1), key=order.__getitem__))
+    return moved.reshape(states.shape[0], dim, states.shape[1] // dim), back
+
+
+def apply_rows(matrices: np.ndarray, states: np.ndarray, targets: tuple) -> np.ndarray:
+    """:func:`apply` of each row of ``states``, with one ``(d, d)`` matrix or
+    one per row; ``targets`` are trusted."""
+    moved, back = _targets_first_rows(states, targets, matrices.shape[-1])
+    out = (matrices @ moved).reshape(-1, *(2,) * (len(back) - 1))
+    return out.transpose(back).reshape(states.shape)
+
+
+def contract_rows(states: np.ndarray, qubits: tuple, bras: np.ndarray) -> np.ndarray:
+    """:func:`contract_with` of each row of ``states``, with one conjugated
+    ``(d,)`` factor or one per row; ``qubits`` are trusted."""
+    moved, _ = _targets_first_rows(states, qubits, bras.shape[-1])
+    return (bras[..., None, :] @ moved)[:, 0]
+
+
 def overlap_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``np.vdot(x[i], y[i])`` for every row, as an ``(N,)`` complex array."""
     return (x.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
@@ -392,8 +405,8 @@ def measure_rows(
     return chosen, post_rows(projected, probs, np.arange(states.shape[0]), chosen)
 
 
-def fidelity_rows(s: np.ndarray, t: np.ndarray) -> list[float]:
-    """:func:`fidelity` of every row pair, with the same checks.
+def fidelity_rows(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """:func:`fidelity` of every row pair, with the same checks, as an array.
 
     Python's ``abs`` of a complex is libm ``hypot`` and its ``x ** 2`` is
     libm ``pow``; ``np.hypot`` and ``np.float_power`` call the same
@@ -405,7 +418,7 @@ def fidelity_rows(s: np.ndarray, t: np.ndarray) -> list[float]:
     _require_normalized_rows(s, "first state")
     _require_normalized_rows(t, "second state")
     z = overlap_rows(s, t)
-    return np.minimum(np.float_power(np.hypot(z.real, z.imag), 2.0), 1.0).tolist()
+    return np.minimum(np.float_power(np.hypot(z.real, z.imag), 2.0), 1.0)
 
 
 def embed_operator(op: Operator, n_qubits: int, targets) -> Operator:

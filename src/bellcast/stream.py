@@ -38,10 +38,13 @@ import numpy as np
 
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
+# uint64 operands built once, not per call: the low-word mask, counts 0-64.
+_LOW32 = np.uint64(_MASK32)
+_UINT64 = tuple(np.uint64(value) for value in range(65))
 
-_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
-_SPLITMIX_MULT1 = 0xBF58476D1CE4E5B9
-_SPLITMIX_MULT2 = 0x94D049BB133111EB
+_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_MULT1 = np.uint64(0xBF58476D1CE4E5B9)
+_SPLITMIX_MULT2 = np.uint64(0x94D049BB133111EB)
 
 # SeedSequence hashing constants.
 _POOL_SIZE = 4
@@ -49,15 +52,11 @@ _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_XSHIFT = 16
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _u64(values) -> np.ndarray:
-    return np.asarray(values, dtype=np.uint64)
 
 
 def derive_seeds(master_seed, index) -> np.ndarray:
@@ -66,13 +65,14 @@ def derive_seeds(master_seed, index) -> np.ndarray:
     Either argument may be an int or an array of ints in ``[0, 2**64)``; the
     result is a 1-d ``uint64`` array of their broadcast shape.
     """
-    master = np.atleast_1d(_u64(master_seed))
-    z = master + (np.atleast_1d(_u64(index)) + _u64(1)) * _u64(_SPLITMIX_GAMMA)
-    z ^= z >> _u64(30)
-    z *= _u64(_SPLITMIX_MULT1)
-    z ^= z >> _u64(27)
-    z *= _u64(_SPLITMIX_MULT2)
-    z ^= z >> _u64(31)
+    master = np.atleast_1d(np.asarray(master_seed, np.uint64))
+    index = np.atleast_1d(np.asarray(index, np.uint64))
+    z = master + (index + _UINT64[1]) * _SPLITMIX_GAMMA
+    z ^= z >> _UINT64[30]
+    z *= _SPLITMIX_MULT1
+    z ^= z >> _UINT64[27]
+    z *= _SPLITMIX_MULT2
+    z ^= z >> _UINT64[31]
     return z
 
 
@@ -110,7 +110,7 @@ def _hash32(value: np.ndarray, constants: np.ndarray) -> np.ndarray:
     """SeedSequence's hashmix of every lane: ``constants[i]`` holds lane
     ``i``'s (xor, multiply) pair."""
     value = (value ^ constants[:, 0]) * constants[:, 1]
-    return value ^ (value >> np.uint32(_XSHIFT))
+    return value ^ (value >> _XSHIFT)
 
 
 def _seed_words(seeds: np.ndarray) -> list[np.ndarray]:
@@ -119,20 +119,20 @@ def _seed_words(seeds: np.ndarray) -> list[np.ndarray]:
     The pool is one ``(4, N)`` array with a lane per pool word.
     """
     entropy = np.zeros((_POOL_SIZE, seeds.shape[0]), dtype=np.uint32)
-    entropy[0] = seeds & _u64(_MASK32)
-    entropy[1] = seeds >> _u64(32)
+    entropy[0] = seeds & _LOW32
+    entropy[1] = seeds >> _UINT64[32]
     pool = _hash32(entropy, _FILL_CONSTANTS)
     for src, dst in enumerate(_MIX_DESTINATIONS):
         hashed = _hash32(pool[src], _MIX_CONSTANTS[src])
-        mixed = pool[dst] * np.uint32(_MIX_MULT_L) - hashed * np.uint32(_MIX_MULT_R)
-        pool[dst] = mixed ^ (mixed >> np.uint32(_XSHIFT))
+        mixed = pool[dst] * _MIX_MULT_L - hashed * _MIX_MULT_R
+        pool[dst] = mixed ^ (mixed >> _XSHIFT)
     words = _hash32(np.tile(pool, (2, 1)), _GENERATE_CONSTANTS).astype(np.uint64)
-    return list(words[0::2] | (words[1::2] << _u64(32)))
+    return list(words[0::2] | (words[1::2] << _UINT64[32]))
 
 
 def _mul64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full 128-bit product of two uint64 arrays, as (hi, lo)."""
-    m32, s32 = _u64(_MASK32), _u64(32)
+    m32, s32 = _LOW32, _UINT64[32]
     a0, a1 = a & m32, a >> s32
     b0, b1 = b & m32, b >> s32
     p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
@@ -156,7 +156,8 @@ def _mul128(c_hi, c_lo, hi, lo) -> tuple[np.ndarray, np.ndarray]:
 
 def _split128(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """``values`` as ``(hi, lo)`` columns of words, one row per value."""
-    words = _u64([divmod(value, 1 << 64) for value in values]).reshape(-1, 2)
+    pairs = [divmod(value, 1 << 64) for value in values]
+    words = np.array(pairs, np.uint64).reshape(-1, 2)
     return words[:, :1], words[:, 1:]
 
 
@@ -184,15 +185,15 @@ def uniforms(seeds, k: int) -> np.ndarray:
     ``(N, k)`` float64 array, the transpose of the ``(k, N)`` pass, so each
     draw's column is contiguous.
     """
-    seeds = np.atleast_1d(_u64(seeds))
+    seeds = np.atleast_1d(np.asarray(seeds, np.uint64))
     s0, s1, s2, s3 = _seed_words(seeds)
-    inc_hi = (s2 << _u64(1)) | (s3 >> _u64(63))
-    inc_lo = (s3 << _u64(1)) | _u64(1)
+    inc_hi = (s2 << _UINT64[1]) | (s3 >> _UINT64[63])
+    inc_lo = (s3 << _UINT64[1]) | _UINT64[1]
     power_hi, power_lo, sum_hi, sum_lo = _jump_constants(k)
     hi, lo = _add128(
         *_mul128(power_hi, power_lo, s0, s1), *_mul128(sum_hi, sum_lo, inc_hi, inc_lo)
     )
-    rot = hi >> _u64(58)
+    rot = hi >> _UINT64[58]
     x = hi ^ lo
-    x = (x >> rot) | (x << ((_u64(64) - rot) & _u64(63)))
-    return ((x >> _u64(11)).astype(np.float64) * 2.0**-53).T
+    x = (x >> rot) | (x << ((_UINT64[64] - rot) & _UINT64[63]))
+    return ((x >> _UINT64[11]).astype(np.float64) * 2.0**-53).T

@@ -41,6 +41,8 @@ from .qcore import (
     Operator,
     StateVector,
     apply,  # noqa: F401 - perfbench's tracer looks it up here
+    apply_rows,
+    contract_rows,
     contract_with,  # noqa: F401 - perfbench's tracer looks it up here
     fidelity,  # noqa: F401 - perfbench's tracer looks it up here
     fidelity_rows,
@@ -166,7 +168,7 @@ class TrialRecord:
         _require_fidelity_range([self.fidelity_value])
 
 
-def _require_fidelity_range(values: list[float]) -> None:
+def _require_fidelity_range(values: np.ndarray | list[float]) -> None:
     """:class:`TrialRecord`'s fidelity check, over a batch's values."""
     array = np.asarray(values, dtype=np.float64)
     bad = ~((array >= -1e-12) & (array <= 1.0 + 1e-12))
@@ -210,8 +212,6 @@ _CORRECTIONS: dict[BellOutcome, np.ndarray] = {
     BellOutcome.PHI_MINUS: PAULI_X,
     BellOutcome.PHI_PLUS: PAULI_X @ PAULI_Z,
 }
-
-
 _CORRECTION_OPS = unitary_table(_CORRECTIONS)
 
 
@@ -224,7 +224,8 @@ def correction_for(outcome: BellOutcome) -> Operator:
 # as (N, 8) or (N, 16) complex arrays, one trial per row, with the same float
 # operations in the same order as the scalar qcore calls (see qcore's
 # row-batched forms), so every row is bit-identical to a one-trial call.
-# Outcome indices follow MEASUREMENT_ORDER.
+# Each kernel returns its ``(N,)`` intp codes first and its ``(N,)`` float64
+# fidelities last; outcome indices follow MEASUREMENT_ORDER.
 _SINGLET = prepare_singlet().amplitudes
 _BELL_BRAS = np.array([bell_state(o).amplitudes.conj() for o in MEASUREMENT_ORDER])
 _CORRECTION_MATRICES = np.array([_CORRECTION_OPS[o].matrix for o in MEASUREMENT_ORDER])
@@ -244,22 +245,17 @@ def _draw_row(draws: Sequence[float]) -> np.ndarray:
     return np.asarray(draws, dtype=np.float64).reshape(1, -1)
 
 
-def teleport_rows(
-    inputs: np.ndarray, draws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
+def teleport_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ...]:
     """:func:`run_trial` for a batch: one ``(N, 2)`` input row and one
     ``(N, TRIAL_DRAWS)`` draw row per trial.
 
     Returns the outcome indices, ``bob_pre`` and ``bob_post`` as ``(N, 2)``
-    arrays, and the fidelities.
+    arrays, and the ``(N,)`` float64 fidelities.
     """
-    n = inputs.shape[0]
     projectors = _projector_stack(3, (0, 1))
     outcome, post = measure_rows(tensor_rows(inputs, _SINGLET), projectors, draws[:, 0])
-    # <Bell(outcome)| contracted over qubits (0, 1), as contract_with does.
-    bras = _BELL_BRAS[outcome][:, None, :]
-    bob_pre = normalized_rows((bras @ post.reshape(n, 4, 2))[:, 0])
-    bob_post = (_CORRECTION_MATRICES[outcome] @ bob_pre[:, :, None])[:, :, 0]
+    bob_pre = normalized_rows(contract_rows(post, (0, 1), _BELL_BRAS[outcome]))
+    bob_post = apply_rows(_CORRECTION_MATRICES[outcome], bob_pre, (0,))
     fidelities = fidelity_rows(bob_post, inputs)
     _require_fidelity_range(fidelities)
     return outcome, bob_pre, bob_post, fidelities
@@ -284,32 +280,32 @@ def run_trial(
         message=ClassicalMessage.from_outcome(outcome),
         bob_pre=StateVector._trusted(bob_pre[0]),
         bob_post=StateVector._trusted(bob_post[0]),
-        fidelity_value=fidelities[0],
+        fidelity_value=float(fidelities[0]),
         rng_seed=rng_seed,
     )
 
 
-def swap_rows(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
+def swap_rows(draws: np.ndarray) -> tuple[np.ndarray, ...]:
     """:func:`run_entangled_input` for a batch of ``(N, SWAP_DRAWS)`` draw rows.
 
-    Returns the outcome indices, the ``(N, 4)`` states of qubits (0, 3) and
-    their fidelities to the singlet.  Every trial starts from the same state,
-    so one :func:`sample_rows` call measures it against all the draws, and
-    the post state and every step after it run once per distinct outcome:
-    at most 4 rows, whatever the batch size.
+    Every trial starts from the same state, so one :func:`sample_rows` call
+    measures it against all the draws, and the post state and every step
+    after it run once per distinct outcome: at most 4 rows.  Returns the
+    outcome indices, the ``(D, 4)`` states of qubits (0, 3) per distinct
+    outcome, ascending, each trial's row ``inverse`` in them, and the
+    ``(N,)`` float64 fidelities to the singlet.
     """
     projectors = _projector_stack(4, (1, 2))
     outcome, projected, probs = sample_rows(_SWAP_STATE[None], projectors, draws[:, 0])
-    distinct, inverse = np.unique(outcome, return_inverse=True)
-    n = distinct.size
+    seen = np.bincount(outcome, minlength=len(projectors)) > 0
+    distinct = np.flatnonzero(seen)
+    inverse = (np.cumsum(seen) - 1)[outcome]
     post = post_rows(projected, probs, 0, distinct)
     # The correction on qubit 3, then <Bell| contracted over qubits (1, 2).
-    moved = post.reshape(n, 8, 2).transpose(0, 2, 1)
-    corrected = (_CORRECTION_MATRICES[distinct] @ moved).transpose(0, 2, 1)
-    pair_first = corrected.reshape(n, 2, 4, 2).transpose(0, 2, 1, 3).reshape(n, 4, 4)
-    final = normalized_rows((_BELL_BRAS[distinct][:, None, :] @ pair_first)[:, 0])
+    corrected = apply_rows(_CORRECTION_MATRICES[distinct], post, (3,))
+    final = normalized_rows(contract_rows(corrected, (1, 2), _BELL_BRAS[distinct]))
     values = fidelity_rows(final, np.broadcast_to(_SINGLET, final.shape))
-    return outcome, final[inverse], [values[i] for i in inverse.tolist()]
+    return outcome, final, inverse, values[inverse]
 
 
 def run_entangled_input(
@@ -324,18 +320,17 @@ def run_entangled_input(
     """
     if draws is None:
         draws = uniform_draws(rng_seed, SWAP_DRAWS)
-    outcome, final, _ = swap_rows(_draw_row(draws))
-    return MEASUREMENT_ORDER[outcome[0]], StateVector._trusted(final[0])
+    outcome, final, inverse, _ = swap_rows(_draw_row(draws))
+    return MEASUREMENT_ORDER[outcome[0]], StateVector._trusted(final[inverse[0]])
 
 
-def baseline_rows(
-    inputs: np.ndarray, draws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
+def baseline_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ...]:
     """:func:`run_baseline_computational` for a batch: one ``(N, 2)`` input
     row and one ``(N, BASELINE_DRAWS)`` draw row per trial.
 
-    Returns which trials were identified, the receiver states (``bob_pre``,
-    which is also ``bob_post``) as an ``(N, 2)`` array, and the fidelities.
+    Returns the codes, 1 where a trial was identified and 0 where not, the
+    receiver states (``bob_pre``, which is also ``bob_post``) as an
+    ``(N, 2)`` array, and the ``(N,)`` float64 fidelities.
     """
     n = inputs.shape[0]
     # Product outcomes on the measured pair: |uu>, |ud>, |du>, |dd>.
@@ -351,7 +346,7 @@ def baseline_rows(
     bob[missed] = normalized_rows(psi[missed, outcome[missed]])
     fidelities = fidelity_rows(bob, inputs)
     _require_fidelity_range(fidelities)
-    return identified, bob, fidelities
+    return identified.astype(np.intp), bob, fidelities
 
 
 def run_baseline_computational(
@@ -373,10 +368,10 @@ def run_baseline_computational(
     """
     if draws is None:
         draws = uniform_draws(rng_seed, BASELINE_DRAWS)
-    identified, bob, fidelities = baseline_rows(
+    codes, bob, fidelities = baseline_rows(
         input_state.state_vector().amplitudes[None], _draw_row(draws)
     )
-    identified = bool(identified[0])
+    identified = bool(codes[0])
     outcome = BellOutcome.PSI_MINUS if identified else None
     bob = StateVector._trusted(bob[0])
     record = TrialRecord(
@@ -385,7 +380,7 @@ def run_baseline_computational(
         message=ClassicalMessage.from_outcome(outcome) if identified else None,
         bob_pre=bob,
         bob_post=bob,
-        fidelity_value=fidelities[0],
+        fidelity_value=float(fidelities[0]),
         rng_seed=rng_seed,
     )
     return identified, record

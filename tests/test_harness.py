@@ -536,6 +536,52 @@ class TestSummarize:
         assert isinstance(summary, BatchSummary)
 
 
+class TestPythonFloatEdges:
+    """Fidelities leave the kernels as Python floats wherever a caller sees
+    them, and summaries stay floats: under numpy 2 ``repr`` of an
+    ``np.float64`` reads ``np.float64(0.5)``, not ``0.5``."""
+
+    FIXED = UnknownState(0.6, 0.8j)
+
+    def test_one_row_entry_points(self):
+        assert type(run_trial(self.FIXED, 3).fidelity_value) is float
+        for seed in range(8):
+            _, record = run_baseline_computational(self.FIXED, seed)
+            assert type(record.fidelity_value) is float
+        identifying = run_cascade(self.FIXED, EfficiencyConfig(), 3)
+        assert identifying.event.original_bell is not None
+        assert type(identifying.fidelity_value) is float
+        dark = run_cascade(self.FIXED, EfficiencyConfig(p_in=0.0), 3)
+        assert dark.fidelity_value is None
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
+    def test_iter_records_in_every_mode(self, mode):
+        cfg = RunConfig(
+            mode=mode, trials=CHUNK_TRIALS + 5, master_seed=5, efficiency=LOSSY,
+        )
+        present = 0
+        for record in iter_records(cfg):
+            assert type(record["seed"]) is int
+            if record["fidelity"] is not None:
+                assert type(record["fidelity"]) is float
+                present += 1
+        assert present > 0
+
+    def test_lossy_photon_summary_across_a_chunk_boundary(self):
+        cfg = RunConfig(
+            mode=Mode.PHOTON, trials=CHUNK_TRIALS + 5, master_seed=5,
+            efficiency=LOSSY, fixed_input=self.FIXED,
+        )
+        analytic = analytic_distribution(self.FIXED, LOSSY)
+        live = run_batch(cfg)
+        assert summarize(iter_records(cfg), Mode.PHOTON, analytic) == live
+        for value in (
+            live.mean_fidelity, live.min_fidelity, live.success_rate,
+            live.chi_square,
+        ):
+            assert type(value) is float
+
+
 class TestLoadRecords:
     def test_reads_back_what_json_loads_reads(self, tmp_path):
         path = tmp_path / "records.jsonl"

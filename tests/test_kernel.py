@@ -337,22 +337,24 @@ class TestSwapRows:
         draws = np.concatenate(
             [np.array(edges)[:, None], uniforms(np.arange(3000, dtype=np.uint64), 1)]
         )
-        outcome, final, fidelities = swap_rows(draws)
+        outcome, final, inverse, fidelities = swap_rows(draws)
         expected = swap_every_row(draws)
         assert outcome.tolist() == expected[0].tolist()
         assert set(outcome.tolist()) == {0, 1, 2, 3}
-        assert final.tobytes() == expected[1].tobytes()
-        assert fidelities == expected[2]
+        assert final.shape == (4, 4)
+        assert final[inverse].tobytes() == expected[1].tobytes()
+        assert fidelities.tobytes() == expected[2].tobytes()
 
     def test_one_outcome_chunk_and_one_row_call(self):
         draws = np.full((7, 1), 0.1)
-        outcome, final, fidelities = swap_rows(draws)
+        outcome, final, inverse, fidelities = swap_rows(draws)
         expected = swap_every_row(draws)
-        assert final.tobytes() == expected[1].tobytes()
-        assert fidelities == expected[2]
+        assert final.shape == (1, 4)
+        assert final[inverse].tobytes() == expected[1].tobytes()
+        assert fidelities.tobytes() == expected[2].tobytes()
         label, state = run_entangled_input(0, [0.1])
         assert label is MEASUREMENT_ORDER[outcome[0]]
-        assert state.amplitudes.tobytes() == final[0].tobytes()
+        assert state.amplitudes.tobytes() == final[inverse[0]].tobytes()
 
     def test_normalizes_one_post_state_per_distinct_outcome(self, monkeypatch):
         normalized = []
@@ -365,7 +367,7 @@ class TestSwapRows:
         monkeypatch.setattr(teleport, "post_rows", counting_post_rows)
         chunk = uniforms(np.arange(1024, dtype=np.uint64), 1)
         for draws in (np.full((1, 1), 0.1), chunk):
-            outcome, _, _ = swap_rows(draws)
+            outcome = swap_rows(draws)[0]
             assert normalized.pop() == np.unique(outcome).size <= 4
         assert not normalized
 

@@ -545,9 +545,10 @@ class TestDrawCount:
         )
         if detection == LOST:
             kind = CascadeEventKind.NO_EVENT
+        identifying = kind in IDENTIFYING_EVENTS
         assert list(CascadeEventKind)[codes[0]] is kind
-        assert (fidelities[0] is not None) == (kind in IDENTIFYING_EVENTS)
+        assert np.isfinite(fidelities[0]) == identifying
         assert draws.read == expected
         record = run_cascade(input_state, self.CFG, 0, values)
         assert record.event.kind is kind
-        assert record.fidelity_value == fidelities[0]
+        assert record.fidelity_value == (fidelities[0] if identifying else None)

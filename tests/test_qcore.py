@@ -344,7 +344,7 @@ class TestFidelityRows:
         got = fidelity_rows(s, t)
         expected = scalar_fidelities(s, t)
         assert np.array(got).tobytes() == np.array(expected).tobytes()
-        assert got[::2] == [h**2 for h in hs]
+        assert got[::2].tolist() == [h**2 for h in hs]
 
 
 class TestContraction:
