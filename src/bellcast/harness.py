@@ -498,11 +498,6 @@ def summarize(
     return tally.summary(analytic)
 
 
-_CONFIG_KEYS = (
-    "mode", "trials", "master_seed", *EFFICIENCY_KNOBS, "input", "output",
-)
-
-
 def parse_input(text: str) -> UnknownState | None:
     """Parse ``haar-random`` (None) or ``fixed:a,b`` with complex amplitudes."""
     if text == "haar-random":
@@ -513,14 +508,20 @@ def parse_input(text: str) -> UnknownState | None:
     parts = [p.strip() for p in value.split(",")]
     if len(parts) != 2:
         raise ValueError("fixed input needs two comma-separated amplitudes")
-    try:
-        a, b = (complex(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"cannot parse input amplitudes {value!r}")
+    message = f"cannot parse input amplitudes {value!r}"
+    a, b = (_parsed(complex, p, message) for p in parts)
     total = abs(a) ** 2 + abs(b) ** 2
     if not abs(total - 1.0) <= 1e-9:  # NaN fails this too
         raise ValueError(f"input not normalized (|a|^2+|b|^2 = {total:.12g})")
     return UnknownState.normalized(a, b)
+
+
+def _parsed(kind: type, value: str, message: str):
+    """``kind(value)``, or a ValueError that reads ``message``."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(message) from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -537,45 +538,30 @@ def parse_config(text: str) -> RunConfig:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"line {line_no}: expected key=value, got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"line {line_no}: unknown key {key!r}")
-        if key == "mode":
-            try:
-                mode = Mode(value)
-            except ValueError:
-                raise ValueError(f"line {line_no}: unknown mode {value!r}")
-        elif key == "trials":
-            try:
-                trials = int(value)
-            except ValueError:
-                raise ValueError(f"line {line_no}: trials must be an integer")
-            if trials < 1:
-                raise ValueError(f"line {line_no}: trials must be >= 1")
-            values["trials"] = trials
-        elif key == "master_seed":
-            try:
+        key, sep, value = (part.strip() for part in line.partition("="))
+        try:
+            if not sep:
+                raise ValueError(f"expected key=value, got {raw.strip()!r}")
+            if key == "mode":
+                mode = _parsed(Mode, value, f"unknown mode {value!r}")
+            elif key == "trials":
+                values["trials"] = _parsed(int, value, "trials must be an integer")
+                if values["trials"] < 1:
+                    raise ValueError("trials must be >= 1")
+            elif key == "master_seed":
                 values["master_seed"] = master_seed_from(value, key)
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: {exc}")
-        elif key in EFFICIENCY_KNOBS:
-            try:
-                number = float(value)
-            except ValueError:
-                raise ValueError(f"line {line_no}: {key} must be a number")
-            if not 0.0 <= number <= 1.0:
-                raise ValueError(f"line {line_no}: {key} must lie in [0, 1]")
-            efficiency_kwargs[key] = number
-        elif key == "input":
-            try:
+            elif key in EFFICIENCY_KNOBS:
+                number = _parsed(float, value, f"{key} must be a number")
+                EfficiencyConfig(**{key: number})  # the knob's range check
+                efficiency_kwargs[key] = number
+            elif key == "input":
                 values["fixed_input"] = parse_input(value)
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: {exc}")
-        elif key == "output":
-            values["output_path"] = value
+            elif key == "output":
+                values["output_path"] = value
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
     if mode is None:
         raise ValueError("config must set mode")
     return RunConfig(

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -58,7 +57,7 @@ from .qcore import (
     tensor_rows,
     unitary_table,
 )
-from .teleport import UnknownState, _draw_row, uniform_draws
+from .teleport import UnknownState, _seed_draws
 
 
 class PairLabel(enum.Enum):
@@ -425,10 +424,7 @@ def cascade_rows(
 
 
 def run_cascade(
-    input_state: UnknownState,
-    cfg: EfficiencyConfig,
-    rng_seed: int,
-    draws: Sequence[float] | None = None,
+    input_state: UnknownState, cfg: EfficiencyConfig, rng_seed: int
 ) -> CascadeRecord:
     """One full cascade trial, deterministic in ``rng_seed``.
 
@@ -443,12 +439,11 @@ def run_cascade(
     4 / 5 / 6 / 7 for D1 / D2 / D4 / D3C, whether or not the detection draw
     then loses the signature; at most ``CASCADE_DRAWS`` (7) in all.  The
     consumed draws are pinned by ``TestDrawCount``.
-    ``draws``, if given, must equal ``uniform_draws(rng_seed, CASCADE_DRAWS)``.
     """
-    if draws is None:
-        draws = uniform_draws(rng_seed, CASCADE_DRAWS)
     kinds, bob_pre, bob_post, fidelities = cascade_rows(
-        input_state.state_vector().amplitudes[None], cfg, _draw_row(draws)
+        input_state.state_vector().amplitudes[None],
+        cfg,
+        _seed_draws(rng_seed, CASCADE_DRAWS),
     )
     identified = bool(_IDENTIFYING_CODES[kinds[0]])
     return CascadeRecord(

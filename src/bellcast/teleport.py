@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -82,20 +81,19 @@ class UnknownState:
         return UnknownState(complex(a) / norm, complex(b) / norm)
 
 
-# Uniform draws each entry point consumes at most (see uniform_draws).
+# Uniform draws each entry point consumes at most (see _seed_draws).
 HAAR_DRAWS = 2
 TRIAL_DRAWS = 1
 SWAP_DRAWS = 1
 BASELINE_DRAWS = 2
 
 
-def uniform_draws(rng_seed: int, k: int) -> list[float]:
-    """The first ``k`` uniforms on [0, 1) of ``default_rng(rng_seed)``.
-
-    Batches compute every trial's row in bulk, bit-identical to this (see
-    :mod:`bellcast.stream`), and pass it in; a seed alone draws it here.
+def _seed_draws(rng_seed: int, k: int) -> np.ndarray:
+    """A one-trial call's ``(1, k)`` draw row: the first ``k`` uniforms on
+    [0, 1) of ``default_rng(rng_seed)``.  Batches compute every trial's row
+    in bulk, bit-identical to this (see :mod:`bellcast.stream`).
     """
-    return np.random.default_rng(rng_seed).random(k).tolist()
+    return np.random.default_rng(rng_seed).random((1, k))
 
 
 def haar_rows(draws: np.ndarray) -> np.ndarray:
@@ -118,14 +116,9 @@ def haar_rows(draws: np.ndarray) -> np.ndarray:
     return rows
 
 
-def haar_from_uniforms(u_cos: float, u_phi: float) -> UnknownState:
-    """:func:`haar_rows` of one row of uniforms."""
-    return UnknownState(*haar_rows(np.array([[u_cos, u_phi]])).tolist()[0])
-
-
 def haar_random_input(rng: np.random.Generator) -> UnknownState:
     """Haar-uniform qubit state from the generator's next two uniforms."""
-    return haar_from_uniforms(*rng.random(HAAR_DRAWS).tolist())
+    return UnknownState(*haar_rows(rng.random((1, HAAR_DRAWS))).tolist()[0])
 
 
 @dataclass(frozen=True)
@@ -241,10 +234,6 @@ def _projector_stack(n_qubits: int, qubits: tuple[int, int]) -> np.ndarray:
     return stack
 
 
-def _draw_row(draws: Sequence[float]) -> np.ndarray:
-    return np.asarray(draws, dtype=np.float64).reshape(1, -1)
-
-
 def teleport_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ...]:
     """:func:`run_trial` for a batch: one ``(N, 2)`` input row and one
     ``(N, TRIAL_DRAWS)`` draw row per trial.
@@ -261,17 +250,11 @@ def teleport_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ..
     return outcome, bob_pre, bob_post, fidelities
 
 
-def run_trial(
-    input_state: UnknownState, rng_seed: int, draws: Sequence[float] | None = None
-) -> TrialRecord:
-    """One full teleportation trial, deterministic in ``rng_seed``.
-
-    ``draws``, if given, must equal ``uniform_draws(rng_seed, TRIAL_DRAWS)``.
-    """
-    if draws is None:
-        draws = uniform_draws(rng_seed, TRIAL_DRAWS)
+def run_trial(input_state: UnknownState, rng_seed: int) -> TrialRecord:
+    """One full teleportation trial, deterministic in ``rng_seed``."""
     outcome, bob_pre, bob_post, fidelities = teleport_rows(
-        input_state.state_vector().amplitudes[None], _draw_row(draws)
+        input_state.state_vector().amplitudes[None],
+        _seed_draws(rng_seed, TRIAL_DRAWS),
     )
     outcome = MEASUREMENT_ORDER[outcome[0]]
     return TrialRecord(
@@ -308,19 +291,14 @@ def swap_rows(draws: np.ndarray) -> tuple[np.ndarray, ...]:
     return outcome, final, inverse, values[inverse]
 
 
-def run_entangled_input(
-    rng_seed: int, draws: Sequence[float] | None = None
-) -> tuple[BellOutcome, StateVector]:
+def run_entangled_input(rng_seed: int) -> tuple[BellOutcome, StateVector]:
     """Teleport a qubit that is half of another singlet (entanglement swap).
 
     Qubits (0, 1) and (2, 3) start as singlets; the Bell measurement lands on
     (1, 2) and the correction on qubit 3.  The returned state of qubits
-    (0, 3) is again the singlet, for every outcome.  ``draws``, if given,
-    must equal ``uniform_draws(rng_seed, SWAP_DRAWS)``.
+    (0, 3) is again the singlet, for every outcome.
     """
-    if draws is None:
-        draws = uniform_draws(rng_seed, SWAP_DRAWS)
-    outcome, final, inverse, _ = swap_rows(_draw_row(draws))
+    outcome, final, inverse, _ = swap_rows(_seed_draws(rng_seed, SWAP_DRAWS))
     return MEASUREMENT_ORDER[outcome[0]], StateVector._trusted(final[inverse[0]])
 
 
@@ -350,7 +328,7 @@ def baseline_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ..
 
 
 def run_baseline_computational(
-    input_state: UnknownState, rng_seed: int, draws: Sequence[float] | None = None
+    input_state: UnknownState, rng_seed: int
 ) -> tuple[bool, TrialRecord]:
     """Baseline protocol: product-basis analysis instead of the Bell basis.
 
@@ -364,12 +342,10 @@ def run_baseline_computational(
     and the identity correction restores the input with fidelity 1.  On all
     other trials the register has collapsed to the sampled product state; the
     receiver applies no correction and the fidelity is recorded as-is.
-    ``draws``, if given, must equal ``uniform_draws(rng_seed, BASELINE_DRAWS)``.
     """
-    if draws is None:
-        draws = uniform_draws(rng_seed, BASELINE_DRAWS)
     codes, bob, fidelities = baseline_rows(
-        input_state.state_vector().amplitudes[None], _draw_row(draws)
+        input_state.state_vector().amplitudes[None],
+        _seed_draws(rng_seed, BASELINE_DRAWS),
     )
     identified = bool(codes[0])
     outcome = BellOutcome.PSI_MINUS if identified else None

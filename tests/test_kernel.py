@@ -7,7 +7,7 @@ resolves to the next outcome), and ``nextafter(1, 0)``, which lies past every
 edge of a slightly sub-normalized state and so exercises the fallback to the
 highest outcome above ``MIN_PROBABILITY``.  The cascade's coincidence sampler
 is checked the same way against its clamp rule, and every error a batch
-raises must read as the one-trial call's.  The Haar inputs are checked
+raises must read as the one-row call's.  The Haar inputs are checked
 against the scalar numpy calls, and swap's once-per-outcome steps against
 running them on every row.
 """
@@ -36,7 +36,6 @@ from bellcast.photonic import (
     cascade_rows,
     pair_basis_state,
     pair_components,
-    run_cascade,
     waveplate,
 )
 from bellcast.qcore import (
@@ -53,14 +52,14 @@ from bellcast.teleport import (
     _BELL_BRAS,
     _CORRECTION_MATRICES,
     _SWAP_STATE,
+    SWAP_DRAWS,
     _projector_stack,
+    _seed_draws,
     UnknownState,
-    haar_from_uniforms,
     haar_random_input,
     haar_rows,
     prepare_singlet,
     run_entangled_input,
-    run_trial,
     swap_rows,
     teleport_rows,
 )
@@ -189,12 +188,14 @@ class TestCoincidenceClamp:
         # the coincidence; the branch draw is nextafter(1, 0).
         cfg = EfficiencyConfig(eta_abs=0.5)
         input_state = UnknownState.normalized(0.6, 0.8j)
-        draws = [0.0, 0.0, 0.99, 0.99, 0.99, LAST_BELOW_ONE, 0.0]
-        record = run_cascade(input_state, cfg, 0, draws)
-        assert record.event.kind is CascadeEventKind.D3_COINCIDENCE
+        draws = np.array([[0.0, 0.0, 0.99, 0.99, 0.99, LAST_BELOW_ONE, 0.0]])
+        kinds, bob_pre, _, _ = cascade_rows(
+            input_state.state_vector().amplitudes[None], cfg, draws
+        )
+        assert list(CascadeEventKind)[kinds[0]] is CascadeEventKind.D3_COINCIDENCE
         reaching = waveplate(build_three_mode(input_state), 1)
         expected = reference_branch(reaching, LAST_BELOW_ONE)
-        assert record.bob_pre.amplitudes.tobytes() == expected.tobytes()
+        assert bob_pre[0].tobytes() == expected.tobytes()
 
 
 def batch_error(call) -> str:
@@ -214,11 +215,13 @@ class TestBatchErrorsMatchTheOneTrialCall:
 
     @pytest.mark.parametrize("bad", [-0.25, 1.0, float("nan")])
     def test_out_of_range_spin_draw(self, bad):
+        inputs = self.inputs()
         draws = np.full((self.ROWS, 1), 0.5)
         draws[self.BAD_ROW, 0] = bad
-        one = batch_error(lambda: run_trial(UnknownState(1.0, 0.0), 0, [bad]))
+        row = slice(self.BAD_ROW, self.BAD_ROW + 1)
+        one = batch_error(lambda: teleport_rows(inputs[row], draws[row]))
         assert one == f"rng_sample must lie in [0, 1), got {bad}"
-        assert batch_error(lambda: teleport_rows(self.inputs(), draws)) == one
+        assert batch_error(lambda: teleport_rows(inputs, draws)) == one
 
     def test_unnormalized_spin_input(self):
         inputs = self.inputs()
@@ -239,14 +242,13 @@ class TestBatchErrorsMatchTheOneTrialCall:
     @pytest.mark.parametrize("bad", [-0.25, 1.0])
     def test_out_of_range_absorber_draw(self, bad):
         cfg = EfficiencyConfig()
+        inputs = self.inputs()
         draws = np.full((self.ROWS, CASCADE_DRAWS), 0.0)
         draws[self.BAD_ROW, 2] = bad
-        one = batch_error(
-            lambda: run_cascade(UnknownState(1.0, 0.0), cfg, 0, draws[self.BAD_ROW])
-        )
+        row = slice(self.BAD_ROW, self.BAD_ROW + 1)
+        one = batch_error(lambda: cascade_rows(inputs[row], cfg, draws[row]))
         assert one == f"rng_sample must lie in [0, 1), got {bad}"
-        batch = self.inputs()
-        assert batch_error(lambda: cascade_rows(batch, cfg, draws)) == one
+        assert batch_error(lambda: cascade_rows(inputs, cfg, draws)) == one
 
     def test_unnormalized_cascade_input(self):
         cfg = EfficiencyConfig()
@@ -287,9 +289,11 @@ class TestHaarRows:
         self.assert_matches_scalar(uniforms(seeds, 2))
 
     def test_one_row_call(self):
-        state = haar_from_uniforms(0.3, 0.8)
-        assert (state.a, state.b) == scalar_haar(0.3, 0.8)
-        assert type(state.a) is complex and type(state.b) is complex
+        for seed in (0, 7, 2**64 - 1):
+            state = haar_random_input(np.random.default_rng(seed))
+            expected = np.array(scalar_haar(*np.random.default_rng(seed).random(2)))
+            assert np.array([state.a, state.b]).tobytes() == expected.tobytes()
+            assert type(state.a) is complex and type(state.b) is complex
 
     def test_unnormalized_row_reads_as_the_scalar_check(self):
         draws = np.full((5, 2), 0.5)
@@ -352,9 +356,14 @@ class TestSwapRows:
         assert final.shape == (1, 4)
         assert final[inverse].tobytes() == expected[1].tobytes()
         assert fidelities.tobytes() == expected[2].tobytes()
-        label, state = run_entangled_input(0, [0.1])
-        assert label is MEASUREMENT_ORDER[outcome[0]]
-        assert state.amplitudes.tobytes() == final[inverse[0]].tobytes()
+        row_outcome, row_final, row_inverse, _ = swap_rows(draws[:1])
+        assert row_outcome.tolist() == outcome[:1].tolist()
+        assert row_final[row_inverse].tobytes() == final[inverse[:1]].tobytes()
+        for seed in (0, 7, 2**64 - 1):
+            label, state = run_entangled_input(seed)
+            outcome, final, inverse, _ = swap_rows(_seed_draws(seed, SWAP_DRAWS))
+            assert label is MEASUREMENT_ORDER[outcome[0]]
+            assert state.amplitudes.tobytes() == final[inverse[0]].tobytes()
 
     def test_normalizes_one_post_state_per_distinct_outcome(self, monkeypatch):
         normalized = []
@@ -375,6 +384,6 @@ class TestSwapRows:
     def test_out_of_range_draw(self, bad):
         draws = np.full((6, 1), 0.5)
         draws[3, 0] = bad
-        one = batch_error(lambda: run_entangled_input(0, [bad]))
+        one = batch_error(lambda: swap_rows(np.array([[bad]])))
         assert one == f"rng_sample must lie in [0, 1), got {bad}"
         assert batch_error(lambda: swap_rows(draws)) == one

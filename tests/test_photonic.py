@@ -549,6 +549,3 @@ class TestDrawCount:
         assert list(CascadeEventKind)[codes[0]] is kind
         assert np.isfinite(fidelities[0]) == identifying
         assert draws.read == expected
-        record = run_cascade(input_state, self.CFG, 0, values)
-        assert record.event.kind is kind
-        assert record.fidelity_value == (fidelities[0] if identifying else None)
