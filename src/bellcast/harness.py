@@ -41,6 +41,7 @@ import enum
 import errno
 import itertools
 import json
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -88,11 +89,11 @@ CHUNK_TRIALS = 1024
 
 
 def master_seed_from(value, name: str) -> int:
-    """``value`` (an int, or a string to parse) as a master seed.  Errors
+    """``value`` (an integer, or a string to parse) as a master seed.  Errors
     name ``name``, where the value came from, and show the value as given."""
     try:
-        seed = int(value)
-    except ValueError:
+        seed = int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if not 0 <= seed <= MASTER_SEED_MAX:
         raise ValueError(f"{name} must fit in 64 bits, got {value!r}")
@@ -124,9 +125,16 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        master_seed_from(self.master_seed, "master_seed")
+        try:
+            trials = operator.index(self.trials)
+        except TypeError:
+            message = f"trials must be an integer, got {self.trials!r}"
+            raise ValueError(message) from None
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        object.__setattr__(self, "trials", trials)
+        seed = master_seed_from(self.master_seed, "master_seed")
+        object.__setattr__(self, "master_seed", seed)
 
 
 @dataclass(frozen=True)

@@ -143,7 +143,7 @@ def build_spin_observables() -> SpinObservableSet:
 
 
 _BELL_STATES: dict[BellOutcome, StateVector] = {
-    label: StateVector(np.array(amps, dtype=np.complex128))
+    label: StateVector(amps)
     for label, amps in _BELL_AMPLITUDES.items()
 }
 

@@ -139,16 +139,6 @@ class CascadeEventKind(enum.Enum):
     NO_EVENT = "NONE"
 
 
-IDENTIFYING_EVENTS = frozenset(
-    {
-        CascadeEventKind.D1,
-        CascadeEventKind.D2,
-        CascadeEventKind.D4,
-        CascadeEventKind.D3_COINCIDENCE,
-    }
-)
-
-
 class CascadeStage(enum.Enum):
     """Where in the cascade an event originated."""
 
@@ -164,6 +154,8 @@ EVENT_ORIGINAL_BRANCH: dict[CascadeEventKind, PairLabel] = {
     CascadeEventKind.D4: PairLabel.GAMMA_MINUS,
     CascadeEventKind.D3_COINCIDENCE: PairLabel.CHI_PLUS,
 }
+# The signatures that identify a branch: exactly those that certify one.
+IDENTIFYING_EVENTS = frozenset(EVENT_ORIGINAL_BRANCH)
 
 # Which absorber stage each identifying signature comes from.
 EVENT_STAGE: dict[CascadeEventKind, CascadeStage] = {
@@ -227,7 +219,7 @@ def _selected_component(s: StateVector, label: PairLabel) -> tuple[float, StateV
     # pair_components and the analytic oracle.  Equivalent to
     # contract_with(s, (0, 1), pair_basis_state(label)).
     amps = _PAIR_BRAS[label] @ s.amplitudes.reshape(4, 2)
-    component = StateVector._trusted(amps)
+    component = StateVector(amps)
     probability = min(float(np.real(np.vdot(amps, amps))), 1.0)
     return probability, component
 
@@ -238,7 +230,7 @@ def _declined(s: StateVector, label: PairLabel, component: StateVector) -> State
     remainder = s.amplitudes - np.multiply.outer(
         pair.amplitudes, component.amplitudes
     ).ravel()
-    return StateVector._trusted(remainder).normalized()
+    return StateVector(remainder).normalized()
 
 
 # The row-batched cascade.  States are (N, 8) arrays over modes (0, 1, 2),
@@ -286,7 +278,7 @@ def _stage(
 ) -> tuple[bool, StateVector]:
     draws = np.array([rng_sample])
     fired, out = _stage_rows(s.amplitudes[None], label, eta_abs, draws)
-    return bool(fired[0]), StateVector._trusted(out[0])
+    return bool(fired[0]), StateVector(out[0])
 
 
 def absorption_stage(
@@ -449,8 +441,8 @@ def run_cascade(
     return CascadeRecord(
         input=input_state,
         event=CascadeEvent(_KINDS[kinds[0]]),
-        bob_pre=StateVector._trusted(bob_pre[0]) if identified else None,
-        bob_post=StateVector._trusted(bob_post[0]) if identified else None,
+        bob_pre=StateVector(bob_pre[0]) if identified else None,
+        bob_post=StateVector(bob_post[0]) if identified else None,
         fidelity_value=float(fidelities[0]) if identified else None,
         rng_seed=rng_seed,
     )

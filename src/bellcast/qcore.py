@@ -37,7 +37,7 @@ def _require_power_of_two(value: int, what: str) -> int:
 
 def _as_complex_array(data, what: str) -> np.ndarray:
     arr = np.array(data, dtype=np.complex128)
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     arr.setflags(write=False)
     return arr
@@ -47,10 +47,12 @@ def _as_complex_array(data, what: str) -> np.ndarray:
 class StateVector:
     """Immutable complex amplitude vector over ``2**n_qubits`` basis states.
 
-    The constructor accepts any array-like of complex amplitudes.  Norm is
-    not enforced here: operations such as projector application legitimately
-    produce sub-normalized intermediates.  Use :meth:`normalized` before
-    handing a state to measurement or fidelity routines.
+    The constructor copies any array-like of complex amplitudes into a
+    read-only complex128 array, and rejects non-finite entries, more than one
+    axis and a length that is not a power of two.  Norm is not enforced
+    here: operations such as projector application legitimately produce
+    sub-normalized intermediates.  Use :meth:`normalized` before handing a
+    state to measurement or fidelity routines.
     """
 
     amplitudes: np.ndarray
@@ -61,19 +63,6 @@ class StateVector:
             raise ValueError("state vector must be one-dimensional")
         _require_power_of_two(arr.shape[0], "state vector length")
         object.__setattr__(self, "amplitudes", arr)
-
-    @classmethod
-    def _trusted(cls, amplitudes: np.ndarray) -> "StateVector":
-        """Wrap a freshly computed complex128 array without validation.
-
-        Internal fast path for hot loops: the caller owns ``amplitudes``
-        (no other references) and guarantees it is 1-D, complex128, of
-        power-of-two length, and finite.
-        """
-        obj = object.__new__(cls)
-        amplitudes.setflags(write=False)
-        object.__setattr__(obj, "amplitudes", amplitudes)
-        return obj
 
     @property
     def n_qubits(self) -> int:
@@ -92,7 +81,7 @@ class StateVector:
         n = self.norm
         if n < 1e-12:
             raise ValueError("cannot normalize a (near-)zero state vector")
-        return StateVector._trusted(self.amplitudes / n)
+        return StateVector(self.amplitudes / n)
 
     def tensor_view(self) -> np.ndarray:
         """Read-only view reshaped to one axis per qubit."""
@@ -166,9 +155,7 @@ def ket(bits: str) -> StateVector:
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product with ``a`` as the leftmost (qubit-0-first) factor."""
     # outer + ravel is kron for vectors, at a fraction of the call overhead
-    return StateVector._trusted(
-        np.multiply.outer(a.amplitudes, b.amplitudes).ravel()
-    )
+    return StateVector(np.multiply.outer(a.amplitudes, b.amplitudes).ravel())
 
 
 def _check_targets(targets, n_qubits: int, op_qubits: int) -> tuple[int, ...]:
@@ -192,7 +179,7 @@ def apply(op: Operator, s: StateVector, targets) -> StateVector:
     exactly when ``op`` is unitary; projectors shrink it.
     """
     targets = _check_targets(targets, s.n_qubits, op.n_qubits)
-    return StateVector._trusted(apply_rows(op.matrix, s.amplitudes[None], targets)[0])
+    return StateVector(apply_rows(op.matrix, s.amplitudes[None], targets)[0])
 
 
 def contract_with(s: StateVector, qubits, factor: StateVector) -> StateVector:
@@ -206,7 +193,7 @@ def contract_with(s: StateVector, qubits, factor: StateVector) -> StateVector:
     if len(qubits) >= s.n_qubits:
         raise ValueError("contraction must leave at least one qubit")
     bra = factor.amplitudes.conj()
-    return StateVector._trusted(contract_rows(s.amplitudes[None], qubits, bra)[0])
+    return StateVector(contract_rows(s.amplitudes[None], qubits, bra)[0])
 
 
 def _require_normalized(s: StateVector, what: str) -> None:
@@ -262,7 +249,7 @@ def measure_projective(
     if chosen < 0:
         # Numerical slack: the cumulative sum can fall a hair short of 1.
         chosen = int(np.max(np.nonzero(probs > MIN_PROBABILITY)))
-    post = StateVector._trusted(projected[chosen] / np.sqrt(probs[chosen]))
+    post = StateVector(projected[chosen] / np.sqrt(probs[chosen]))
     return MeasurementResult(chosen, float(probs[chosen]), post)
 
 
@@ -334,16 +321,16 @@ def _norm_rows(x: np.ndarray) -> np.ndarray:
 def normalized_rows(x: np.ndarray) -> np.ndarray:
     """:meth:`StateVector.normalized` of every row, with the same error."""
     n = _norm_rows(x)
-    if np.any(n < 1e-12):
+    if not (n >= 1e-12).all():  # NaN fails this too
         raise ValueError("cannot normalize a (near-)zero state vector")
     return x / n[:, None]
 
 
 def _require_normalized_rows(x: np.ndarray, what: str) -> None:
     n = _norm_rows(x)
-    bad = np.abs(n - 1.0) > _NORM_ATOL
-    if bad.any():
-        raise ValueError(f"{what} must be normalized (norm {n[bad][0]:.12g})")
+    ok = np.abs(n - 1.0) <= _NORM_ATOL  # NaN fails this too
+    if not ok.all():
+        raise ValueError(f"{what} must be normalized (norm {n[~ok][0]:.12g})")
 
 
 def require_draws_rows(draws: np.ndarray) -> None:
@@ -372,7 +359,7 @@ def sample_rows(
     _require_normalized_rows(states, "measured state")
     projected = (projectors @ states[:, None, :, None])[..., 0]
     probs = np.maximum(overlap_rows(states[:, None, :], projected).real, 0.0)
-    if np.any(probs.max(axis=1) < MIN_PROBABILITY):
+    if not (probs.max(axis=1) >= MIN_PROBABILITY).all():  # NaN fails this too
         raise ValueError("all outcome probabilities are degenerate (below 1e-15)")
     # The cumulative edges only rise, so the first edge above a draw is the
     # number of edges at or below it; K means the draw passed every edge.

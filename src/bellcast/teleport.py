@@ -70,8 +70,7 @@ class UnknownState:
             raise ValueError(f"input state not normalized: |a|^2+|b|^2 = {total!r}")
 
     def state_vector(self) -> StateVector:
-        # Amplitudes were validated in __post_init__, so the wrap is safe.
-        return StateVector._trusted(np.array([self.a, self.b], dtype=np.complex128))
+        return StateVector([self.a, self.b])
 
     @staticmethod
     def normalized(a: complex, b: complex) -> "UnknownState":
@@ -194,7 +193,7 @@ def decompose_branches(
         BellOutcome.PHI_PLUS: (-b, a),
     }
     return [
-        (label, StateVector(np.array(pair, dtype=np.complex128)), _BRANCH_COEFFICIENT)
+        (label, StateVector(pair), _BRANCH_COEFFICIENT)
         for label, pair in branches.items()
     ]
 
@@ -261,8 +260,8 @@ def run_trial(input_state: UnknownState, rng_seed: int) -> TrialRecord:
         input=input_state,
         outcome=outcome,
         message=ClassicalMessage.from_outcome(outcome),
-        bob_pre=StateVector._trusted(bob_pre[0]),
-        bob_post=StateVector._trusted(bob_post[0]),
+        bob_pre=StateVector(bob_pre[0]),
+        bob_post=StateVector(bob_post[0]),
         fidelity_value=float(fidelities[0]),
         rng_seed=rng_seed,
     )
@@ -299,7 +298,7 @@ def run_entangled_input(rng_seed: int) -> tuple[BellOutcome, StateVector]:
     (0, 3) is again the singlet, for every outcome.
     """
     outcome, final, inverse, _ = swap_rows(_seed_draws(rng_seed, SWAP_DRAWS))
-    return MEASUREMENT_ORDER[outcome[0]], StateVector._trusted(final[inverse[0]])
+    return MEASUREMENT_ORDER[outcome[0]], StateVector(final[inverse[0]])
 
 
 def baseline_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -349,7 +348,7 @@ def run_baseline_computational(
     )
     identified = bool(codes[0])
     outcome = BellOutcome.PSI_MINUS if identified else None
-    bob = StateVector._trusted(bob[0])
+    bob = StateVector(bob[0])
     record = TrialRecord(
         input=input_state,
         outcome=outcome,

@@ -327,6 +327,41 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="64 bits"):
             RunConfig(mode=Mode.SPIN, master_seed=1 << 64)
 
+    def test_rejects_non_integral_trial_count(self):
+        with pytest.raises(ValueError, match="trials must be an integer, got 2.5"):
+            RunConfig(mode=Mode.SPIN, trials=2.5)
+
+    def test_rejects_non_integral_master_seed(self):
+        # int(1.9) would run it silently as master seed 1.
+        with pytest.raises(ValueError, match="master_seed must be an integer, got 1.9"):
+            RunConfig(mode=Mode.SPIN, master_seed=1.9)
+
+    def test_stores_the_checked_integers(self):
+        cfg = RunConfig(mode=Mode.SPIN, master_seed="5")
+        assert cfg.master_seed == 5 and type(cfg.master_seed) is int
+        cfg = RunConfig(mode=Mode.SPIN, trials=np.int64(3), master_seed=np.uint64(5))
+        assert (cfg.trials, cfg.master_seed) == (3, 5)
+        assert type(cfg.trials) is int and type(cfg.master_seed) is int
+
+    @pytest.mark.parametrize(
+        "efficiency, kind",
+        [
+            (EfficiencyConfig(p_in=0.0), CascadeEventKind.D3_SINGLE_LOWER),
+            (EfficiencyConfig(p_pdc=0.0), CascadeEventKind.D3_SINGLE_TOP),
+            (EfficiencyConfig(p_in=0.0, p_pdc=0.0), CascadeEventKind.NO_EVENT),
+        ],
+    )
+    def test_photon_batch_with_a_dark_source(self, efficiency, kind):
+        table = analytic_distribution(UP_INPUT, efficiency)
+        assert table == {k: 1.0 if k is kind else 0.0 for k in CascadeEventKind}
+        summary = run_batch(RunConfig(
+            mode=Mode.PHOTON, trials=300, master_seed=5,
+            efficiency=efficiency, fixed_input=UP_INPUT,
+        ))
+        assert summary.counts == {kind.value: 300}
+        assert summary.chi_square == 0.0
+        assert summary.mean_fidelity is None
+
     @staticmethod
     def _count_calls(monkeypatch, name: str, fail_at: int | None = None) -> list[int]:
         """Wrap ``harness.<name>`` to count its calls and raise on call ``fail_at``."""
@@ -671,6 +706,10 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="line 2: trials"):
             parse_config("mode=spin\ntrials=zero")
 
+    def test_trials_below_one_names_the_line(self):
+        with pytest.raises(ValueError, match="line 2: trials must be >= 1"):
+            parse_config("mode=spin\ntrials=0")
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_master_seed_out_of_range_names_the_line(self, seed):
         with pytest.raises(ValueError, match="line 2: master_seed must fit in 64 bits"):
@@ -687,6 +726,12 @@ class TestParseConfig:
     def test_nan_fixed_input(self):
         with pytest.raises(ValueError, match="line 2: input not normalized"):
             parse_config("mode=spin\ninput=fixed:nan,0")
+
+    @pytest.mark.parametrize("text", ["fixed:1", "fixed:1,0,0"])
+    def test_fixed_input_needs_two_amplitudes(self, text):
+        message = "line 2: fixed input needs two comma-separated amplitudes"
+        with pytest.raises(ValueError, match=message):
+            parse_config(f"mode=spin\ninput={text}")
 
     def test_unparseable_amplitudes(self):
         with pytest.raises(ValueError, match="cannot parse input"):

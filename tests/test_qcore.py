@@ -21,6 +21,9 @@ from bellcast.qcore import (
     fidelity_rows,
     ket,
     measure_projective,
+    measure_rows,
+    normalized_rows,
+    sample_rows,
     tensor,
 )
 
@@ -322,10 +325,9 @@ def real_pow_pairs(rng: np.random.Generator):
 
 
 def scalar_fidelities(s: np.ndarray, t: np.ndarray) -> list[float]:
-    """:func:`fidelity` of each row pair.  The rows are finite and of length
-    2 or 4, so they are wrapped unchecked; ``fidelity`` still checks norms."""
-    wrap = StateVector._trusted
-    return [fidelity(wrap(a), wrap(b)) for a, b in zip(s, t)]
+    """:func:`fidelity` of each row pair, each row made a checked
+    :class:`StateVector`."""
+    return [fidelity(StateVector(a), StateVector(b)) for a, b in zip(s, t)]
 
 
 class TestFidelityRows:
@@ -345,6 +347,43 @@ class TestFidelityRows:
         expected = scalar_fidelities(s, t)
         assert np.array(got).tobytes() == np.array(expected).tobytes()
         assert got[::2].tolist() == [h**2 for h in hs]
+
+
+class TestRowChecksRejectNaN:
+    """A NaN row fails every row check, as the scalar forms reject the state:
+    ``StateVector`` refuses non-finite amplitudes."""
+
+    @staticmethod
+    def rows(dim: int, nan: bool = True) -> np.ndarray:
+        """Three ``|0>`` rows, the middle one NaN when ``nan``."""
+        rows = np.zeros((3, dim), dtype=complex)
+        rows[:, 0] = 1.0
+        rows[1, 0] = np.nan if nan else 1.0
+        return rows
+
+    def test_fidelity_rows(self):
+        good, bad = self.rows(2, nan=False), self.rows(2)
+        message = r"state must be normalized \(norm nan\)"
+        with pytest.raises(ValueError, match="first " + message):
+            fidelity_rows(bad, good)
+        with pytest.raises(ValueError, match="second " + message):
+            fidelity_rows(good, bad)
+
+    def test_normalized_rows(self):
+        with pytest.raises(ValueError, match="cannot normalize"):
+            normalized_rows(self.rows(2))
+
+    def test_measure_rows(self):
+        projectors = np.array([np.diag(e) for e in np.eye(8, dtype=complex)])
+        message = r"measured state must be normalized \(norm nan\)"
+        with pytest.raises(ValueError, match=message):
+            measure_rows(self.rows(8), projectors, np.full(3, 0.5))
+
+    def test_sample_rows_degenerate_check(self):
+        # Normalized states, but NaN probabilities: no outcome is live.
+        projectors = np.full((2, 2, 2), np.nan, dtype=complex)
+        with pytest.raises(ValueError, match="degenerate"):
+            sample_rows(self.rows(2, nan=False), projectors, np.full(3, 0.5))
 
 
 class TestContraction:
