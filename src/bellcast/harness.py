@@ -70,6 +70,7 @@ from .teleport import (
     TRIAL_DRAWS,
     ClassicalMessage,
     UnknownState,
+    _squared_modulus,
     baseline_rows,
     haar_rows,
     haar_random_input,  # noqa: F401 - perfbench's tracer looks it up here
@@ -518,7 +519,7 @@ def parse_input(text: str) -> UnknownState | None:
         raise ValueError("fixed input needs two comma-separated amplitudes")
     message = f"cannot parse input amplitudes {value!r}"
     a, b = (_parsed(complex, p, message) for p in parts)
-    total = abs(a) ** 2 + abs(b) ** 2
+    total = _squared_modulus(a, b)
     if not abs(total - 1.0) <= 1e-9:  # NaN fails this too
         raise ValueError(f"input not normalized (|a|^2+|b|^2 = {total:.12g})")
     return UnknownState.normalized(a, b)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .observables import BellOutcome, bell_state
+from .observables import PAULI_X, BellOutcome, bell_state
 from .qcore import (
     Operator,
     StateVector,
@@ -57,7 +57,7 @@ from .qcore import (
     tensor_rows,
     unitary_table,
 )
-from .teleport import UnknownState, _seed_draws
+from .teleport import UnknownState, _seed_draws, correction_for
 
 
 class PairLabel(enum.Enum):
@@ -124,7 +124,9 @@ def pair_components(s: StateVector) -> dict[PairLabel, StateVector]:
 
     The squared norm of each component is that branch's probability.
     """
-    return {label: _selected_component(s, label)[1] for label in PairLabel}
+    return {
+        label: StateVector(_selected_component(s, label)[1]) for label in PairLabel
+    }
 
 
 class CascadeEventKind(enum.Enum):
@@ -214,22 +216,19 @@ class CascadeRecord:
     rng_seed: int
 
 
-def _selected_component(s: StateVector, label: PairLabel) -> tuple[float, StateVector]:
-    # The (Born weight, mode-2 component) of ``label`` on modes (0, 1), for
+def _selected_component(s: StateVector, label: PairLabel) -> tuple[float, np.ndarray]:
+    # The (Born weight, mode-2 amplitudes) of ``label`` on modes (0, 1), for
     # pair_components and the analytic oracle.  Equivalent to
     # contract_with(s, (0, 1), pair_basis_state(label)).
     amps = _PAIR_BRAS[label] @ s.amplitudes.reshape(4, 2)
-    component = StateVector(amps)
     probability = min(float(np.real(np.vdot(amps, amps))), 1.0)
-    return probability, component
+    return probability, amps
 
 
-def _declined(s: StateVector, label: PairLabel, component: StateVector) -> StateVector:
+def _declined(s: StateVector, label: PairLabel, component: np.ndarray) -> StateVector:
     # The oracle's active-negative absorber window: ``label``'s branch removed.
     pair = pair_basis_state(label)
-    remainder = s.amplitudes - np.multiply.outer(
-        pair.amplitudes, component.amplitudes
-    ).ravel()
+    remainder = s.amplitudes - np.multiply.outer(pair.amplitudes, component).ravel()
     return StateVector(remainder).normalized()
 
 
@@ -301,17 +300,11 @@ def stage_final(
     return kind, post
 
 
-_CORRECTIONS: dict[PairLabel, np.ndarray] = {
-    # gamma-: branch already equals the input.
-    PairLabel.GAMMA_MINUS: np.array([[1, 0], [0, 1]], dtype=np.complex128),
-    # gamma+: flip the sign of |L>.
-    PairLabel.GAMMA_PLUS: np.array([[1, 0], [0, -1]], dtype=np.complex128),
-    # chi-: swap R and L.
-    PairLabel.CHI_MINUS: np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    # chi+: |R> -> |L>, |L> -> -|R>.
-    PairLabel.CHI_PLUS: np.array([[0, -1], [1, 0]], dtype=np.complex128),
-}
-_CORRECTION_OPS = unitary_table(_CORRECTIONS)
+# (1 x sigma_x)|Psi-> = |gamma->: each branch is sigma_x times its Bell analog's
+# spin branch, so sigma_x C (C sigma_x up to a sign) restores the input.
+_CORRECTION_OPS = unitary_table(
+    {label: PAULI_X @ correction_for(label.bell_analog).matrix for label in PairLabel}
+)
 
 
 def correction_for_photonic(label: PairLabel) -> Operator:

@@ -12,7 +12,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,14 +73,10 @@ class StateVector:
 
     @property
     def norm(self) -> float:
-        # sqrt(<s|s>); vdot is markedly cheaper than np.linalg.norm here
-        return math.sqrt(max(np.vdot(self.amplitudes, self.amplitudes).real, 0.0))
+        return float(_norm_rows(self.amplitudes[None])[0])
 
     def normalized(self) -> "StateVector":
-        n = self.norm
-        if n < 1e-12:
-            raise ValueError("cannot normalize a (near-)zero state vector")
-        return StateVector(self.amplitudes / n)
+        return StateVector(normalized_rows(self.amplitudes[None])[0])
 
     def tensor_view(self) -> np.ndarray:
         """Read-only view reshaped to one axis per qubit."""
@@ -154,8 +149,7 @@ def ket(bits: str) -> StateVector:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product with ``a`` as the leftmost (qubit-0-first) factor."""
-    # outer + ravel is kron for vectors, at a fraction of the call overhead
-    return StateVector(np.multiply.outer(a.amplitudes, b.amplitudes).ravel())
+    return StateVector(tensor_rows(a.amplitudes, b.amplitudes)[0])
 
 
 def _check_targets(targets, n_qubits: int, op_qubits: int) -> tuple[int, ...]:
@@ -196,11 +190,6 @@ def contract_with(s: StateVector, qubits, factor: StateVector) -> StateVector:
     return StateVector(contract_rows(s.amplitudes[None], qubits, bra)[0])
 
 
-def _require_normalized(s: StateVector, what: str) -> None:
-    if abs(s.norm - 1.0) > _NORM_ATOL:
-        raise ValueError(f"{what} must be normalized (norm {s.norm:.12g})")
-
-
 def measure_projective(
     s: StateVector, projectors, rng_sample: float
 ) -> MeasurementResult:
@@ -212,9 +201,8 @@ def measure_projective(
     The projector set is audited first: each projector must be hermitian and
     idempotent, and together they must sum to the identity.
     """
-    if not 0.0 <= rng_sample < 1.0:
-        raise ValueError(f"rng_sample must lie in [0, 1), got {rng_sample}")
-    _require_normalized(s, "measured state")
+    require_draws_rows(np.array([rng_sample]))
+    _require_normalized_rows(s.amplitudes[None], "measured state")
     projectors = list(projectors)
     if not projectors:
         raise ValueError("projector set is empty")
@@ -261,8 +249,8 @@ def fidelity(s: StateVector, t: StateVector) -> float:
     """
     if s.dim != t.dim:
         raise ValueError(f"dimension mismatch: {s.dim} vs {t.dim}")
-    _require_normalized(s, "first state")
-    _require_normalized(t, "second state")
+    _require_normalized_rows(s.amplitudes[None], "first state")
+    _require_normalized_rows(t.amplitudes[None], "second state")
     return min(float(abs(np.vdot(s.amplitudes, t.amplitudes)) ** 2), 1.0)
 
 

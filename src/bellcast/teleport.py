@@ -57,6 +57,14 @@ from .qcore import (
 _NORM_ATOL = 1e-12
 
 
+def _squared_modulus(a: complex, b: complex) -> float:
+    """``|a|^2 + |b|^2``, or ``inf`` where Python's float arithmetic overflows."""
+    try:
+        return abs(a) ** 2 + abs(b) ** 2
+    except OverflowError:
+        return np.inf
+
+
 @dataclass(frozen=True)
 class UnknownState:
     """Single-qubit input ``a|up> + b|down>`` with ``|a|^2 + |b|^2 == 1``."""
@@ -65,7 +73,7 @@ class UnknownState:
     b: complex
 
     def __post_init__(self) -> None:
-        total = abs(self.a) ** 2 + abs(self.b) ** 2
+        total = _squared_modulus(self.a, self.b)
         if not abs(total - 1.0) <= _NORM_ATOL:  # NaN fails this too
             raise ValueError(f"input state not normalized: |a|^2+|b|^2 = {total!r}")
 
@@ -74,9 +82,11 @@ class UnknownState:
 
     @staticmethod
     def normalized(a: complex, b: complex) -> "UnknownState":
-        norm = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        norm = np.sqrt(_squared_modulus(a, b))
         if norm < 1e-12:
             raise ValueError("cannot normalize a zero input state")
+        if norm == np.inf:
+            raise ValueError("cannot normalize an input state: |a|^2+|b|^2 = inf")
         return UnknownState(complex(a) / norm, complex(b) / norm)
 
 

@@ -128,6 +128,13 @@ class TestRunCommands:
         assert code == 1
         assert "not normalized" in err
 
+    @pytest.mark.parametrize("command", ["run-spin", "run-photon"])
+    def test_overflowing_input_fails_cleanly(self, capsys, command):
+        argv = (command, "--trials", "3", "--input", "fixed:1e200,0")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err == "error: input not normalized (|a|^2+|b|^2 = inf)\n"
+
     def test_malformed_amplitudes_fail_cleanly(self, capsys):
         code, _, err = run_cli(capsys, "run-spin", "--input", "fixed:one,two")
         assert code == 1

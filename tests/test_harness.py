@@ -727,6 +727,12 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="line 2: input not normalized"):
             parse_config("mode=spin\ninput=fixed:nan,0")
 
+    @pytest.mark.parametrize("text", ["fixed:1e200,0", "fixed:0,1e300+1e300j"])
+    def test_overflowing_fixed_input(self, text):
+        message = r"line 2: input not normalized \(\|a\|\^2\+\|b\|\^2 = inf\)"
+        with pytest.raises(ValueError, match=message):
+            parse_config(f"mode=spin\ninput={text}")
+
     @pytest.mark.parametrize("text", ["fixed:1", "fixed:1,0,0"])
     def test_fixed_input_needs_two_amplitudes(self, text):
         message = "line 2: fixed input needs two comma-separated amplitudes"

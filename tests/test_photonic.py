@@ -153,6 +153,20 @@ class TestBranchDecomposition:
             )
         np.testing.assert_allclose(rebuilt, state.amplitudes, atol=ATOL_STATE)
 
+    def test_corrections_match_hand_derived_matrices(self):
+        """The corrections derived from the spin table, entry for entry."""
+        hand_derived = {
+            PairLabel.GAMMA_MINUS: [[1, 0], [0, 1]],  # already the input
+            PairLabel.GAMMA_PLUS: [[1, 0], [0, -1]],  # flip the sign of |L>
+            PairLabel.CHI_MINUS: [[0, 1], [1, 0]],  # swap R and L
+            PairLabel.CHI_PLUS: [[0, -1], [1, 0]],  # |R> -> |L>, |L> -> -|R>
+        }
+        for label, matrix in hand_derived.items():
+            expected = np.array(matrix, dtype=np.complex128)
+            got = correction_for_photonic(label).matrix
+            assert got.dtype == np.complex128, label
+            assert np.array_equal(got, expected), label
+
     @settings(max_examples=50, deadline=None)
     @given(photon_inputs())
     def test_corrections_restore_the_input_per_branch(self, input_state):

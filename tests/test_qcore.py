@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -131,6 +132,35 @@ class TestTensor:
         """Index i holds qubit k in bit (i >> (n-1-k)) & 1."""
         got = tensor(ket("1"), ket("00"))  # |1> on qubit 0
         assert got.amplitudes[0b100] == 1.0
+
+
+class TestOneRowTwins:
+    """``tensor``, ``norm`` and ``normalized`` run through their row forms;
+    each must give the bytes of the direct scalar formula it replaced."""
+
+    @staticmethod
+    def states(seed: int):
+        rng = np.random.default_rng(seed)
+        for dim in (2, 4, 8, 16):
+            for scale in (1e-6, 1.0, 1e6):
+                for _ in range(100):
+                    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                    yield StateVector(amps * scale)
+
+    def test_norm_and_normalized_match_the_scalar_formulas(self):
+        for state in self.states(3):
+            v = state.amplitudes
+            norm = math.sqrt(max(np.vdot(v, v).real, 0.0))
+            assert type(state.norm) is float
+            assert state.norm.hex() == norm.hex()
+            assert state.normalized().amplitudes.tobytes() == (v / norm).tobytes()
+
+    def test_tensor_matches_the_outer_product(self):
+        for a, b in zip(self.states(5), self.states(6)):
+            for left, right in ((a, b), (a, ket("1")), (ket("01"), b)):
+                expected = np.multiply.outer(left.amplitudes, right.amplitudes).ravel()
+                got = tensor(left, right).amplitudes
+                assert got.tobytes() == expected.tobytes()
 
 
 class TestApply:

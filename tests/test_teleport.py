@@ -64,6 +64,15 @@ class TestUnknownState:
         with pytest.raises(ValueError, match="not normalized"):
             UnknownState(float("nan"), 0)
 
+    @pytest.mark.parametrize("a", [1e200, complex(1e308, 1e308)])
+    def test_rejects_overflowing_amplitude(self, a):
+        with pytest.raises(ValueError, match=r"not normalized: .* = inf$"):
+            UnknownState(a, 0)
+
+    def test_normalized_rejects_overflowing_amplitude(self):
+        with pytest.raises(ValueError, match=r"cannot normalize .* = inf$"):
+            UnknownState.normalized(1e200, 0)
+
     def test_normalized_constructor(self):
         state = UnknownState.normalized(3.0, 4.0j)
         assert state.a == pytest.approx(0.6)
