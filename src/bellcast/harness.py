@@ -70,8 +70,8 @@ from .teleport import (
     TRIAL_DRAWS,
     ClassicalMessage,
     UnknownState,
-    _squared_modulus,
     baseline_rows,
+    checked_input,
     haar_rows,
     haar_random_input,  # noqa: F401 - perfbench's tracer looks it up here
     run_entangled_input,  # noqa: F401 - perfbench's tracer looks it up here
@@ -518,11 +518,7 @@ def parse_input(text: str) -> UnknownState | None:
     if len(parts) != 2:
         raise ValueError("fixed input needs two comma-separated amplitudes")
     message = f"cannot parse input amplitudes {value!r}"
-    a, b = (_parsed(complex, p, message) for p in parts)
-    total = _squared_modulus(a, b)
-    if not abs(total - 1.0) <= 1e-9:  # NaN fails this too
-        raise ValueError(f"input not normalized (|a|^2+|b|^2 = {total:.12g})")
-    return UnknownState.normalized(a, b)
+    return checked_input(*(_parsed(complex, p, message) for p in parts))
 
 
 def _parsed(kind: type, value: str, message: str):

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +74,8 @@ class StateVector:
 
     @property
     def norm(self) -> float:
-        return float(_norm_rows(self.amplitudes[None])[0])
+        # sqrt(<s|s>); vdot is markedly cheaper than np.linalg.norm here
+        return math.sqrt(max(np.vdot(self.amplitudes, self.amplitudes).real, 0.0))
 
     def normalized(self) -> "StateVector":
         return StateVector(normalized_rows(self.amplitudes[None])[0])

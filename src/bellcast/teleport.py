@@ -90,6 +90,15 @@ class UnknownState:
         return UnknownState(complex(a) / norm, complex(b) / norm)
 
 
+def checked_input(a: complex, b: complex) -> UnknownState:
+    """A hand-given input (``fixed:a,b``): ``|a|^2 + |b|^2`` must be 1 to
+    within 1e-9, and the state is then rescaled to norm 1."""
+    total = _squared_modulus(a, b)
+    if not abs(total - 1.0) <= 1e-9:  # NaN fails this too
+        raise ValueError(f"input not normalized (|a|^2+|b|^2 = {total:.12g})")
+    return UnknownState.normalized(a, b)
+
+
 # Uniform draws each entry point consumes at most (see _seed_draws).
 HAAR_DRAWS = 2
 TRIAL_DRAWS = 1

@@ -135,8 +135,8 @@ class TestTensor:
 
 
 class TestOneRowTwins:
-    """``tensor``, ``norm`` and ``normalized`` run through their row forms;
-    each must give the bytes of the direct scalar formula it replaced."""
+    """``tensor`` and ``normalized`` run through their row forms, ``norm``
+    through its own scalar formula; each must give that formula's bytes."""
 
     @staticmethod
     def states(seed: int):

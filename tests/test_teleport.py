@@ -19,6 +19,7 @@ from bellcast.teleport import (
     ClassicalMessage,
     TrialRecord,
     UnknownState,
+    checked_input,
     correction_for,
     decompose_branches,
     haar_random_input,
@@ -81,6 +82,16 @@ class TestUnknownState:
     def test_normalized_rejects_zero(self):
         with pytest.raises(ValueError, match="zero input"):
             UnknownState.normalized(0.0, 0.0)
+
+    def test_checked_input_rescales_within_1e_9(self):
+        a, b = 0.6 + 4e-10, 0.8j
+        assert checked_input(a, b) == UnknownState.normalized(a, b)
+
+    @pytest.mark.parametrize("a, shown", [(0.6 + 1e-8, "1.000000012"), (1e200, "inf")])
+    def test_checked_input_rejects(self, a, shown):
+        message = rf"^input not normalized \(\|a\|\^2\+\|b\|\^2 = {shown}\)$"
+        with pytest.raises(ValueError, match=message):
+            checked_input(a, 0.8j)
 
     def test_haar_sampling_is_deterministic_per_seed(self):
         first = haar_random_input(np.random.default_rng(7))
