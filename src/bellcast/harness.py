@@ -6,9 +6,11 @@ trial index with a splitmix-style mix (constants 0x9E3779B97F4A7C15,
 stream tags 0 and 1 to give independent input-sampling and protocol seeds,
 so identical configs reproduce byte-identical record streams.  A trial's
 draws are the first uniforms of ``np.random.default_rng(seed)`` for each of
-those seeds.  Batches compute seeds and draws in bulk, ``CHUNK_TRIALS``
-trials at a time (:mod:`bellcast.stream`), bit-identical to building one
-generator per trial, so a record's ``seed`` still replays it alone.
+those seeds.  Batches compute seeds and draws in bulk, a chunk of
+``CHUNK_TRIALS[mode]`` trials at a time (:mod:`bellcast.stream`; 1024
+trials, 4096 in swap mode), bit-identical to building one generator per
+trial, so a record's ``seed`` still replays it alone and no output depends
+on the chunk size.
 
 Physics: each chunk makes one call to its mode's batched kernel (see
 :mod:`bellcast.teleport`) on inputs from one ``haar_rows`` call; the
@@ -84,10 +86,6 @@ MASTER_SEED_MAX = (1 << 64) - 1
 
 SUCCESS_FIDELITY = 1.0 - 1e-10
 SEED_ENV_VAR = "BELLCAST_SEED"
-
-# Trials whose seeds, draws and physics are computed in one bulk call.
-CHUNK_TRIALS = 1024
-
 
 def master_seed_from(value, name: str) -> int:
     """``value`` (an integer, or a string to parse) as a master seed.  Errors
@@ -176,6 +174,20 @@ _PROTOCOL_DRAWS = {
     Mode.PHOTON: CASCADE_DRAWS,
 }
 
+# Per mode, the trials whose seeds, draws and physics are computed in one
+# bulk call, and the records ``summarize`` reads per block.  No output
+# depends on it.  ``swap_rows`` projects one shared state against every
+# draw, so its arrays stay small, and a 4096-trial chunk spreads the fixed
+# cost of each numpy call over four times the trials.  In spin and photon
+# mode a 4096-trial chunk gained no speed and cost peak memory (wider
+# columns, longer text); baseline, like them, takes a per-trial input.
+CHUNK_TRIALS = {
+    Mode.SPIN: 1024,
+    Mode.PHOTON: 1024,
+    Mode.BASELINE: 1024,
+    Mode.SWAP: 4096,
+}
+
 # Per mode, the wire (outcome, message_bits, event) of each code its kernel
 # returns: the measurement outcome index (spin, swap), whether the trial was
 # identified (baseline), or the cascade event code (photon).
@@ -236,11 +248,12 @@ class _Chunk(NamedTuple):
 
 
 def _columns(cfg: RunConfig) -> Iterator[_Chunk]:
-    """The batch's chunks, ``CHUNK_TRIALS`` trials each: their seeds, draws
-    and inputs in bulk, then one call to the mode's kernel."""
+    """The batch's chunks, ``CHUNK_TRIALS[cfg.mode]`` trials each: their
+    seeds, draws and inputs in bulk, then one call to the mode's kernel."""
     has = _HAS_FIDELITY[cfg.mode]
-    for start in range(0, cfg.trials, CHUNK_TRIALS):
-        stop = min(start + CHUNK_TRIALS, cfg.trials)
+    size = CHUNK_TRIALS[cfg.mode]
+    for start in range(0, cfg.trials, size):
+        stop = min(start + size, cfg.trials)
         indices = np.arange(start, stop, dtype=np.uint64)
         base_seeds = derive_seeds(cfg.master_seed, indices)
         if cfg.mode is Mode.SWAP:
@@ -498,7 +511,7 @@ def summarize(
     tally = _Tally(mode)
     field = "event" if mode is Mode.PHOTON else "outcome"
     records = iter(records)
-    while block := list(itertools.islice(records, CHUNK_TRIALS)):
+    while block := list(itertools.islice(records, CHUNK_TRIALS[mode])):
         values = [record["fidelity"] for record in block]
         tally.add(
             collections.Counter([record[field] for record in block]).items(),

@@ -227,7 +227,7 @@ class TestBulkDraws:
     )
     def test_batch_equals_per_seed_path_across_chunks(self, mode, efficiency):
         cfg = RunConfig(
-            mode=mode, trials=2 * CHUNK_TRIALS + 3, master_seed=3,
+            mode=mode, trials=2 * CHUNK_TRIALS[mode] + 3, master_seed=3,
             efficiency=efficiency,
         )
         records = list(iter_records(cfg))
@@ -239,6 +239,26 @@ class TestBulkDraws:
             assert {key: record[key] for key in expected} == expected
         if mode is Mode.PHOTON:
             assert {r["event"] for r in records} == {k.value for k in CascadeEventKind}
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
+    def test_output_does_not_depend_on_the_chunk_size(
+        self, tmp_path, monkeypatch, mode
+    ):
+        path = tmp_path / "records.jsonl"
+        cfg = RunConfig(
+            mode=mode, trials=2 * 4096 + 3, master_seed=9, efficiency=LOSSY,
+            output_path=str(path),
+        )
+        analytic = None
+        if mode is Mode.PHOTON:
+            analytic = analytic_distribution(UP_INPUT, LOSSY)
+        outputs = []
+        for size in (7, 1024, 4096):
+            monkeypatch.setitem(harness.CHUNK_TRIALS, mode, size)
+            summary = run_batch(cfg)
+            assert summarize(load_records(str(path)), mode, analytic) == summary
+            outputs.append((path.read_bytes(), summary, repr(summary.mean_fidelity)))
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestRunBatch:
@@ -409,10 +429,14 @@ class TestRunBatch:
         [
             # The kernel runs once per chunk: its second call fails after
             # a whole chunk of records has been written.
-            pytest.param("teleport_rows", 2, CHUNK_TRIALS + 5, id="teleport_rows"),
+            pytest.param(
+                "teleport_rows", 2, CHUNK_TRIALS[Mode.SPIN] + 5, id="teleport_rows"
+            ),
             # The writer encodes one chunk per call: its second call fails
             # after the first chunk's lines have been written.
-            pytest.param("_chunk_lines", 2, CHUNK_TRIALS + 5, id="_chunk_lines"),
+            pytest.param(
+                "_chunk_lines", 2, CHUNK_TRIALS[Mode.SPIN] + 5, id="_chunk_lines"
+            ),
         ],
     )
     def test_failed_batch_leaves_existing_file_and_no_temp(
@@ -443,7 +467,7 @@ class TestRunBatch:
     ):
         path = tmp_path / "records.jsonl"
         cfg = RunConfig(
-            mode=mode, trials=2 * CHUNK_TRIALS + 3, master_seed=4,
+            mode=mode, trials=2 * CHUNK_TRIALS[mode] + 3, master_seed=4,
             fixed_input=fixed_input, efficiency=efficiency, output_path=str(path),
         )
         run_batch(cfg)
@@ -484,11 +508,16 @@ class TestRunBatch:
         cfg = RunConfig(mode=Mode.BASELINE, trials=20_000, master_seed=1)
         assert run_batch(cfg).mean_fidelity == 0.5832671042758759
 
-    def test_memory_stays_flat_as_the_batch_grows(self, tmp_path):
-        path = str(tmp_path / "records.jsonl")
+    @pytest.mark.parametrize(
+        "mode, to_file",
+        [(Mode.SPIN, True), (Mode.SWAP, False)],
+        ids=["spin-file", "swap-inmemory"],
+    )
+    def test_memory_stays_flat_as_the_batch_grows(self, tmp_path, mode, to_file):
+        path = str(tmp_path / "records.jsonl") if to_file else None
 
         def peak_bytes(trials: int) -> int:
-            cfg = RunConfig(mode=Mode.SPIN, trials=trials, output_path=path)
+            cfg = RunConfig(mode=mode, trials=trials, output_path=path)
             tracemalloc.start()
             try:
                 run_batch(cfg)
@@ -496,8 +525,9 @@ class TestRunBatch:
             finally:
                 tracemalloc.stop()
 
-        run_batch(RunConfig(mode=Mode.SPIN, trials=3))  # fill lazy caches first
-        assert peak_bytes(4 * CHUNK_TRIALS) <= 1.25 * peak_bytes(CHUNK_TRIALS)
+        run_batch(RunConfig(mode=mode, trials=3))  # fill lazy caches first
+        chunk = CHUNK_TRIALS[mode]
+        assert peak_bytes(4 * chunk) <= 1.25 * peak_bytes(chunk)
 
     def test_output_file_mode_follows_umask(self, tmp_path):
         umask = os.umask(0o022)
@@ -551,7 +581,7 @@ class TestSummarize:
 
     def test_summary_spans_blocks_in_trial_order(self):
         cfg = RunConfig(
-            mode=Mode.PHOTON, trials=2 * CHUNK_TRIALS + 3, master_seed=6,
+            mode=Mode.PHOTON, trials=2 * CHUNK_TRIALS[Mode.PHOTON] + 3, master_seed=6,
             efficiency=LOSSY,
         )
         analytic = analytic_distribution(UP_INPUT, LOSSY)
@@ -592,7 +622,8 @@ class TestPythonFloatEdges:
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
     def test_iter_records_in_every_mode(self, mode):
         cfg = RunConfig(
-            mode=mode, trials=CHUNK_TRIALS + 5, master_seed=5, efficiency=LOSSY,
+            mode=mode, trials=CHUNK_TRIALS[mode] + 5, master_seed=5,
+            efficiency=LOSSY,
         )
         present = 0
         for record in iter_records(cfg):
@@ -604,7 +635,7 @@ class TestPythonFloatEdges:
 
     def test_lossy_photon_summary_across_a_chunk_boundary(self):
         cfg = RunConfig(
-            mode=Mode.PHOTON, trials=CHUNK_TRIALS + 5, master_seed=5,
+            mode=Mode.PHOTON, trials=CHUNK_TRIALS[Mode.PHOTON] + 5, master_seed=5,
             efficiency=LOSSY, fixed_input=self.FIXED,
         )
         analytic = analytic_distribution(self.FIXED, LOSSY)

@@ -5,8 +5,10 @@ The configs: photon mode at 4 efficiency configs x 4 inputs x master seeds
 2x10^4 trials.  Each line holds the config, the SHA-256 of its record file,
 the summary's counts, and the ``repr`` of its ``mean_fidelity``,
 ``min_fidelity``, ``success_rate`` and ``chi_square`` and of the mean
-fidelity replayed from the file.  A change that keeps records byte-identical
-prints exactly ``tools/record_digests.txt``:
+fidelity replayed from the file.  Every batch spans more than two chunks of
+its mode (``harness.CHUNK_TRIALS``), so the same digests also check that
+records do not depend on the chunking.  A change that keeps records
+byte-identical prints exactly ``tools/record_digests.txt``:
 
     PYTHONPATH=src python3 tools/record_digests.py | diff tools/record_digests.txt -
 """
@@ -19,6 +21,7 @@ import os
 import tempfile
 
 from bellcast.harness import (
+    CHUNK_TRIALS,
     Mode,
     RunConfig,
     load_records,
@@ -30,6 +33,9 @@ from bellcast.photonic import EfficiencyConfig, analytic_distribution
 from bellcast.teleport import UnknownState
 
 TRIALS = 20_000
+# Each batch must span more than two chunks of its mode, or byte-identity
+# here would no longer show that records do not depend on the chunking.
+assert TRIALS > 2 * max(CHUNK_TRIALS.values()), "TRIALS must span two chunks"
 INPUTS = ("haar-random", "fixed:0.6,0.8j", "fixed:1,0", "fixed:0,1")
 EFFICIENCIES = (
     EfficiencyConfig(),
