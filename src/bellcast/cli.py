@@ -164,7 +164,7 @@ def _add_batch_flags(parser: argparse.ArgumentParser, photon: bool) -> None:
     parser.add_argument("--trials", type=int, help="number of trials")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument(
-        "--input", help="'haar-random' or 'fixed:a,b' (ignored by run-swap)"
+        "--input", help="'haar-random' or 'fixed:a,b' (checked but unused by run-swap)"
     )
     parser.add_argument("--output", help="JSON-lines record file")
     parser.add_argument("--csv", help="per-outcome CSV summary file")

@@ -18,11 +18,11 @@ one-trial entry points are its one-row calls, bit-identical row for row.
 
 Columns: a chunk stays numpy columns (seeds, codes, fidelities, inputs)
 from the kernel to the summary's running totals, and whether a trial has a
-fidelity comes from its code.  ``run_batch`` writes its lines in one write,
-filled by one ``%`` into the chunk's template (its codes' line templates,
-joined); only that text and ``iter_records``, which builds the same records
-as dicts, turn columns into Python objects.  ``summarize`` feeds dicts to
-the same totals a block at a time.
+fidelity comes from its code.  ``_chunk_lines`` is the one record encoder:
+one ``%`` fills the chunk's template (its codes' line templates, joined).
+``run_batch`` writes that text in one write, and ``iter_records`` yields its
+lines decoded; nothing else turns columns into Python objects.
+``summarize`` feeds dicts to the same totals a block at a time.
 
 Record schema (one JSON object per line, keys in this order):
 
@@ -45,6 +45,7 @@ import itertools
 import json
 import operator
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -165,7 +166,6 @@ _MESSAGE_BITS = {
     outcome: ClassicalMessage.from_outcome(outcome).as_string()
     for outcome in BellOutcome
 }
-_NO_AMPLITUDES = (None, None, None, None)
 
 _PROTOCOL_DRAWS = {
     Mode.SPIN: TRIAL_DRAWS,
@@ -278,30 +278,24 @@ def _columns(cfg: RunConfig) -> Iterator[_Chunk]:
         yield _Chunk(start, base_seeds, codes, fidelities, present, inputs)
 
 
+def _interned(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded record with interned keys and string values: every record
+    shares them, so a reader's lookups and counts compare by identity."""
+    return {
+        sys.intern(key): sys.intern(value) if type(value) is str else value
+        for key, value in pairs
+    }
+
+
+_RECORD_DECODER = json.JSONDecoder(object_pairs_hook=_interned)
+
+
 def iter_records(cfg: RunConfig) -> Iterator[dict]:
-    """Generate the batch's wire records in trial order, built from the same
-    chunks of columns as the record file."""
-    wire = _WIRE[cfg.mode]
-    has = _HAS_FIDELITY[cfg.mode].tolist()
+    """Generate the batch's wire records in trial order: the record file's
+    lines, decoded.  A non-finite float raises ``ValueError``, as the
+    writer does."""
     for chunk in _columns(cfg):
-        if chunk.inputs is None:
-            amplitudes = itertools.repeat(_NO_AMPLITUDES)
-        else:
-            amplitudes = chunk.inputs.view(np.float64).tolist()
-        rows = zip(
-            itertools.count(chunk.start), chunk.seeds.tolist(),
-            chunk.codes.tolist(), chunk.fidelities.tolist(), amplitudes,
-        )
-        for index, seed, code, value, (a_re, a_im, b_re, b_im) in rows:
-            outcome, bits, event = wire[code]
-            record = dict(
-                trial=index, seed=seed, outcome=outcome, message_bits=bits,
-                fidelity=value if has[code] else None,
-            )
-            if event is not None:
-                record["event"] = event
-            record.update(a_re=a_re, a_im=a_im, b_re=b_re, b_im=b_im)
-            yield record
+        yield from map(_RECORD_DECODER.decode, _chunk_lines(cfg, chunk).splitlines())
 
 
 def record_to_line(record: dict) -> str:
@@ -310,7 +304,8 @@ def record_to_line(record: dict) -> str:
 
 def _chunk_lines(cfg: RunConfig, chunk: _Chunk) -> str:
     """The chunk's record lines, each ``record_to_line`` of its record plus a
-    newline, from one ``%`` of the chunk's line templates, joined.  A
+    newline, from one ``%`` of the chunk's line templates, joined: the one
+    record encoder, behind both the record file and ``iter_records``.  A
     non-finite float raises ``ValueError``, as ``allow_nan=False`` does."""
     inputs = () if chunk.inputs is None else chunk.inputs
     if not (np.isfinite(chunk.present).all() and np.isfinite(inputs).all()):
