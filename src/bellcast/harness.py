@@ -13,8 +13,11 @@ trial, so a record's ``seed`` still replays it alone and no output depends
 on the chunk size.
 
 Physics: each chunk makes one call to its mode's batched kernel (see
-:mod:`bellcast.teleport`) on inputs from one ``haar_rows`` call; the
-one-trial entry points are its one-row calls, bit-identical row for row.
+:mod:`bellcast.teleport`) on inputs from one ``haar_rows`` call, or on the
+fixed input tiled over the chunk; the one-trial entry points are its
+one-row calls, bit-identical row for row.  Swap and photon kernels run
+their float steps once per distinct state: swap's chunks all start from
+one state, and so does a photon chunk whose input rows are byte-identical.
 
 Columns: a chunk stays numpy columns (seeds, codes, fidelities, inputs)
 from the kernel to the summary's running totals, and whether a trial has a

@@ -48,6 +48,7 @@ from .qcore import (
     apply_rows,
     contract_rows,
     contract_with,  # noqa: F401 - perfbench's tracer looks it up here
+    distinct_keys,
     fidelity,  # noqa: F401 - perfbench's tracer looks it up here
     fidelity_rows,
     normalized_rows,
@@ -232,10 +233,11 @@ def _declined(s: StateVector, label: PairLabel, component: np.ndarray) -> StateV
     return StateVector(remainder).normalized()
 
 
-# The row-batched cascade.  States are (N, 8) arrays over modes (0, 1, 2),
-# one trial per row.  Every step keeps the float operations of its scalar
-# form (see qcore's row-batched forms), so each row is bit-identical to a
-# one-trial call.
+# The row-batched cascade.  States are (M, 8) arrays over modes (0, 1, 2):
+# a table of distinct states, and each trial's row index in it.  Every trial
+# draws and compares alone, but each float step runs once per distinct row,
+# with the float operations of its scalar form (see qcore's row-batched
+# forms), so each trial is bit-identical to a one-trial call.
 
 
 def _project_rows(states: np.ndarray, label: PairLabel) -> tuple[np.ndarray, ...]:
@@ -246,38 +248,57 @@ def _project_rows(states: np.ndarray, label: PairLabel) -> tuple[np.ndarray, ...
 
 
 def _stage_rows(
-    states: np.ndarray, label: PairLabel, eta_abs: float, draws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-draw absorber model, one draw per row.
+    table: np.ndarray,
+    index: np.ndarray,
+    label: PairLabel,
+    eta_abs: float,
+    draws: np.ndarray,
+) -> tuple[np.ndarray, tuple, tuple]:
+    """Single-draw absorber model on the trials' states ``table[index]``,
+    one draw per trial.
 
     The draw lands in one of three windows: ``[0, eta*p)`` the absorber is
     active and fires (state conditioned on the selected branch), ``[eta*p,
     eta)`` it is active but the projection comes out negative (selected
     branch removed), ``[eta, 1)`` it is inactive this trial and the state
     passes through unprojected.  With ``eta_abs == 1`` this is exactly the
-    ideal projective selection.  Returns which rows fired and the new states.
+    ideal projective selection.  The projection runs once per table row, and
+    the conditioning or removal once per (row, window) pair some trial
+    lands in.  Returns which trials fired, then the conditioned states of
+    the fired trials and the new states of the rest, each as a table of
+    distinct rows and one index per trial.
     """
     require_draws_rows(draws)
     if not 0.0 <= eta_abs <= 1.0:
         raise ValueError(f"eta_abs must lie in [0, 1], got {eta_abs}")
-    probability, components = _project_rows(states, label)
-    fired = draws < eta_abs * probability
-    declined = ~fired & (draws < eta_abs)
+    probability, components = _project_rows(table, label)
+    active = draws < eta_abs
+    fired = draws < (eta_abs * probability)[index]
+    # Keys ordered by window (inactive, declined, fired), then by row.
+    m = len(table)
+    windows = np.add(active, fired, dtype=np.intp)
+    distinct, inverse = distinct_keys(windows * m + index, 3 * m)
+    source = distinct % m
+    d, f = distinct.searchsorted((m, 2 * m))
     pair = _PAIR_STATES[label].amplitudes
-    out = states.copy()
-    out[fired] = tensor_rows(pair, normalized_rows(components[fired]))
-    out[declined] = normalized_rows(
-        states[declined] - tensor_rows(pair, components[declined])
-    )
-    return fired, out
+    out = table[source]
+    # A window no trial lands in costs nothing, not a numpy call on no rows.
+    if f > d:
+        out[d:f] = normalized_rows(out[d:f] - tensor_rows(pair, components[source[d:f]]))
+    if len(out) > f:
+        out[f:] = tensor_rows(pair, normalized_rows(components[source[f:]]))
+    return fired, (out[f:], inverse[fired] - f), (out[:f], inverse[~fired])
 
 
 def _stage(
     s: StateVector, label: PairLabel, eta_abs: float, rng_sample: float
 ) -> tuple[bool, StateVector]:
-    draws = np.array([rng_sample])
-    fired, out = _stage_rows(s.amplitudes[None], label, eta_abs, draws)
-    return bool(fired[0]), StateVector(out[0])
+    one = np.zeros(1, dtype=np.intp)
+    fired, hit, missed = _stage_rows(
+        s.amplitudes[None], one, label, eta_abs, np.array([rng_sample])
+    )
+    table, index = hit if fired[0] else missed
+    return bool(fired[0]), StateVector(table[index[0]])
 
 
 def absorption_stage(
@@ -312,21 +333,28 @@ def correction_for_photonic(label: PairLabel) -> Operator:
     return _CORRECTION_OPS[label]
 
 
-def _sample_pair_branch_rows(states: np.ndarray, draws: np.ndarray) -> np.ndarray:
+def _sample_pair_branch_rows(
+    table: np.ndarray, index: np.ndarray, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Sample which pair branch a polarization-blind coincidence consumed.
 
     The coincidence detectors cannot resolve the pair state, so the receiver
     mode is left in the branch mixture; per trial we unravel it by sampling a
     branch with Born weights and return its normalized mode-2 component.
     Under ideal absorbers only one branch survives to this point and the
-    sampling is deterministic.
+    sampling is deterministic.  The trials' states are ``table[index]``;
+    the weights run once per table row and the normalization once per
+    (row, branch) pair drawn.  Returns the components as a table of
+    distinct rows and each trial's index in it.
     """
-    weights, components = zip(*(_project_rows(states, label) for label in PairLabel))
-    cumulative = np.cumsum(np.stack(weights, axis=1), axis=1)
+    weights, components = zip(*(_project_rows(table, label) for label in PairLabel))
+    cumulative = np.cumsum(np.stack(weights, axis=1), axis=1)[index]
     # searchsorted(cumulative, u * cumulative[-1], side="right"), clamped
     target = (draws * cumulative[:, -1])[:, None]
-    index = np.minimum((cumulative <= target).sum(axis=1), len(PairLabel) - 1)
-    return normalized_rows(np.stack(components, axis=1)[np.arange(len(index)), index])
+    k = len(PairLabel)
+    branch = np.minimum((cumulative <= target).sum(axis=1), k - 1)
+    distinct, inverse = distinct_keys(index * k + branch, len(table) * k)
+    return normalized_rows(np.stack(components, axis=1).reshape(-1, 2)[distinct]), inverse
 
 
 # Uniform draws a cascade consumes at most: 2 availability, 3 absorbers,
@@ -363,9 +391,17 @@ def cascade_rows(
     ``(N, CASCADE_DRAWS)`` draw row per trial, which the trial reads in order
     through its own column cursor.
 
+    The states are a table of distinct rows and one index per trial:
+    byte-identical input rows start from one row, any other inputs from one
+    row per trial.  Each absorber, the coincidence sampler, the ``bob_pre``
+    round trip, the correction and the fidelity run once per distinct row,
+    and each trial indexes its results back.
+
     Returns the event codes (indices into ``CascadeEventKind``), ``bob_pre``
     and ``bob_post`` as ``(N, 2)`` arrays and the ``(N,)`` float64
-    fidelities; a row whose code is not identifying holds zeros and a NaN.
+    fidelities; a row whose code is not identifying holds zeros in
+    ``bob_post`` and a NaN, and ``bob_pre`` is zeros where a source was
+    dark.
     """
     n = inputs.shape[0]
     cursor = np.zeros(n, dtype=np.intp)
@@ -382,29 +418,56 @@ def cascade_rows(
     kinds[pair_available & ~input_available] = _CODE[CascadeEventKind.D3_SINGLE_LOWER]
     kinds[input_available & ~pair_available] = _CODE[CascadeEventKind.D3_SINGLE_TOP]
 
-    bob_pre = np.zeros((n, 2), dtype=np.complex128)
     rows = np.flatnonzero(input_available & pair_available)
-    states = tensor_rows(inputs[rows], pdc_pair().amplitudes)  # build_three_mode
+    # Byte-identical input rows, as in a fixed-input chunk, start from one
+    # state; comparing bytes keeps 0.0 and -0.0 apart.
+    words = inputs.view(np.uint64)
+    if (words == words[:1]).all():
+        starts, index = rows[:1], np.zeros(len(rows), dtype=np.intp)
+    else:
+        starts, index = rows, np.arange(len(rows))
+    table = tensor_rows(inputs[starts], pdc_pair().amplitudes)  # build_three_mode
+    # The receiver states bob_pre: a table of distinct rows, the first all
+    # zeros, and each trial's row in it.
+    receivers = [np.zeros((1, 2), dtype=np.complex128)]
+    receiver = np.zeros(n, dtype=np.intp)
     for kind, label, rotate in _ABSORBERS:
         if rotate:  # waveplate(s, 1)
-            states = apply_rows(WAVEPLATE.matrix, states, (1,))
-        fired, states = _stage_rows(states, label, cfg.eta_abs, draw(rows))
-        kinds[rows[fired]] = _CODE[kind]
-        bob_pre[rows[fired]] = normalized_rows(_project_rows(states[fired], label)[1])
-        rows, states = rows[~fired], states[~fired]
+            table = apply_rows(WAVEPLATE.matrix, table, (1,))
+        fired, (conditioned, at), (table, index) = _stage_rows(
+            table, index, label, cfg.eta_abs, draw(rows)
+        )
+        hit = rows[fired]
+        kinds[hit] = _CODE[kind]
+        receiver[hit] = at + sum(map(len, receivers))
+        # bob_pre is projected back out of the conditioned state.  Taking the
+        # component before conditioning would skip this round trip, but it
+        # changes the last bits of Haar fidelities, so it stays, once per
+        # distinct conditioned state.
+        receivers.append(normalized_rows(_project_rows(conditioned, label)[1]))
+        rows = rows[~fired]
     kinds[rows] = _CODE[CascadeEventKind.D3_COINCIDENCE]
-    bob_pre[rows] = _sample_pair_branch_rows(states, draw(rows))
+    sampled, at = _sample_pair_branch_rows(table, index, draw(rows))
+    receiver[rows] = at + sum(map(len, receivers))
+    receivers = np.concatenate([*receivers, sampled])
+    bob_pre = receivers[receiver]
 
     signalled = np.flatnonzero(kinds != _CODE[CascadeEventKind.NO_EVENT])
     lost = draw(signalled) >= cfg.eta_det
     kinds[signalled[lost]] = _CODE[CascadeEventKind.NO_EVENT]
 
+    # The correction and fidelity run once per distinct receiver state of an
+    # identified trial.  The trials that share one share its code and their
+    # input's bytes, so any one of them stands for all.
     identified = np.flatnonzero(_IDENTIFYING_CODES[kinds])
+    distinct, at = distinct_keys(receiver[identified], len(receivers))
+    trial = np.empty_like(distinct)
+    trial[at] = identified
+    post = apply_rows(_CORRECTION_BY_CODE[kinds[trial]], receivers[distinct], (0,))
     bob_post = np.zeros((n, 2), dtype=np.complex128)
-    corrections = _CORRECTION_BY_CODE[kinds[identified]]
-    bob_post[identified] = apply_rows(corrections, bob_pre[identified], (0,))
+    bob_post[identified] = post[at]
     fidelities = np.full(n, np.nan)
-    fidelities[identified] = fidelity_rows(bob_post[identified], inputs[identified])
+    fidelities[identified] = fidelity_rows(post, inputs[trial])[at]
     return kinds, bob_pre, bob_post, fidelities
 
 

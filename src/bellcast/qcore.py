@@ -316,6 +316,18 @@ def normalized_rows(x: np.ndarray) -> np.ndarray:
     return x / n[:, None]
 
 
+def distinct_keys(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the int ``keys``, all in ``[0, size)``,
+    ascending, and each key's index in them: ``np.unique(keys,
+    return_inverse=True)`` without the sort.  The kernels run a step once per
+    distinct key and index the results back per trial."""
+    slot = np.zeros(size, dtype=np.intp)
+    slot[keys] = 1
+    distinct = slot.nonzero()[0]
+    slot[distinct] = np.arange(len(distinct))
+    return distinct, slot[keys]
+
+
 def _require_normalized_rows(x: np.ndarray, what: str) -> None:
     n = _norm_rows(x)
     ok = np.abs(n - 1.0) <= _NORM_ATOL  # NaN fails this too

@@ -43,6 +43,7 @@ from .qcore import (
     apply_rows,
     contract_rows,
     contract_with,  # noqa: F401 - perfbench's tracer looks it up here
+    distinct_keys,
     fidelity,  # noqa: F401 - perfbench's tracer looks it up here
     fidelity_rows,
     measure_rows,
@@ -298,9 +299,7 @@ def swap_rows(draws: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     projectors = _projector_stack(4, (1, 2))
     outcome, projected, probs = sample_rows(_SWAP_STATE[None], projectors, draws[:, 0])
-    seen = np.bincount(outcome, minlength=len(projectors)) > 0
-    distinct = np.flatnonzero(seen)
-    inverse = (np.cumsum(seen) - 1)[outcome]
+    distinct, inverse = distinct_keys(outcome, len(projectors))
     post = post_rows(projected, probs, 0, distinct)
     # The correction on qubit 3, then <Bell| contracted over qubits (1, 2).
     corrected = apply_rows(_CORRECTION_MATRICES[distinct], post, (3,))

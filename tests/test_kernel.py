@@ -9,7 +9,9 @@ highest outcome above ``MIN_PROBABILITY``.  The cascade's coincidence sampler
 is checked the same way against its clamp rule, and every error a batch
 raises must read as the one-row call's.  The Haar inputs are checked
 against the scalar numpy calls, and swap's once-per-outcome steps against
-running them on every row.
+running them on every row.  A cascade chunk of byte-identical inputs starts
+from one state: each row must still equal its one-row call, and the rows
+it projects must not grow with the trials.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from bellcast import teleport
+from bellcast import photonic, teleport
+from bellcast.harness import CHUNK_TRIALS, Mode
 from bellcast.observables import (
     MEASUREMENT_ORDER,
     BellOutcome,
@@ -40,6 +43,7 @@ from bellcast.photonic import (
 )
 from bellcast.qcore import (
     StateVector,
+    contract_rows,
     fidelity_rows,
     measure_projective,
     measure_rows,
@@ -68,6 +72,8 @@ LAST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 # Inside the 1e-9 normalization tolerance, but short of 1 by far more than
 # rounding: every cumulative edge ends below LAST_BELOW_ONE.
 SHORT = 1.0 - 1e-12
+# The benchmark's fixed photon input, as the harness tiles it over a chunk.
+SHARED_INPUT = UnknownState.normalized(0.6, 0.8j).state_vector().amplitudes
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
@@ -175,9 +181,13 @@ class TestCoincidenceClamp:
         ).normalized()
         states = [leading] + [random_state(rng, 8) for _ in range(6)]
         cases = [(s, u) for s in states for u in (0.0, 0.5, LAST_BELOW_ONE)]
-        picked = _sample_pair_branch_rows(
-            np.array([s.amplitudes for s, _ in cases]), np.array([u for _, u in cases])
+        # Each state is one table row, shared by its three draws.
+        table, at = _sample_pair_branch_rows(
+            np.array([s.amplitudes for s in states]),
+            np.repeat(np.arange(len(states)), 3),
+            np.array([u for _, u in cases]),
         )
+        picked = table[at]
         for row, (state, u) in enumerate(cases):
             assert picked[row].tobytes() == reference_branch(state, u).tobytes(), row
         chi_minus = pair_components(leading)[PairLabel.CHI_MINUS].normalized()
@@ -196,6 +206,79 @@ class TestCoincidenceClamp:
         reaching = waveplate(build_three_mode(input_state), 1)
         expected = reference_branch(reaching, LAST_BELOW_ONE)
         assert bob_pre[0].tobytes() == expected.tobytes()
+
+
+def assert_rows_equal_one_row_calls(inputs, cfg, draws) -> tuple[np.ndarray, ...]:
+    """Every row of one ``cascade_rows`` batch, byte for byte, against the
+    one-row call on that row's input and draws."""
+    batch = cascade_rows(inputs, cfg, draws)
+    for row in range(len(inputs)):
+        one = cascade_rows(inputs[row : row + 1], cfg, draws[row : row + 1])
+        for got, expected in zip(batch, one):
+            assert got[row : row + 1].tobytes() == expected.tobytes(), row
+    return batch
+
+
+def contracted_rows(monkeypatch, *calls: tuple) -> list[int]:
+    """How many state rows reach ``contract_rows``, through which every pair
+    projection goes, in the ``cascade_rows`` call of each argument tuple."""
+    counted = [0]
+
+    def counting(states, *args):
+        counted[0] += states.shape[0]
+        return contract_rows(states, *args)
+
+    monkeypatch.setattr(photonic, "contract_rows", counting)
+    counts = []
+    for args in calls:
+        counted[0] = 0
+        cascade_rows(*args)
+        counts.append(counted[0])
+    return counts
+
+
+class TestSharedInputTable:
+    """Byte-identical input rows start the cascade from one state.  Each row
+    must still read as its own one-row call, and the float work must not
+    grow with the trials."""
+
+    CFG = EfficiencyConfig(eta_abs=0.5, eta_det=0.9, p_in=0.9, p_pdc=0.9)
+
+    def test_shared_input_rows_equal_the_one_row_calls(self):
+        n = 2 * CHUNK_TRIALS[Mode.PHOTON] + 5
+        draws = uniforms(np.arange(n, dtype=np.uint64), CASCADE_DRAWS)
+        kinds = assert_rows_equal_one_row_calls(
+            np.tile(SHARED_INPUT, (n, 1)), self.CFG, draws
+        )[0]
+        assert set(kinds.tolist()) == set(range(len(CascadeEventKind)))
+
+    def test_signed_zeros_are_distinct_inputs(self, monkeypatch):
+        plus = np.array([[0.6 + 0.0j, 0.8j]])
+        minus = np.array([[complex(0.6, -0.0), 0.8j]])
+        assert (plus == minus).all() and plus.tobytes() != minus.tobytes()
+        draws = uniforms(np.arange(2, dtype=np.uint64), CASCADE_DRAWS)[[0, 0]]
+        assert_rows_equal_one_row_calls(np.concatenate([plus, minus]), self.CFG, draws)
+        # Kept apart, the two rows project twice the rows of one.
+        both, one = contracted_rows(
+            monkeypatch,
+            (np.concatenate([plus, minus]), self.CFG, draws),
+            (plus, self.CFG, draws[:1]),
+        )
+        assert both == 2 * one > 0
+
+    def test_projected_rows_do_not_grow_with_the_trials(self, monkeypatch):
+        # 64 trials, then the same 64 draw rows 64 times over: every
+        # (state, window) pair of the larger batch occurs in the smaller.
+        draws = uniforms(np.arange(64, dtype=np.uint64), CASCADE_DRAWS)
+        small, large = contracted_rows(
+            monkeypatch,
+            *[
+                (np.tile(SHARED_INPUT, (64 * repeat, 1)), self.CFG,
+                 np.tile(draws, (repeat, 1)))
+                for repeat in (1, 64)
+            ],
+        )
+        assert small == large < 64
 
 
 def batch_error(call) -> str:
@@ -239,10 +322,12 @@ class TestBatchErrorsMatchTheOneTrialCall:
         assert "measured state must be normalized" in one
         assert batch_error(lambda: teleport_rows(inputs, draws)) == one
 
-    @pytest.mark.parametrize("bad", [-0.25, 1.0])
-    def test_out_of_range_absorber_draw(self, bad):
+    def shared_inputs(self) -> np.ndarray:
+        """Every row the same input, so the cascade starts from one state."""
+        return np.tile(SHARED_INPUT, (self.ROWS, 1))
+
+    def assert_absorber_draw_error(self, inputs: np.ndarray, bad: float) -> None:
         cfg = EfficiencyConfig()
-        inputs = self.inputs()
         draws = np.full((self.ROWS, CASCADE_DRAWS), 0.0)
         draws[self.BAD_ROW, 2] = bad
         row = slice(self.BAD_ROW, self.BAD_ROW + 1)
@@ -250,10 +335,8 @@ class TestBatchErrorsMatchTheOneTrialCall:
         assert one == f"rng_sample must lie in [0, 1), got {bad}"
         assert batch_error(lambda: cascade_rows(inputs, cfg, draws)) == one
 
-    def test_unnormalized_cascade_input(self):
+    def assert_cascade_input_error(self, inputs: np.ndarray) -> None:
         cfg = EfficiencyConfig()
-        inputs = self.inputs()
-        inputs[self.BAD_ROW] *= 1.001
         draws = np.zeros((self.ROWS, CASCADE_DRAWS))
         bad = slice(self.BAD_ROW, self.BAD_ROW + 1)
         one = batch_error(
@@ -261,6 +344,22 @@ class TestBatchErrorsMatchTheOneTrialCall:
         )
         assert "must be normalized" in one
         assert batch_error(lambda: cascade_rows(inputs, cfg, draws)) == one
+
+    @pytest.mark.parametrize("bad", [-0.25, 1.0])
+    def test_out_of_range_absorber_draw(self, bad):
+        self.assert_absorber_draw_error(self.inputs(), bad)
+
+    @pytest.mark.parametrize("bad", [-0.25, 1.0])
+    def test_out_of_range_absorber_draw_on_a_shared_input(self, bad):
+        self.assert_absorber_draw_error(self.shared_inputs(), bad)
+
+    def test_unnormalized_cascade_input(self):
+        inputs = self.inputs()
+        inputs[self.BAD_ROW] *= 1.001
+        self.assert_cascade_input_error(inputs)
+
+    def test_unnormalized_shared_cascade_input(self):
+        self.assert_cascade_input_error(self.shared_inputs() * 1.001)
 
 
 def scalar_haar(u_cos: float, u_phi: float) -> tuple[complex, complex]:
