@@ -36,6 +36,8 @@ single-detector noncoincidence events.
 from __future__ import annotations
 
 import enum
+import functools
+import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -200,6 +202,12 @@ class EfficiencyConfig:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
+    def to_bytes(self) -> bytes:
+        """The knobs as float64 bytes in field order: a cache key that keeps
+        0.0 and -0.0 apart."""
+        knobs = [getattr(self, name) for name in EFFICIENCY_KNOBS]
+        return struct.pack(f"{len(knobs)}d", *knobs)
+
 
 EFFICIENCY_KNOBS = tuple(f.name for f in fields(EfficiencyConfig))
 
@@ -233,11 +241,15 @@ def _declined(s: StateVector, label: PairLabel, component: np.ndarray) -> StateV
     return StateVector(remainder).normalized()
 
 
-# The row-batched cascade.  States are (M, 8) arrays over modes (0, 1, 2):
-# a table of distinct states, and each trial's row index in it.  Every trial
-# draws and compares alone, but each float step runs once per distinct row,
-# with the float operations of its scalar form (see qcore's row-batched
-# forms), so each trial is bit-identical to a one-trial call.
+# The row-batched cascade walks a state tree (see _StateTree): the distinct
+# states trials reach, and what each absorber window or coincidence branch
+# leads to.  Every trial draws and compares alone, but each float step runs
+# once per tree entry, the first time a trial lands on it, with the float
+# operations of its scalar form (see qcore's row-batched forms), so each
+# trial is bit-identical to a one-trial call.  A trial that lands on an entry
+# computed before only gathers it.  A tree is filled lazily: under ideal
+# absorbers some windows cannot be reached and their states have zero norm,
+# so an entry no trial reaches is never computed.
 
 
 def _project_rows(states: np.ndarray, label: PairLabel) -> tuple[np.ndarray, ...]:
@@ -247,58 +259,48 @@ def _project_rows(states: np.ndarray, label: PairLabel) -> tuple[np.ndarray, ...
     return np.minimum(overlap_rows(components, components).real, 1.0), components
 
 
-def _stage_rows(
-    table: np.ndarray,
-    index: np.ndarray,
-    label: PairLabel,
-    eta_abs: float,
-    draws: np.ndarray,
-) -> tuple[np.ndarray, tuple, tuple]:
-    """Single-draw absorber model on the trials' states ``table[index]``,
-    one draw per trial.
+def _windows(draws: np.ndarray, eta_abs: float, thresholds: np.ndarray) -> np.ndarray:
+    """Single-draw absorber model: the window each draw lands in.
 
-    The draw lands in one of three windows: ``[0, eta*p)`` the absorber is
-    active and fires (state conditioned on the selected branch), ``[eta*p,
-    eta)`` it is active but the projection comes out negative (selected
-    branch removed), ``[eta, 1)`` it is inactive this trial and the state
-    passes through unprojected.  With ``eta_abs == 1`` this is exactly the
-    ideal projective selection.  The projection runs once per table row, and
-    the conditioning or removal once per (row, window) pair some trial
-    lands in.  Returns which trials fired, then the conditioned states of
-    the fired trials and the new states of the rest, each as a table of
-    distinct rows and one index per trial.
+    ``[0, eta*p)`` the absorber is active and fires (2: the state is
+    conditioned on the selected branch), ``[eta*p, eta)`` it is active but
+    the projection comes out negative (1: the selected branch is removed),
+    ``[eta, 1)`` it is inactive this trial and the state passes through
+    unprojected (0).  ``thresholds`` holds each draw's ``eta*p``.  With
+    ``eta_abs == 1`` this is exactly the ideal projective selection.
     """
     require_draws_rows(draws)
     if not 0.0 <= eta_abs <= 1.0:
         raise ValueError(f"eta_abs must lie in [0, 1], got {eta_abs}")
-    probability, components = _project_rows(table, label)
-    active = draws < eta_abs
-    fired = draws < (eta_abs * probability)[index]
-    # Keys ordered by window (inactive, declined, fired), then by row.
-    m = len(table)
-    windows = np.add(active, fired, dtype=np.intp)
-    distinct, inverse = distinct_keys(windows * m + index, 3 * m)
-    source = distinct % m
-    d, f = distinct.searchsorted((m, 2 * m))
+    return np.add(draws < eta_abs, draws < thresholds, dtype=np.intp)
+
+
+def _window_states(
+    states: np.ndarray, components: np.ndarray, d: int, f: int, label: PairLabel
+) -> np.ndarray:
+    """The state each row leaves its absorber in, by its window (see
+    :func:`_windows`): rows ``[:d]`` were inactive and pass unchanged, rows
+    ``[d:f]`` declined and lose the selected branch, and rows ``[f:]`` fired
+    and are conditioned on it.  ``components`` are the rows' mode-2
+    components of ``label``; ``states`` is overwritten and returned."""
     pair = _PAIR_STATES[label].amplitudes
-    out = table[source]
-    # A window no trial lands in costs nothing, not a numpy call on no rows.
+    # A window no row lands in costs nothing, not a numpy call on no rows.
     if f > d:
-        out[d:f] = normalized_rows(out[d:f] - tensor_rows(pair, components[source[d:f]]))
-    if len(out) > f:
-        out[f:] = tensor_rows(pair, normalized_rows(components[source[f:]]))
-    return fired, (out[f:], inverse[fired] - f), (out[:f], inverse[~fired])
+        states[d:f] = normalized_rows(states[d:f] - tensor_rows(pair, components[d:f]))
+    if len(states) > f:
+        states[f:] = tensor_rows(pair, normalized_rows(components[f:]))
+    return states
 
 
 def _stage(
     s: StateVector, label: PairLabel, eta_abs: float, rng_sample: float
 ) -> tuple[bool, StateVector]:
-    one = np.zeros(1, dtype=np.intp)
-    fired, hit, missed = _stage_rows(
-        s.amplitudes[None], one, label, eta_abs, np.array([rng_sample])
-    )
-    table, index = hit if fired[0] else missed
-    return bool(fired[0]), StateVector(table[index[0]])
+    states = s.amplitudes[None]
+    probability, components = _project_rows(states, label)
+    (window,) = _windows(np.array([rng_sample]), eta_abs, eta_abs * probability)
+    d, f = int(window < 1), int(window < 2)
+    post = _window_states(states.copy(), components, d, f, label)
+    return bool(window == 2), StateVector(post[0])
 
 
 def absorption_stage(
@@ -333,30 +335,6 @@ def correction_for_photonic(label: PairLabel) -> Operator:
     return _CORRECTION_OPS[label]
 
 
-def _sample_pair_branch_rows(
-    table: np.ndarray, index: np.ndarray, draws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample which pair branch a polarization-blind coincidence consumed.
-
-    The coincidence detectors cannot resolve the pair state, so the receiver
-    mode is left in the branch mixture; per trial we unravel it by sampling a
-    branch with Born weights and return its normalized mode-2 component.
-    Under ideal absorbers only one branch survives to this point and the
-    sampling is deterministic.  The trials' states are ``table[index]``;
-    the weights run once per table row and the normalization once per
-    (row, branch) pair drawn.  Returns the components as a table of
-    distinct rows and each trial's index in it.
-    """
-    weights, components = zip(*(_project_rows(table, label) for label in PairLabel))
-    cumulative = np.cumsum(np.stack(weights, axis=1), axis=1)[index]
-    # searchsorted(cumulative, u * cumulative[-1], side="right"), clamped
-    target = (draws * cumulative[:, -1])[:, None]
-    k = len(PairLabel)
-    branch = np.minimum((cumulative <= target).sum(axis=1), k - 1)
-    distinct, inverse = distinct_keys(index * k + branch, len(table) * k)
-    return normalized_rows(np.stack(components, axis=1).reshape(-1, 2)[distinct]), inverse
-
-
 # Uniform draws a cascade consumes at most: 2 availability, 3 absorbers,
 # 1 coincidence unraveling, 1 detection.
 CASCADE_DRAWS = 7
@@ -382,6 +360,227 @@ _ABSORBERS = (
     (CascadeEventKind.D2, PairLabel.CHI_MINUS, True),
     (CascadeEventKind.D4, PairLabel.CHI_PLUS, False),
 )
+# An absorber's windows: inactive, declined, fired (see _windows).
+_WINDOWS = 3
+# A trial reads its draws in order from column 0: the two availability draws,
+# one per absorber reached, one on a coincidence, then the detection draw.
+# The detection draw's column, by event code:
+_DETECTION_COLUMN = np.array(
+    [
+        {
+            CascadeEventKind.D1: 3,
+            CascadeEventKind.D2: 4,
+            CascadeEventKind.D4: 5,
+            CascadeEventKind.D3_COINCIDENCE: 6,
+        }.get(kind, 2)
+        for kind in _KINDS
+    ]
+)
+
+
+class _Level:
+    """One level of a :class:`_StateTree`: its distinct states, each one's
+    weights and mode-2 components, and its child per window or branch, flat:
+    row ``r``'s child for outcome ``j`` of ``width`` is ``children[r * width
+    + j]``."""
+
+    __slots__ = ("states", "weights", "components", "children")
+
+    def __init__(self, states, weights, components, width: int) -> None:
+        self.states, self.weights, self.components = states, weights, components
+        self.children = np.full(len(states) * width, -1, dtype=np.intp)
+
+    def extend(self, other: "_Level") -> np.ndarray:
+        """Append ``other``'s rows; returns their row indices."""
+        start = len(self.states)
+        for name in self.__slots__:
+            setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
+        return np.arange(start, len(self.states))
+
+
+class _StateTree:
+    """The distinct states a cascade's trials reach, and what each leads to.
+
+    Level ``k < 3`` holds the states entering absorber ``k`` (after the
+    half-wave rotation, where one comes first), each with its fire threshold
+    ``eta_abs * p``, its mode-2 component of the absorber's pair state, and
+    its child per window (see :func:`_windows`): a row of level ``k + 1``
+    for the two that pass, a receiver row for the fired one.  Level 3 holds
+    the states reaching the coincidence detectors, each with its cumulative
+    branch weights, its four components, and its receiver row per branch.
+    A receiver row holds ``bob_pre`` and, once an identified trial lands on
+    it, the corrected state and the fidelity; row 0 holds zeros for the
+    trials that reach no absorber.  A child of -1, or a NaN or missing
+    fidelity, is not computed yet.
+
+    Each entry is computed the first time a trial lands on it, and every
+    step that can raise runs before its entries are stored, so a failed call
+    stores none.  Thresholds depend on ``eta_abs`` and
+    fidelities on the input, so every call on one tree passes the same
+    ``eta_abs`` and input bytes.
+    """
+
+    def __init__(self) -> None:
+        self.levels: list[_Level | None] = [None] * (len(_ABSORBERS) + 1)
+        self.bob_pre = np.zeros((1, 2), dtype=np.complex128)
+        self.bob_post = np.zeros((1, 2), dtype=np.complex128)
+        self.fidelity = np.full(1, np.nan)
+
+    def add(self, level: int, states: np.ndarray, eta_abs: float) -> np.ndarray:
+        """Add ``states`` to ``level`` with their projections; returns their
+        row indices."""
+        if level < len(_ABSORBERS):
+            probability, components = _project_rows(states, _ABSORBERS[level][1])
+            rows = _Level(states, eta_abs * probability, components, _WINDOWS)
+        else:
+            weights, components = zip(
+                *(_project_rows(states, label) for label in PairLabel)
+            )
+            cumulative = np.cumsum(np.stack(weights, axis=1), axis=1)
+            rows = _Level(states, cumulative, np.stack(components, axis=1), len(PairLabel))
+        if self.levels[level] is None:
+            self.levels[level] = rows
+            return np.arange(len(states))
+        return self.levels[level].extend(rows)
+
+    def _receive(self, bob_pre: np.ndarray) -> np.ndarray:
+        """Add receiver rows; returns their row indices.  Their corrected
+        states and fidelities are added by :meth:`correct`."""
+        start = len(self.bob_pre)
+        self.bob_pre = np.concatenate([self.bob_pre, bob_pre])
+        return np.arange(start, len(self.bob_pre))
+
+    def absorb(
+        self, level: int, index: np.ndarray, eta_abs: float, draws: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Absorber ``level`` on the trials at its rows ``index``, one draw
+        each.  Returns which trials fired, and each trial's child: its
+        receiver row if it fired, else its row of the next level."""
+        node = self.levels[level]
+        windows = _windows(draws, eta_abs, node.weights[index])
+        slots = index * _WINDOWS + windows
+        child = node.children[slots]
+        missing = child < 0
+        if missing.any():
+            self._expand(level, index[missing], windows[missing], eta_abs)
+            child = node.children[slots]
+        return windows == 2, child
+
+    def _expand(
+        self, level: int, index: np.ndarray, windows: np.ndarray, eta_abs: float
+    ) -> None:
+        """Compute the child of each (row, window) pair of ``level`` named."""
+        node = self.levels[level]
+        m = len(node.states)
+        # Keys ordered by window (inactive, declined, fired), then by row.
+        keys, _ = distinct_keys(windows * m + index, _WINDOWS * m)
+        windows, parents = np.divmod(keys, m)
+        d, f = windows.searchsorted((1, 2))
+        label = _ABSORBERS[level][1]
+        out = _window_states(
+            node.states[parents], node.components[parents], d, f, label
+        )
+        passed, conditioned = out[:f], out[f:]
+        if len(conditioned):
+            # bob_pre is projected back out of the conditioned state.  Taking
+            # the component before conditioning would skip this round trip,
+            # but it changes the last bits of Haar fidelities, so it stays,
+            # once per distinct conditioned state.
+            conditioned = normalized_rows(_project_rows(conditioned, label)[1])
+        if f and level + 1 < len(_ABSORBERS) and _ABSORBERS[level + 1][2]:
+            passed = apply_rows(WAVEPLATE.matrix, passed, (1,))  # waveplate(s, 1)
+        # Nothing that can raise is left, so the children can be stored.
+        rows = []
+        if f:
+            rows.append(self.add(level + 1, passed, eta_abs))
+        if len(conditioned):
+            rows.append(self._receive(conditioned))
+        node.children[parents * _WINDOWS + windows] = np.concatenate(rows)
+
+    def coincide(self, index: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """Sample which pair branch a polarization-blind coincidence consumed,
+        for the trials at rows ``index`` of level 3, one draw each; returns
+        each trial's receiver row.
+
+        The coincidence detectors cannot resolve the pair state, so the
+        receiver mode is left in the branch mixture; per trial we unravel it
+        by sampling a branch with Born weights, and its receiver state is
+        that branch's normalized mode-2 component.  Under ideal absorbers only
+        one branch survives to this point and the sampling is deterministic.
+        """
+        node = self.levels[len(_ABSORBERS)]
+        cumulative = node.weights[index]
+        # searchsorted(cumulative, u * cumulative[-1], side="right"), clamped
+        target = (draws * cumulative[:, -1])[:, None]
+        k = len(PairLabel)
+        slots = index * k + np.minimum((cumulative <= target).sum(axis=1), k - 1)
+        child = node.children[slots]
+        missing = child < 0
+        if missing.any():
+            drawn, _ = distinct_keys(slots[missing], len(node.children))
+            bob_pre = normalized_rows(node.components.reshape(-1, 2)[drawn])
+            node.children[drawn] = self._receive(bob_pre)
+            child = node.children[slots]
+        return child
+
+    def correct(
+        self, trials: np.ndarray, receiver: np.ndarray, kinds: np.ndarray,
+        inputs: np.ndarray,
+    ) -> None:
+        """Correct each receiver row that an identified trial of ``trials``
+        is the first to land on, and take its fidelity to the trial's input.
+        The trials that share a row share its code and their input's bytes,
+        so any one of them stands for all."""
+        added = len(self.bob_pre) - len(self.fidelity)
+        if added:
+            self.bob_post = np.concatenate(
+                [self.bob_post, np.zeros((added, 2), dtype=np.complex128)]
+            )
+            self.fidelity = np.concatenate([self.fidelity, np.full(added, np.nan)])
+        at = receiver[trials]
+        missing = np.isnan(self.fidelity[at])
+        if not missing.any():
+            return
+        distinct, first = distinct_keys(at[missing], len(self.fidelity))
+        trial = np.empty_like(distinct)
+        trial[first] = trials[missing]
+        post = apply_rows(_CORRECTION_BY_CODE[kinds[trial]], self.bob_pre[distinct], (0,))
+        fidelities = fidelity_rows(post, inputs[trial])
+        self.bob_post[distinct] = post
+        self.fidelity[distinct] = fidelities
+
+
+# Shared-input trees the cache keeps.  A tree holds at most 15 states and 40
+# receiver rows, so the cache stays a few KB.
+SHARED_TREES = 8
+
+
+@functools.lru_cache(maxsize=SHARED_TREES)
+def _shared_tree(input_bytes: bytes, efficiency_bytes: bytes) -> _StateTree:
+    """The one state tree of every chunk whose input rows all hold
+    ``input_bytes``, under the knobs ``efficiency_bytes``.  The tree starts
+    empty; the calls that share it fill it."""
+    return _StateTree()
+
+
+def _tree_for(
+    inputs: np.ndarray, cfg: EfficiencyConfig, rows: np.ndarray
+) -> tuple[_StateTree, np.ndarray]:
+    """The state tree the trials ``rows`` walk (see :func:`cascade_rows`),
+    and each one's level-0 row."""
+    if not len(rows):
+        return _StateTree(), rows
+    # Comparing bytes keeps 0.0 and -0.0 apart.
+    words = inputs.view(np.uint64)
+    if (words == words[:1]).all():
+        tree = _shared_tree(inputs[0].tobytes(), cfg.to_bytes())
+        starts, index = rows[:1], np.zeros(len(rows), dtype=np.intp)
+    else:
+        tree = _StateTree()
+        starts, index = rows, np.arange(len(rows))
+    if tree.levels[0] is None:  # build_three_mode
+        tree.add(0, tensor_rows(inputs[starts], pdc_pair().amplitudes), cfg.eta_abs)
+    return tree, index
 
 
 def cascade_rows(
@@ -389,13 +588,21 @@ def cascade_rows(
 ) -> tuple[np.ndarray, ...]:
     """:func:`run_cascade` for a batch: one ``(N, 2)`` input row and one
     ``(N, CASCADE_DRAWS)`` draw row per trial, which the trial reads in order
-    through its own column cursor.
+    from column 0 (see :func:`run_cascade`).
 
-    The states are a table of distinct rows and one index per trial:
-    byte-identical input rows start from one row, any other inputs from one
-    row per trial.  Each absorber, the coincidence sampler, the ``bob_pre``
-    round trip, the correction and the fidelity run once per distinct row,
-    and each trial indexes its results back.
+    The trials walk a state tree (:class:`_StateTree`): each absorber
+    window, coincidence branch, ``bob_pre`` round trip, correction and
+    fidelity runs once per tree entry, the first time a trial lands on it,
+    and each trial gathers its results from the tree.  A chunk whose input
+    rows are byte-identical, as every fixed-input chunk is, starts from one
+    state, and takes its tree from a cache of at most ``SHARED_TREES``
+    trees, least recently used first out, keyed by the bytes of the input
+    row and of the ``EfficiencyConfig`` knobs.  A cached tree lives as long
+    as it stays in the cache, so later chunks and batches of one
+    configuration only gather.  Any other chunk, Haar included, starts from
+    one state per trial in a tree of its own, dropped when the call returns.
+    The draw, ``eta_abs``, normalization and input checks run on every call,
+    on the trials that reach them, cached tree or not.
 
     Returns the event codes (indices into ``CascadeEventKind``), ``bob_pre``
     and ``bob_post`` as ``(N, 2)`` arrays and the ``(N,)`` float64
@@ -404,71 +611,39 @@ def cascade_rows(
     dark.
     """
     n = inputs.shape[0]
-    cursor = np.zeros(n, dtype=np.intp)
-
-    def draw(rows: np.ndarray) -> np.ndarray:
-        values = draws[rows, cursor[rows]]
-        cursor[rows] += 1
-        return values
-
-    every = np.arange(n)
-    input_available = draw(every) < cfg.p_in
-    pair_available = draw(every) < cfg.p_pdc
+    input_available = draws[:, 0] < cfg.p_in
+    pair_available = draws[:, 1] < cfg.p_pdc
     kinds = np.full(n, _CODE[CascadeEventKind.NO_EVENT])
     kinds[pair_available & ~input_available] = _CODE[CascadeEventKind.D3_SINGLE_LOWER]
     kinds[input_available & ~pair_available] = _CODE[CascadeEventKind.D3_SINGLE_TOP]
 
     rows = np.flatnonzero(input_available & pair_available)
-    # Byte-identical input rows, as in a fixed-input chunk, start from one
-    # state; comparing bytes keeps 0.0 and -0.0 apart.
-    words = inputs.view(np.uint64)
-    if (words == words[:1]).all():
-        starts, index = rows[:1], np.zeros(len(rows), dtype=np.intp)
-    else:
-        starts, index = rows, np.arange(len(rows))
-    table = tensor_rows(inputs[starts], pdc_pair().amplitudes)  # build_three_mode
-    # The receiver states bob_pre: a table of distinct rows, the first all
-    # zeros, and each trial's row in it.
-    receivers = [np.zeros((1, 2), dtype=np.complex128)]
+    tree, index = _tree_for(inputs, cfg, rows)
+    # Each trial's receiver row in the tree; row 0 holds zeros.
     receiver = np.zeros(n, dtype=np.intp)
-    for kind, label, rotate in _ABSORBERS:
-        if rotate:  # waveplate(s, 1)
-            table = apply_rows(WAVEPLATE.matrix, table, (1,))
-        fired, (conditioned, at), (table, index) = _stage_rows(
-            table, index, label, cfg.eta_abs, draw(rows)
-        )
+    # The walk stops once no trial is left.
+    for level, (kind, _, _) in enumerate(_ABSORBERS):
+        if not len(rows):
+            break
+        fired, child = tree.absorb(level, index, cfg.eta_abs, draws[rows, 2 + level])
         hit = rows[fired]
         kinds[hit] = _CODE[kind]
-        receiver[hit] = at + sum(map(len, receivers))
-        # bob_pre is projected back out of the conditioned state.  Taking the
-        # component before conditioning would skip this round trip, but it
-        # changes the last bits of Haar fidelities, so it stays, once per
-        # distinct conditioned state.
-        receivers.append(normalized_rows(_project_rows(conditioned, label)[1]))
-        rows = rows[~fired]
-    kinds[rows] = _CODE[CascadeEventKind.D3_COINCIDENCE]
-    sampled, at = _sample_pair_branch_rows(table, index, draw(rows))
-    receiver[rows] = at + sum(map(len, receivers))
-    receivers = np.concatenate([*receivers, sampled])
-    bob_pre = receivers[receiver]
+        receiver[hit] = child[fired]
+        passed = ~fired
+        rows, index = rows[passed], child[passed]
+    if len(rows):
+        kinds[rows] = _CODE[CascadeEventKind.D3_COINCIDENCE]
+        receiver[rows] = tree.coincide(index, draws[rows, 2 + len(_ABSORBERS)])
 
     signalled = np.flatnonzero(kinds != _CODE[CascadeEventKind.NO_EVENT])
-    lost = draw(signalled) >= cfg.eta_det
+    lost = draws[signalled, _DETECTION_COLUMN[kinds[signalled]]] >= cfg.eta_det
     kinds[signalled[lost]] = _CODE[CascadeEventKind.NO_EVENT]
 
-    # The correction and fidelity run once per distinct receiver state of an
-    # identified trial.  The trials that share one share its code and their
-    # input's bytes, so any one of them stands for all.
-    identified = np.flatnonzero(_IDENTIFYING_CODES[kinds])
-    distinct, at = distinct_keys(receiver[identified], len(receivers))
-    trial = np.empty_like(distinct)
-    trial[at] = identified
-    post = apply_rows(_CORRECTION_BY_CODE[kinds[trial]], receivers[distinct], (0,))
-    bob_post = np.zeros((n, 2), dtype=np.complex128)
-    bob_post[identified] = post[at]
-    fidelities = np.full(n, np.nan)
-    fidelities[identified] = fidelity_rows(post, inputs[trial])[at]
-    return kinds, bob_pre, bob_post, fidelities
+    identified = _IDENTIFYING_CODES[kinds]
+    if identified.any():
+        tree.correct(np.flatnonzero(identified), receiver, kinds, inputs)
+    shown = np.where(identified, receiver, 0)
+    return kinds, tree.bob_pre[receiver], tree.bob_post[shown], tree.fidelity[shown]
 
 
 def run_cascade(

@@ -11,7 +11,10 @@ raises must read as the one-row call's.  The Haar inputs are checked
 against the scalar numpy calls, and swap's once-per-outcome steps against
 running them on every row.  A cascade chunk of byte-identical inputs starts
 from one state: each row must still equal its one-row call, and the rows
-it projects must not grow with the trials.
+it projects must not grow with the trials.  Such a chunk takes its state
+tree from a cache: a warm tree must give the bytes of a cold one, raise
+every error a cold one raises, and project nothing it has projected before.
+Every test here starts on an empty cache.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 import pytest
 
 from bellcast import photonic, teleport
-from bellcast.harness import CHUNK_TRIALS, Mode
+from bellcast.harness import CHUNK_TRIALS, Mode, parse_input
 from bellcast.observables import (
     MEASUREMENT_ORDER,
     BellOutcome,
@@ -33,8 +36,10 @@ from bellcast.photonic import (
     CASCADE_DRAWS,
     CascadeEventKind,
     EfficiencyConfig,
+    SHARED_TREES,
     PairLabel,
-    _sample_pair_branch_rows,
+    _shared_tree,
+    _StateTree,
     build_three_mode,
     cascade_rows,
     pair_basis_state,
@@ -74,6 +79,14 @@ LAST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 SHORT = 1.0 - 1e-12
 # The benchmark's fixed photon input, as the harness tiles it over a chunk.
 SHARED_INPUT = UnknownState.normalized(0.6, 0.8j).state_vector().amplitudes
+
+
+@pytest.fixture(autouse=True)
+def cold_trees():
+    """An empty shared-tree cache for each test, and none left behind."""
+    _shared_tree.cache_clear()
+    yield
+    _shared_tree.cache_clear()
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
@@ -181,13 +194,14 @@ class TestCoincidenceClamp:
         ).normalized()
         states = [leading] + [random_state(rng, 8) for _ in range(6)]
         cases = [(s, u) for s in states for u in (0.0, 0.5, LAST_BELOW_ONE)]
-        # Each state is one table row, shared by its three draws.
-        table, at = _sample_pair_branch_rows(
-            np.array([s.amplitudes for s in states]),
-            np.repeat(np.arange(len(states)), 3),
-            np.array([u for _, u in cases]),
+        # Each state is one row of the tree's coincidence level, shared by
+        # its three draws.
+        tree = _StateTree()
+        tree.add(3, np.array([s.amplitudes for s in states]), 1.0)
+        at = tree.coincide(
+            np.repeat(np.arange(len(states)), 3), np.array([u for _, u in cases])
         )
-        picked = table[at]
+        picked = tree.bob_pre[at]
         for row, (state, u) in enumerate(cases):
             assert picked[row].tobytes() == reference_branch(state, u).tobytes(), row
         chi_minus = pair_components(leading)[PairLabel.CHI_MINUS].normalized()
@@ -219,9 +233,10 @@ def assert_rows_equal_one_row_calls(inputs, cfg, draws) -> tuple[np.ndarray, ...
     return batch
 
 
-def contracted_rows(monkeypatch, *calls: tuple) -> list[int]:
+def contracted_rows(monkeypatch, *calls: tuple, cold: bool = True) -> list[int]:
     """How many state rows reach ``contract_rows``, through which every pair
-    projection goes, in the ``cascade_rows`` call of each argument tuple."""
+    projection goes, in the ``cascade_rows`` call of each argument tuple;
+    each call on an empty tree cache unless ``cold`` is false."""
     counted = [0]
 
     def counting(states, *args):
@@ -231,10 +246,17 @@ def contracted_rows(monkeypatch, *calls: tuple) -> list[int]:
     monkeypatch.setattr(photonic, "contract_rows", counting)
     counts = []
     for args in calls:
+        if cold:
+            _shared_tree.cache_clear()
         counted[0] = 0
         cascade_rows(*args)
         counts.append(counted[0])
     return counts
+
+
+def assert_same_bytes(got: tuple, expected: tuple) -> None:
+    for got_column, expected_column in zip(got, expected, strict=True):
+        assert got_column.tobytes() == expected_column.tobytes()
 
 
 class TestSharedInputTable:
@@ -265,6 +287,14 @@ class TestSharedInputTable:
             (plus, self.CFG, draws[:1]),
         )
         assert both == 2 * one > 0
+        # Alone, each takes a tree of its own from the cache: the second
+        # projects as much as the first does on an empty cache.
+        _shared_tree.cache_clear()
+        assert contracted_rows(
+            monkeypatch, (plus, self.CFG, draws[:1]), (minus, self.CFG, draws[:1]),
+            cold=False,
+        ) == [one, one]
+        assert _shared_tree.cache_info().currsize == 2
 
     def test_projected_rows_do_not_grow_with_the_trials(self, monkeypatch):
         # 64 trials, then the same 64 draw rows 64 times over: every
@@ -279,6 +309,54 @@ class TestSharedInputTable:
             ],
         )
         assert small == large < 64
+        # On the tree the first call left warm, the same draws project nothing.
+        call = (np.tile(SHARED_INPUT, (64, 1)), self.CFG, draws)
+        _shared_tree.cache_clear()
+        assert contracted_rows(monkeypatch, call, call, cold=False) == [small, 0]
+
+
+# The loss configs and fixed inputs of tools/record_digests.py.
+LOSS_CONFIGS = (
+    EfficiencyConfig(),
+    EfficiencyConfig(eta_abs=0.9, eta_det=0.8, p_in=0.95, p_pdc=0.95),
+    EfficiencyConfig(eta_abs=0.5, eta_det=0.9, p_in=0.9, p_pdc=0.9),
+    EfficiencyConfig(eta_abs=0.2),
+)
+FIXED_INPUTS = ("fixed:0.6,0.8j", "fixed:1,0", "fixed:0,1")
+
+
+class TestSharedTreeCache:
+    """A fixed-input chunk gathers what earlier chunks of its configuration
+    computed: the bytes must not depend on what the cache holds."""
+
+    @staticmethod
+    def chunk_draws(seed: int) -> np.ndarray:
+        seeds = derive_seeds(seed, np.arange(CHUNK_TRIALS[Mode.PHOTON], dtype=np.uint64))
+        return uniforms(derive_seeds(seeds, 1), CASCADE_DRAWS)
+
+    @pytest.mark.parametrize("text", FIXED_INPUTS)
+    @pytest.mark.parametrize("cfg", LOSS_CONFIGS, ids=["ideal", "benchmark", "lossy", "weak"])
+    def test_cold_equals_warm(self, cfg, text):
+        amplitudes = parse_input(text).state_vector().amplitudes
+        inputs = np.tile(amplitudes, (CHUNK_TRIALS[Mode.PHOTON], 1))
+        draws = self.chunk_draws(1)
+        cold = cascade_rows(inputs, cfg, draws)
+        _shared_tree.cache_clear()
+        cascade_rows(inputs, cfg, self.chunk_draws(2))
+        hits = _shared_tree.cache_info().hits
+        warm = cascade_rows(inputs, cfg, draws)
+        assert _shared_tree.cache_info().hits == hits + 1
+        assert_same_bytes(warm, cold)
+
+    def test_the_cache_holds_at_most_its_bound(self):
+        draws = self.chunk_draws(3)[:4]
+        for k in range(SHARED_TREES + 3):
+            theta = 0.1 * (k + 1)
+            inputs = np.tile([np.cos(theta), np.sin(theta) + 0j], (4, 1))
+            cascade_rows(inputs, EfficiencyConfig(), draws)
+            info = _shared_tree.cache_info()
+            assert info.currsize == min(k + 1, SHARED_TREES)
+        assert info.maxsize == SHARED_TREES
 
 
 def batch_error(call) -> str:
@@ -333,7 +411,13 @@ class TestBatchErrorsMatchTheOneTrialCall:
         row = slice(self.BAD_ROW, self.BAD_ROW + 1)
         one = batch_error(lambda: cascade_rows(inputs[row], cfg, draws[row]))
         assert one == f"rng_sample must lie in [0, 1), got {bad}"
-        assert batch_error(lambda: cascade_rows(inputs, cfg, draws)) == one
+        # A shared input's tree stays cached across the failing calls.
+        for _ in range(2):
+            assert batch_error(lambda: cascade_rows(inputs, cfg, draws)) == one
+        draws[self.BAD_ROW, 2] = 0.5
+        after_failures = cascade_rows(inputs, cfg, draws)
+        _shared_tree.cache_clear()
+        assert_same_bytes(after_failures, cascade_rows(inputs, cfg, draws))
 
     def assert_cascade_input_error(self, inputs: np.ndarray) -> None:
         cfg = EfficiencyConfig()
@@ -343,7 +427,9 @@ class TestBatchErrorsMatchTheOneTrialCall:
             lambda: cascade_rows(inputs[bad], cfg, draws[bad])
         )
         assert "must be normalized" in one
-        assert batch_error(lambda: cascade_rows(inputs, cfg, draws)) == one
+        # A shared input's tree stays cached across the failing calls.
+        for _ in range(2):
+            assert batch_error(lambda: cascade_rows(inputs, cfg, draws)) == one
 
     @pytest.mark.parametrize("bad", [-0.25, 1.0])
     def test_out_of_range_absorber_draw(self, bad):

@@ -507,8 +507,8 @@ class TestSourceFailures:
 
 class CountingDraws:
     """One trial's row of uniforms, indexed as ``draws[rows, columns]`` the
-    way ``cascade_rows`` reads its draw array, that records how many of them
-    were read."""
+    way ``cascade_rows`` reads its draw array (``columns`` one column or
+    one per row), that records how many of them were read."""
 
     def __init__(self, values):
         self._row = np.array([values], dtype=np.float64)
@@ -517,7 +517,8 @@ class CountingDraws:
     def __getitem__(self, key):
         rows, columns = key
         values = self._row[rows, columns]
-        if columns.size:
+        columns = np.asarray(columns)
+        if values.size and columns.size:
             self.read = max(self.read, int(columns.max()) + 1)
         return values
 
