@@ -19,10 +19,8 @@ one-row calls, bit-identical row for row.  Swap and photon kernels run
 their float steps once per distinct state: swap's chunks all start from
 one state, and so does a photon chunk whose input rows are byte-identical.
 Such a photon chunk walks the state tree that earlier chunks and batches
-of its input and knobs left in the kernel's cache, so it computes only what
-none of them reached (``photonic.cascade_rows``).  A photon batch's
-analytic event table is computed once per input and knobs, too, and
-shared read-only.
+of its input and ``eta_abs`` left in the kernel's cache in this process, so
+it computes only what none of them reached (``photonic.cascade_rows``).
 
 Columns: a chunk stays numpy columns (seeds, codes, fidelities, inputs)
 from the kernel to the summary's running totals, and whether a trial has a
@@ -49,16 +47,14 @@ import contextlib
 import dataclasses
 import enum
 import errno
-import functools
 import itertools
 import json
 import operator
 import os
 import sys
 import time
-import types
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -372,18 +368,6 @@ def atomic_writer(path: str) -> Iterator[IO[str]]:
             os.unlink(temp)
 
 
-@functools.lru_cache(maxsize=8)
-def _analytic_table(
-    input_bytes: bytes, efficiency_bytes: bytes
-) -> Mapping[CascadeEventKind, float]:
-    """``analytic_distribution`` of the input and knobs these bytes hold, as
-    a read-only mapping: every batch of one configuration shares it."""
-    a, b = np.frombuffer(input_bytes, dtype=np.complex128).tolist()
-    knobs = np.frombuffer(efficiency_bytes, dtype=np.float64).tolist()
-    table = analytic_distribution(UnknownState(a, b), EfficiencyConfig(*knobs))
-    return types.MappingProxyType(table)
-
-
 def run_batch(cfg: RunConfig) -> BatchSummary:
     """Run the batch one chunk of columns at a time: each chunk's lines go
     to ``cfg.output_path``, when set, in one write, and its codes and
@@ -392,10 +376,7 @@ def run_batch(cfg: RunConfig) -> BatchSummary:
     analytic = None
     if cfg.mode is Mode.PHOTON:
         reference_input = cfg.fixed_input or UnknownState(1.0, 0.0)
-        analytic = _analytic_table(
-            reference_input.state_vector().amplitudes.tobytes(),
-            cfg.efficiency.to_bytes(),
-        )
+        analytic = analytic_distribution(reference_input, cfg.efficiency)
     tally = _Tally(cfg.mode)
     counted = _COUNTED[cfg.mode]
     output = contextlib.nullcontext()
@@ -486,7 +467,7 @@ class _Tally:
             self.successes += int(np.count_nonzero(fidelities >= SUCCESS_FIDELITY))
 
     def summary(
-        self, analytic: Mapping[CascadeEventKind, float] | None
+        self, analytic: dict[CascadeEventKind, float] | None
     ) -> BatchSummary:
         if self.total == 0:
             raise ValueError("cannot summarize an empty record stream")
@@ -520,7 +501,7 @@ class _Tally:
 def summarize(
     records: Iterable[dict],
     mode: Mode,
-    analytic: Mapping[CascadeEventKind, float] | None = None,
+    analytic: dict[CascadeEventKind, float] | None = None,
 ) -> BatchSummary:
     """Aggregate a stream of wire records in one pass, in constant memory,
     through the running totals a batch keeps (see ``_Tally``).

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -201,12 +200,6 @@ class EfficiencyConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-
-    def to_bytes(self) -> bytes:
-        """The knobs as float64 bytes in field order: a cache key that keeps
-        0.0 and -0.0 apart."""
-        knobs = [getattr(self, name) for name in EFFICIENCY_KNOBS]
-        return struct.pack(f"{len(knobs)}d", *knobs)
 
 
 EFFICIENCY_KNOBS = tuple(f.name for f in fields(EfficiencyConfig))
@@ -415,9 +408,9 @@ class _StateTree:
 
     Each entry is computed the first time a trial lands on it, and every
     step that can raise runs before its entries are stored, so a failed call
-    stores none.  Thresholds depend on ``eta_abs`` and
-    fidelities on the input, so every call on one tree passes the same
-    ``eta_abs`` and input bytes.
+    stores none.  Thresholds depend on ``eta_abs`` and fidelities on the
+    input, and nothing in the tree on the other knobs, so every call on one
+    tree passes the same ``eta_abs`` and input bytes.
     """
 
     def __init__(self) -> None:
@@ -556,10 +549,11 @@ SHARED_TREES = 8
 
 
 @functools.lru_cache(maxsize=SHARED_TREES)
-def _shared_tree(input_bytes: bytes, efficiency_bytes: bytes) -> _StateTree:
+def _shared_tree(input_bytes: bytes, eta_abs_bytes: bytes) -> _StateTree:
     """The one state tree of every chunk whose input rows all hold
-    ``input_bytes``, under the knobs ``efficiency_bytes``.  The tree starts
-    empty; the calls that share it fill it."""
+    ``input_bytes``, under the ``eta_abs`` whose float64 bytes are
+    ``eta_abs_bytes``; no other knob changes a tree.  The tree starts empty;
+    the calls that share it fill it."""
     return _StateTree()
 
 
@@ -570,10 +564,12 @@ def _tree_for(
     and each one's level-0 row."""
     if not len(rows):
         return _StateTree(), rows
-    # Comparing bytes keeps 0.0 and -0.0 apart.
+    # Comparing bytes keeps 0.0 and -0.0 apart.  A one-row call gains
+    # nothing from a cached tree that a tree of its own would not give it.
     words = inputs.view(np.uint64)
-    if (words == words[:1]).all():
-        tree = _shared_tree(inputs[0].tobytes(), cfg.to_bytes())
+    if len(words) > 1 and (words == words[:1]).all():
+        eta_abs = np.float64(cfg.eta_abs).tobytes()
+        tree = _shared_tree(inputs[0].tobytes(), eta_abs)
         starts, index = rows[:1], np.zeros(len(rows), dtype=np.intp)
     else:
         tree = _StateTree()
@@ -593,14 +589,16 @@ def cascade_rows(
     The trials walk a state tree (:class:`_StateTree`): each absorber
     window, coincidence branch, ``bob_pre`` round trip, correction and
     fidelity runs once per tree entry, the first time a trial lands on it,
-    and each trial gathers its results from the tree.  A chunk whose input
-    rows are byte-identical, as every fixed-input chunk is, starts from one
-    state, and takes its tree from a cache of at most ``SHARED_TREES``
-    trees, least recently used first out, keyed by the bytes of the input
-    row and of the ``EfficiencyConfig`` knobs.  A cached tree lives as long
-    as it stays in the cache, so later chunks and batches of one
-    configuration only gather.  Any other chunk, Haar included, starts from
-    one state per trial in a tree of its own, dropped when the call returns.
+    and each trial gathers its results from the tree.  A chunk of more than
+    one row whose input rows are byte-identical, as every fixed-input chunk
+    is, starts from one state, and takes its tree from a cache of at most
+    ``SHARED_TREES`` trees, least recently used first out, keyed by the bytes
+    of the input row and of ``eta_abs``, the one knob the tree depends on.
+    A cached tree lives as long as it stays in the cache of this process, so
+    later chunks and batches of one input and ``eta_abs`` in one process only
+    gather; a new process starts on an empty cache.  Any other call, Haar
+    chunks and one-row calls included, starts from one state per trial in a
+    tree of its own, dropped when the call returns.
     The draw, ``eta_abs``, normalization and input checks run on every call,
     on the trials that reach them, cached tree or not.
 

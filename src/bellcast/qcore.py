@@ -12,7 +12,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -273,22 +272,14 @@ def tensor_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] * b[:, None, :]).reshape(-1, a.shape[1] * b.shape[1])
 
 
-@functools.lru_cache(maxsize=64)
-def _row_axes(n: int, targets: tuple) -> tuple[tuple, tuple, tuple]:
-    """For ``(N, 2**n)`` rows: the shape with one axis per qubit, the order
-    moving the ``targets`` axes to the front, in their order, then the rest
-    ascending, and the order moving them back."""
-    rest = (q for q in range(n) if q not in targets)
-    order = (0, *(1 + q for q in (*targets, *rest)))
-    back = tuple(sorted(range(n + 1), key=order.__getitem__))
-    return (-1, *(2,) * n), order, back
-
-
 def _targets_first_rows(states: np.ndarray, targets: tuple, dim: int):
     """Each row's ``targets`` axes moved to the front, in their order, then
     the rest ascending, as ``(N, dim, -1)``; and the order moving them back."""
-    split, order, back = _row_axes(states.shape[1].bit_length() - 1, tuple(targets))
-    moved = states.reshape(split).transpose(order)
+    n = states.shape[1].bit_length() - 1
+    rest = (q for q in range(n) if q not in targets)
+    order = (0, *(1 + q for q in (*targets, *rest)))
+    moved = states.reshape(-1, *(2,) * n).transpose(order)
+    back = tuple(sorted(range(n + 1), key=order.__getitem__))
     return moved.reshape(states.shape[0], dim, states.shape[1] // dim), back
 
 

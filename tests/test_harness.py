@@ -332,32 +332,6 @@ class TestRunBatch:
         assert summary.chi_square is not None
         assert summary.chi_square < 16.266
 
-    def test_photon_batches_share_one_read_only_analytic_table(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return analytic_distribution(*args)
-
-        monkeypatch.setattr(harness, "analytic_distribution", counting)
-        harness._analytic_table.cache_clear()
-        fixed = UnknownState.normalized(0.6, 0.8j)
-        for eta_abs in (0.0, 0.0, -0.0):
-            cfg = RunConfig(
-                mode=Mode.PHOTON, trials=20, master_seed=3, fixed_input=fixed,
-                efficiency=EfficiencyConfig(eta_abs=eta_abs),
-            )
-            run_batch(cfg)
-        # One table per input and knobs, keyed by bytes: -0.0 is not 0.0.
-        assert len(calls) == 2
-        table = harness._analytic_table(
-            fixed.state_vector().amplitudes.tobytes(), cfg.efficiency.to_bytes()
-        )
-        assert table == analytic_distribution(fixed, cfg.efficiency)
-        with pytest.raises(TypeError):
-            table[CascadeEventKind.D1] = 0.0
-        harness._analytic_table.cache_clear()
-
     def test_unwritable_output_path_raises(self, tmp_path):
         cfg = RunConfig(
             mode=Mode.SPIN, trials=1,

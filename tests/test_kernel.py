@@ -12,13 +12,15 @@ against the scalar numpy calls, and swap's once-per-outcome steps against
 running them on every row.  A cascade chunk of byte-identical inputs starts
 from one state: each row must still equal its one-row call, and the rows
 it projects must not grow with the trials.  Such a chunk takes its state
-tree from a cache: a warm tree must give the bytes of a cold one, raise
+tree from a cache keyed by its input and ``eta_abs``: a warm tree must
+give the bytes of a cold one, whatever the other knobs, raise
 every error a cold one raises, and project nothing it has projected before.
 Every test here starts on an empty cache.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -287,12 +289,12 @@ class TestSharedInputTable:
             (plus, self.CFG, draws[:1]),
         )
         assert both == 2 * one > 0
-        # Alone, each takes a tree of its own from the cache: the second
-        # projects as much as the first does on an empty cache.
+        # A chunk of each alone takes a tree of its own from the cache: the
+        # second projects as much as the first does on an empty cache.
         _shared_tree.cache_clear()
         assert contracted_rows(
-            monkeypatch, (plus, self.CFG, draws[:1]), (minus, self.CFG, draws[:1]),
-            cold=False,
+            monkeypatch, (np.tile(plus, (2, 1)), self.CFG, draws),
+            (np.tile(minus, (2, 1)), self.CFG, draws), cold=False,
         ) == [one, one]
         assert _shared_tree.cache_info().currsize == 2
 
@@ -347,6 +349,24 @@ class TestSharedTreeCache:
         warm = cascade_rows(inputs, cfg, draws)
         assert _shared_tree.cache_info().hits == hits + 1
         assert_same_bytes(warm, cold)
+
+    @pytest.mark.parametrize("cfg", LOSS_CONFIGS, ids=["ideal", "benchmark", "lossy", "weak"])
+    def test_only_the_input_and_eta_abs_key_a_tree(self, cfg):
+        # The detection and source knobs act after the walk, so a chunk under
+        # other values of them gathers from the same tree.
+        inputs = np.tile(SHARED_INPUT, (CHUNK_TRIALS[Mode.PHOTON], 1))
+        other = dataclasses.replace(cfg, eta_det=0.7, p_in=0.85, p_pdc=0.75)
+        cold = cascade_rows(inputs, other, self.chunk_draws(1))
+        _shared_tree.cache_clear()
+        cascade_rows(inputs, cfg, self.chunk_draws(2))
+        warm = cascade_rows(inputs, other, self.chunk_draws(1))
+        info = _shared_tree.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert_same_bytes(warm, cold)
+
+    def test_a_one_row_call_builds_a_tree_of_its_own(self):
+        cascade_rows(SHARED_INPUT[None], EfficiencyConfig(), self.chunk_draws(4)[:1])
+        assert _shared_tree.cache_info().misses == 0
 
     def test_the_cache_holds_at_most_its_bound(self):
         draws = self.chunk_draws(3)[:4]
