@@ -26,9 +26,15 @@ Columns: a chunk stays numpy columns (seeds, codes, fidelities, inputs)
 from the kernel to the summary's running totals, and whether a trial has a
 fidelity comes from its code.  ``_chunk_lines`` is the one record encoder:
 one ``%`` fills the chunk's template (its codes' line templates, joined).
-``run_batch`` writes that text in one write, and ``iter_records`` yields its
-lines decoded; nothing else turns columns into Python objects.
-``summarize`` feeds dicts to the same totals a block at a time.
+Float text is ``repr``'s, as ``json.dumps`` writes it.  A Haar chunk's
+``a_re``, ``b_re`` and ``b_im`` columns get theirs from one
+``floattext.reprs`` call, and its ``a_im`` is the literal ``0.0``, since
+``haar_rows`` sets the first amplitude from a real cosine.  Text the chunk
+shares among trials, its distinct fidelities and a fixed input's four
+amplitudes, comes from ``repr`` itself.  ``run_batch`` writes the chunk's
+text in one write, and ``iter_records`` yields its lines decoded; nothing
+else turns columns into Python objects.  ``summarize`` feeds dicts to the
+same totals a block at a time.
 
 Record schema (one JSON object per line, keys in this order):
 
@@ -58,6 +64,7 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from .floattext import reprs
 from .observables import MEASUREMENT_ORDER, BellOutcome
 from .photonic import (
     CASCADE_DRAWS,
@@ -225,8 +232,10 @@ _COUNTED = {
 }
 # Per mode and code, its record line up to the amplitudes, with everything
 # the code decides pre-encoded; each trial fills in its index, seed and
-# fidelity text, and its amplitudes unless the chunk shares one text for
-# them.  Ints are ``str`` and floats ``repr``, as ``json.dumps`` writes them.
+# fidelity text.  Ints are ``str`` and floats ``repr``, as ``json.dumps``
+# writes them.  ``_AMPLITUDES`` is filled once per chunk: with null (swap),
+# a fixed input's text, or, for Haar rows, placeholders for each trial's
+# a_re, b_re and b_im around the a_im literal.
 _LINE_HEADS = {
     mode: [
         f'{{"trial":%d,"seed":%d,"outcome":{json.dumps(outcome)},'
@@ -236,7 +245,7 @@ _LINE_HEADS = {
     ]
     for mode, wire in _WIRE.items()
 }
-_AMPLITUDES = ',"a_re":%r,"a_im":%r,"b_re":%r,"b_im":%r'
+_AMPLITUDES = ',"a_re":%s,"a_im":%s,"b_re":%s,"b_im":%s'
 
 
 class _Chunk(NamedTuple):
@@ -311,8 +320,13 @@ def record_to_line(record: dict) -> str:
 def _chunk_lines(cfg: RunConfig, chunk: _Chunk) -> str:
     """The chunk's record lines, each ``record_to_line`` of its record plus a
     newline, from one ``%`` of the chunk's line templates, joined: the one
-    record encoder, behind both the record file and ``iter_records``.  A
-    non-finite float raises ``ValueError``, as ``allow_nan=False`` does."""
+    record encoder, behind both the record file and ``iter_records``.
+
+    Which text each float gets depends on its column's kind, never on its
+    value: ``repr`` of each distinct fidelity and of a fixed input's
+    amplitudes, and one ``floattext.reprs`` call over a Haar chunk's
+    ``a_re``, ``b_re`` and ``b_im`` columns.  A non-finite float raises
+    ``ValueError``, as ``allow_nan=False`` does."""
     inputs = () if chunk.inputs is None else chunk.inputs
     if not (np.isfinite(chunk.present).all() and np.isfinite(inputs).all()):
         raise ValueError("Out of range float values are not JSON compliant")
@@ -324,12 +338,15 @@ def _chunk_lines(cfg: RunConfig, chunk: _Chunk) -> str:
         map(texts.get, chunk.fidelities.tolist(), itertools.repeat("null")),
     ]
     if chunk.inputs is None:
-        amplitudes = _AMPLITUDES.replace("%r", "null")
+        amplitudes = _AMPLITUDES % (("null",) * 4)
     elif cfg.fixed_input is not None:  # every row holds the same input
-        amplitudes = _AMPLITUDES % tuple(chunk.inputs[0].view(np.float64).tolist())
-    else:
-        amplitudes = _AMPLITUDES
-        columns += chunk.inputs.view(np.float64).T.tolist()
+        fixed = chunk.inputs[0].view(np.float64).tolist()
+        amplitudes = _AMPLITUDES % tuple(map(repr, fixed))
+    else:  # Haar rows
+        amplitudes = _AMPLITUDES % ("%s", "0.0", "%s", "%s")
+        haar = reprs(chunk.inputs.view(np.float64).T[[0, 2, 3]])
+        size = len(chunk.seeds)
+        columns += [haar[:size], haar[size : 2 * size], haar[2 * size :]]
     lines = [head + amplitudes + "}\n" for head in _LINE_HEADS[cfg.mode]]
     template = "".join(map(lines.__getitem__, chunk.codes.tolist()))
     return template % tuple(itertools.chain.from_iterable(zip(*columns)))

@@ -58,6 +58,17 @@ from .qcore import (
 _NORM_ATOL = 1e-12
 
 
+def _require_normalized(totals) -> None:
+    """Every input state's check: each ``|a|^2 + |b|^2`` in ``totals`` is 1
+    to within 1e-12 (NaN fails too), or ``ValueError`` shows the first that
+    is not."""
+    totals = np.atleast_1d(totals)
+    bad = ~(np.abs(totals - 1.0) <= _NORM_ATOL)
+    if bad.any():
+        total = float(totals[bad][0])
+        raise ValueError(f"input state not normalized: |a|^2+|b|^2 = {total!r}")
+
+
 def _squared_modulus(a: complex, b: complex) -> float:
     """``|a|^2 + |b|^2``, or ``inf`` where Python's float arithmetic overflows."""
     try:
@@ -74,9 +85,7 @@ class UnknownState:
     b: complex
 
     def __post_init__(self) -> None:
-        total = _squared_modulus(self.a, self.b)
-        if not abs(total - 1.0) <= _NORM_ATOL:  # NaN fails this too
-            raise ValueError(f"input state not normalized: |a|^2+|b|^2 = {total!r}")
+        _require_normalized(_squared_modulus(self.a, self.b))
 
     def state_vector(self) -> StateVector:
         return StateVector([self.a, self.b])
@@ -127,11 +136,7 @@ def haar_rows(draws: np.ndarray) -> np.ndarray:
     rows = np.empty((draws.shape[0], 2), dtype=np.complex128)
     rows[:, 0] = np.cos(theta / 2.0)
     rows[:, 1] = np.exp(1j * phi) * np.sin(theta / 2.0)
-    totals = np.abs(rows[:, 0]) ** 2 + np.abs(rows[:, 1]) ** 2
-    bad = ~(np.abs(totals - 1.0) <= _NORM_ATOL)
-    if bad.any():
-        total = float(totals[bad][0])
-        raise ValueError(f"input state not normalized: |a|^2+|b|^2 = {total!r}")
+    _require_normalized(np.abs(rows[:, 0]) ** 2 + np.abs(rows[:, 1]) ** 2)
     return rows
 
 

@@ -8,7 +8,8 @@ edge of a slightly sub-normalized state and so exercises the fallback to the
 highest outcome above ``MIN_PROBABILITY``.  The cascade's coincidence sampler
 is checked the same way against its clamp rule, and every error a batch
 raises must read as the one-row call's.  The Haar inputs are checked
-against the scalar numpy calls, and swap's once-per-outcome steps against
+against the scalar numpy calls, with a first amplitude of imaginary part
++0.0 on every row, and swap's once-per-outcome steps against
 running them on every row.  A cascade chunk of byte-identical inputs starts
 from one state: each row must still equal its one-row call, and the rows
 it projects must not grow with the trials.  Such a chunk takes its state
@@ -499,6 +500,13 @@ class TestHaarRows:
             expected = np.array(scalar_haar(*np.random.default_rng(seed).random(2)))
             assert np.array([state.a, state.b]).tobytes() == expected.tobytes()
             assert type(state.a) is complex and type(state.b) is complex
+
+    def test_first_amplitude_has_no_imaginary_bits(self):
+        """The record encoder writes every Haar ``a_im`` as the literal 0.0."""
+        seeds = derive_seeds(derive_seeds(11, np.arange(100_000, dtype=np.uint64)), 0)
+        edges = [(a, b) for a in self.EDGES for b in self.EDGES]
+        draws = np.concatenate([edges, uniforms(seeds, 2)])
+        assert not haar_rows(draws)[:, 0].imag.view(np.uint64).any()
 
     def test_unnormalized_row_reads_as_the_scalar_check(self):
         draws = np.full((5, 2), 0.5)
