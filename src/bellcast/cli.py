@@ -150,8 +150,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     stdout = contextlib.nullcontext(sys.stdout)
     with stdout if args.output is None else atomic_writer(args.output) as handle:
         handle.write("value," + ",".join(kind.value for kind in kinds) + "\n")
+        last = args.steps - 1
         for i in range(args.steps):
-            value = args.start + (args.stop - args.start) * i / (args.steps - 1)
+            value = args.start + (args.stop - args.start) * i / last
+            if i == last:  # the formula can land one ulp outside [0, 1] here
+                value = args.stop
             cfg = EfficiencyConfig(**{args.param: value})
             table = analytic_distribution(input_state, cfg)
             row = [value] + [table[kind] for kind in kinds]

@@ -37,6 +37,7 @@ from .qcore import (
     StateVector,
     embed_operator,
     measure_projective,
+    qubit_indices,
 )
 
 # Tolerance used when matching computed eigenvalues against expected integers.
@@ -319,7 +320,7 @@ def bell_measure(
     Delegates to the generic projective measurement with the four Bell
     projectors; returns the identified Bell state and the collapsed register.
     """
-    pair = tuple(int(q) for q in alice_qubits)
+    pair = qubit_indices(alice_qubits)
     if len(pair) != 2:
         raise ValueError(f"exactly two qubits must be measured, got {pair}")
     projectors = bell_projectors(s.n_qubits, pair)

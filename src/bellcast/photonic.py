@@ -338,14 +338,6 @@ _KINDS = tuple(CascadeEventKind)
 _CODE = {kind: code for code, kind in enumerate(_KINDS)}
 # Per code, whether the trial identified a branch and so has a fidelity.
 _IDENTIFYING_CODES = np.array([kind in IDENTIFYING_EVENTS for kind in _KINDS])
-# The correction per event code; non-identifying codes, never corrected, get
-# the identity (the gamma- correction).
-_CORRECTION_BY_CODE = np.array(
-    [
-        _CORRECTION_OPS[EVENT_ORIGINAL_BRANCH.get(kind, PairLabel.GAMMA_MINUS)].matrix
-        for kind in _KINDS
-    ]
-)
 # The absorbers in cascade order: the signature each fires, the pair state it
 # selects, and whether the half-wave rotation on mode 1 comes before it.
 _ABSORBERS = (
@@ -373,14 +365,15 @@ _DETECTION_COLUMN = np.array(
 
 class _Level:
     """One level of a :class:`_StateTree`: its distinct states, each one's
-    weights and mode-2 components, and its child per window or branch, flat:
-    row ``r``'s child for outcome ``j`` of ``width`` is ``children[r * width
-    + j]``."""
+    start row, weights and mode-2 components, and its child per window or
+    branch, flat: row ``r``'s child for outcome ``j`` of ``width`` is
+    ``children[r * width + j]``."""
 
-    __slots__ = ("states", "weights", "components", "children")
+    __slots__ = ("states", "starts", "weights", "components", "children")
 
-    def __init__(self, states, weights, components, width: int) -> None:
-        self.states, self.weights, self.components = states, weights, components
+    def __init__(self, states, starts, weights, components, width: int) -> None:
+        self.states, self.starts = states, starts
+        self.weights, self.components = weights, components
         self.children = np.full(len(states) * width, -1, dtype=np.intp)
 
     def extend(self, other: "_Level") -> np.ndarray:
@@ -392,76 +385,87 @@ class _Level:
 
 
 class _StateTree:
-    """The distinct states a cascade's trials reach, and what each leads to.
+    """The distinct states a cascade's trials reach from its start inputs
+    under one ``eta_abs``, and what each leads to.
 
+    Level 0 holds one start state (:func:`build_three_mode`) per input row.
     Level ``k < 3`` holds the states entering absorber ``k`` (after the
-    half-wave rotation, where one comes first), each with its fire threshold
-    ``eta_abs * p``, its mode-2 component of the absorber's pair state, and
-    its child per window (see :func:`_windows`): a row of level ``k + 1``
-    for the two that pass, a receiver row for the fired one.  Level 3 holds
-    the states reaching the coincidence detectors, each with its cumulative
-    branch weights, its four components, and its receiver row per branch.
-    A receiver row holds ``bob_pre`` and, once an identified trial lands on
-    it, the corrected state and the fidelity; row 0 holds zeros for the
-    trials that reach no absorber.  A child of -1, or a NaN or missing
-    fidelity, is not computed yet.
+    half-wave rotation, where one comes first), each with its start row, its
+    fire threshold ``eta_abs * p``, its mode-2 component of the absorber's
+    pair state, and its child per window (see :func:`_windows`): a row of
+    level ``k + 1`` for the two that pass, a receiver row for the fired one.
+    Level 3 holds the states reaching the coincidence detectors, each with
+    its cumulative branch weights, its four components, and its receiver
+    row per branch.  A receiver row is finished when it is made: every
+    signature names one branch, so the absorber or coincidence that makes
+    the row fixes its correction, and its start fixes the input it is scored
+    against.  It holds ``bob_pre``, the corrected state and the fidelity;
+    row 0 holds zeros and a NaN (no fidelity) for the trials that reach no
+    absorber.  A child of -1 is not computed yet.
 
     Each entry is computed the first time a trial lands on it, and every
     step that can raise runs before its entries are stored, so a failed call
-    stores none.  Thresholds depend on ``eta_abs`` and fidelities on the
-    input, and nothing in the tree on the other knobs, so every call on one
-    tree passes the same ``eta_abs`` and input bytes.
+    stores none.  Nothing in the tree depends on the other knobs.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, inputs: np.ndarray, eta_abs: float) -> None:
+        self.inputs, self.eta_abs = inputs, eta_abs
         self.levels: list[_Level | None] = [None] * (len(_ABSORBERS) + 1)
         self.bob_pre = np.zeros((1, 2), dtype=np.complex128)
         self.bob_post = np.zeros((1, 2), dtype=np.complex128)
         self.fidelity = np.full(1, np.nan)
+        # Level 0 is build_three_mode of each input row.
+        self.add(0, tensor_rows(inputs, pdc_pair().amplitudes), np.arange(len(inputs)))
 
-    def add(self, level: int, states: np.ndarray, eta_abs: float) -> np.ndarray:
-        """Add ``states`` to ``level`` with their projections; returns their
-        row indices."""
+    def add(self, level: int, states: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Add ``states``, reached from the start rows ``starts``, to
+        ``level`` with their projections; returns their row indices."""
         if level < len(_ABSORBERS):
             probability, components = _project_rows(states, _ABSORBERS[level][1])
-            rows = _Level(states, eta_abs * probability, components, _WINDOWS)
+            weights, width = self.eta_abs * probability, _WINDOWS
         else:
             weights, components = zip(
                 *(_project_rows(states, label) for label in PairLabel)
             )
-            cumulative = np.cumsum(np.stack(weights, axis=1), axis=1)
-            rows = _Level(states, cumulative, np.stack(components, axis=1), len(PairLabel))
+            weights = np.cumsum(np.stack(weights, axis=1), axis=1)
+            components, width = np.stack(components, axis=1), len(PairLabel)
+        rows = _Level(states, starts, weights, components, width)
         if self.levels[level] is None:
             self.levels[level] = rows
             return np.arange(len(states))
         return self.levels[level].extend(rows)
 
-    def _receive(self, bob_pre: np.ndarray) -> np.ndarray:
-        """Add receiver rows; returns their row indices.  Their corrected
-        states and fidelities are added by :meth:`correct`."""
+    def _receive(
+        self, kind: CascadeEventKind, bob_pre: np.ndarray, starts: np.ndarray
+    ) -> np.ndarray:
+        """Add receiver rows made by signature ``kind`` from the start rows
+        ``starts``, corrected and scored; returns their row indices."""
+        correction = _CORRECTION_OPS[EVENT_ORIGINAL_BRANCH[kind]].matrix
+        post = apply_rows(correction, bob_pre, (0,))
+        fidelities = fidelity_rows(post, self.inputs[starts])
         start = len(self.bob_pre)
         self.bob_pre = np.concatenate([self.bob_pre, bob_pre])
+        self.bob_post = np.concatenate([self.bob_post, post])
+        self.fidelity = np.concatenate([self.fidelity, fidelities])
         return np.arange(start, len(self.bob_pre))
 
     def absorb(
-        self, level: int, index: np.ndarray, eta_abs: float, draws: np.ndarray
+        self, level: int, index: np.ndarray, draws: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Absorber ``level`` on the trials at its rows ``index``, one draw
         each.  Returns which trials fired, and each trial's child: its
         receiver row if it fired, else its row of the next level."""
         node = self.levels[level]
-        windows = _windows(draws, eta_abs, node.weights[index])
+        windows = _windows(draws, self.eta_abs, node.weights[index])
         slots = index * _WINDOWS + windows
         child = node.children[slots]
         missing = child < 0
         if missing.any():
-            self._expand(level, index[missing], windows[missing], eta_abs)
+            self._expand(level, index[missing], windows[missing])
             child = node.children[slots]
         return windows == 2, child
 
-    def _expand(
-        self, level: int, index: np.ndarray, windows: np.ndarray, eta_abs: float
-    ) -> None:
+    def _expand(self, level: int, index: np.ndarray, windows: np.ndarray) -> None:
         """Compute the child of each (row, window) pair of ``level`` named."""
         node = self.levels[level]
         m = len(node.states)
@@ -469,26 +473,28 @@ class _StateTree:
         keys, _ = distinct_keys(windows * m + index, _WINDOWS * m)
         windows, parents = np.divmod(keys, m)
         d, f = windows.searchsorted((1, 2))
-        label = _ABSORBERS[level][1]
+        kind, label, _ = _ABSORBERS[level]
         out = _window_states(
             node.states[parents], node.components[parents], d, f, label
         )
         passed, conditioned = out[:f], out[f:]
+        starts = node.starts[parents]
+        # The receiver rows go first: their fidelity check is the last step
+        # that can raise, and nothing is stored before it.
+        entered = received = parents[:0]
         if len(conditioned):
             # bob_pre is projected back out of the conditioned state.  Taking
             # the component before conditioning would skip this round trip,
             # but it changes the last bits of Haar fidelities, so it stays,
             # once per distinct conditioned state.
-            conditioned = normalized_rows(_project_rows(conditioned, label)[1])
-        if f and level + 1 < len(_ABSORBERS) and _ABSORBERS[level + 1][2]:
-            passed = apply_rows(WAVEPLATE.matrix, passed, (1,))  # waveplate(s, 1)
-        # Nothing that can raise is left, so the children can be stored.
-        rows = []
+            bob_pre = contract_rows(conditioned, (0, 1), _PAIR_BRAS[label])
+            received = self._receive(kind, normalized_rows(bob_pre), starts[f:])
         if f:
-            rows.append(self.add(level + 1, passed, eta_abs))
-        if len(conditioned):
-            rows.append(self._receive(conditioned))
-        node.children[parents * _WINDOWS + windows] = np.concatenate(rows)
+            if level + 1 < len(_ABSORBERS) and _ABSORBERS[level + 1][2]:
+                passed = apply_rows(WAVEPLATE.matrix, passed, (1,))  # waveplate(s, 1)
+            entered = self.add(level + 1, passed, starts[:f])
+        slots = parents * _WINDOWS + windows
+        node.children[slots] = np.concatenate([entered, received])
 
     def coincide(self, index: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """Sample which pair branch a polarization-blind coincidence consumed,
@@ -512,35 +518,11 @@ class _StateTree:
         if missing.any():
             drawn, _ = distinct_keys(slots[missing], len(node.children))
             bob_pre = normalized_rows(node.components.reshape(-1, 2)[drawn])
-            node.children[drawn] = self._receive(bob_pre)
+            node.children[drawn] = self._receive(
+                CascadeEventKind.D3_COINCIDENCE, bob_pre, node.starts[drawn // k]
+            )
             child = node.children[slots]
         return child
-
-    def correct(
-        self, trials: np.ndarray, receiver: np.ndarray, kinds: np.ndarray,
-        inputs: np.ndarray,
-    ) -> None:
-        """Correct each receiver row that an identified trial of ``trials``
-        is the first to land on, and take its fidelity to the trial's input.
-        The trials that share a row share its code and their input's bytes,
-        so any one of them stands for all."""
-        added = len(self.bob_pre) - len(self.fidelity)
-        if added:
-            self.bob_post = np.concatenate(
-                [self.bob_post, np.zeros((added, 2), dtype=np.complex128)]
-            )
-            self.fidelity = np.concatenate([self.fidelity, np.full(added, np.nan)])
-        at = receiver[trials]
-        missing = np.isnan(self.fidelity[at])
-        if not missing.any():
-            return
-        distinct, first = distinct_keys(at[missing], len(self.fidelity))
-        trial = np.empty_like(distinct)
-        trial[first] = trials[missing]
-        post = apply_rows(_CORRECTION_BY_CODE[kinds[trial]], self.bob_pre[distinct], (0,))
-        fidelities = fidelity_rows(post, inputs[trial])
-        self.bob_post[distinct] = post
-        self.fidelity[distinct] = fidelities
 
 
 # Shared-input trees the cache keeps.  A tree holds at most 15 states and 40
@@ -550,11 +532,12 @@ SHARED_TREES = 8
 
 @functools.lru_cache(maxsize=SHARED_TREES)
 def _shared_tree(input_bytes: bytes, eta_abs_bytes: bytes) -> _StateTree:
-    """The one state tree of every chunk whose input rows all hold
-    ``input_bytes``, under the ``eta_abs`` whose float64 bytes are
-    ``eta_abs_bytes``; no other knob changes a tree.  The tree starts empty;
-    the calls that share it fill it."""
-    return _StateTree()
+    """The one state tree of every chunk whose input rows all hold the
+    complex128 row ``input_bytes``, under the ``eta_abs`` whose float64
+    bytes are ``eta_abs_bytes``; no other knob changes a tree.  It is built
+    from that one start; the calls that share it fill in the rest."""
+    inputs = np.frombuffer(input_bytes, dtype=np.complex128)[None]
+    return _StateTree(inputs, float(np.frombuffer(eta_abs_bytes)[0]))
 
 
 def _tree_for(
@@ -562,45 +545,40 @@ def _tree_for(
 ) -> tuple[_StateTree, np.ndarray]:
     """The state tree the trials ``rows`` walk (see :func:`cascade_rows`),
     and each one's level-0 row."""
-    if not len(rows):
-        return _StateTree(), rows
     # Comparing bytes keeps 0.0 and -0.0 apart.  A one-row call gains
     # nothing from a cached tree that a tree of its own would not give it.
     words = inputs.view(np.uint64)
-    if len(words) > 1 and (words == words[:1]).all():
-        eta_abs = np.float64(cfg.eta_abs).tobytes()
-        tree = _shared_tree(inputs[0].tobytes(), eta_abs)
-        starts, index = rows[:1], np.zeros(len(rows), dtype=np.intp)
-    else:
-        tree = _StateTree()
-        starts, index = rows, np.arange(len(rows))
-    if tree.levels[0] is None:  # build_three_mode
-        tree.add(0, tensor_rows(inputs[starts], pdc_pair().amplitudes), cfg.eta_abs)
-    return tree, index
+    if len(rows) and len(words) > 1 and (words == words[:1]).all():
+        tree = _shared_tree(inputs[0].tobytes(), np.float64(cfg.eta_abs).tobytes())
+        return tree, np.zeros(len(rows), dtype=np.intp)
+    return _StateTree(inputs[rows], cfg.eta_abs), np.arange(len(rows))
 
 
 def cascade_rows(
     inputs: np.ndarray, cfg: EfficiencyConfig, draws: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """:func:`run_cascade` for a batch: one ``(N, 2)`` input row and one
-    ``(N, CASCADE_DRAWS)`` draw row per trial, which the trial reads in order
-    from column 0 (see :func:`run_cascade`).
+    """:func:`run_cascade` for a batch: one ``(N, 2)`` complex128 input row
+    and one ``(N, CASCADE_DRAWS)`` draw row per trial, which the trial reads
+    in order from column 0 (see :func:`run_cascade`).
 
     The trials walk a state tree (:class:`_StateTree`): each absorber
     window, coincidence branch, ``bob_pre`` round trip, correction and
     fidelity runs once per tree entry, the first time a trial lands on it,
-    and each trial gathers its results from the tree.  A chunk of more than
-    one row whose input rows are byte-identical, as every fixed-input chunk
-    is, starts from one state, and takes its tree from a cache of at most
-    ``SHARED_TREES`` trees, least recently used first out, keyed by the bytes
-    of the input row and of ``eta_abs``, the one knob the tree depends on.
-    A cached tree lives as long as it stays in the cache of this process, so
-    later chunks and batches of one input and ``eta_abs`` in one process only
-    gather; a new process starts on an empty cache.  Any other call, Haar
-    chunks and one-row calls included, starts from one state per trial in a
-    tree of its own, dropped when the call returns.
-    The draw, ``eta_abs``, normalization and input checks run on every call,
-    on the trials that reach them, cached tree or not.
+    and each trial gathers its results from the tree.  A receiver row is
+    corrected and scored when it is made, so every trial that reaches one
+    checks its input, whether or not its detection draw then loses the
+    signature.  A chunk of more than one row whose input rows are
+    byte-identical, as every fixed-input chunk is, starts from one state,
+    and takes its tree from a cache of at most ``SHARED_TREES`` trees, least
+    recently used first out, keyed by the bytes of the input row and of
+    ``eta_abs``, the one knob the tree depends on.  A cached tree lives as
+    long as it stays in the cache of this process, so later chunks and
+    batches of one input and ``eta_abs`` in one process only gather; a new
+    process starts on an empty cache.  Any other call, Haar chunks and
+    one-row calls included, starts from one state per trial in a tree of
+    its own, dropped when the call returns.  The draw, ``eta_abs``,
+    normalization and input checks run on every call, on the trials that
+    reach them, cached tree or not.
 
     Returns the event codes (indices into ``CascadeEventKind``), ``bob_pre``
     and ``bob_post`` as ``(N, 2)`` arrays and the ``(N,)`` float64
@@ -623,7 +601,7 @@ def cascade_rows(
     for level, (kind, _, _) in enumerate(_ABSORBERS):
         if not len(rows):
             break
-        fired, child = tree.absorb(level, index, cfg.eta_abs, draws[rows, 2 + level])
+        fired, child = tree.absorb(level, index, draws[rows, 2 + level])
         hit = rows[fired]
         kinds[hit] = _CODE[kind]
         receiver[hit] = child[fired]
@@ -637,10 +615,7 @@ def cascade_rows(
     lost = draws[signalled, _DETECTION_COLUMN[kinds[signalled]]] >= cfg.eta_det
     kinds[signalled[lost]] = _CODE[CascadeEventKind.NO_EVENT]
 
-    identified = _IDENTIFYING_CODES[kinds]
-    if identified.any():
-        tree.correct(np.flatnonzero(identified), receiver, kinds, inputs)
-    shown = np.where(identified, receiver, 0)
+    shown = np.where(_IDENTIFYING_CODES[kinds], receiver, 0)
     return kinds, tree.bob_pre[receiver], tree.bob_post[shown], tree.fidelity[shown]
 
 

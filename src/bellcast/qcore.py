@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,8 +155,20 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(tensor_rows(a.amplitudes, b.amplitudes)[0])
 
 
+def qubit_indices(qubits) -> tuple[int, ...]:
+    """Each qubit index as an ``int``; one that is not an integer (a float
+    included) is an error, never truncated."""
+    indices = []
+    for q in qubits:
+        try:
+            indices.append(operator.index(q))
+        except TypeError:
+            raise ValueError(f"qubit index must be an integer, got {q!r}") from None
+    return tuple(indices)
+
+
 def _check_targets(targets, n_qubits: int, op_qubits: int) -> tuple[int, ...]:
-    targets = tuple(int(t) for t in targets)
+    targets = qubit_indices(targets)
     if len(targets) != op_qubits:
         raise ValueError(
             f"operator acts on {op_qubits} qubit(s) but {len(targets)} target(s) given"

@@ -257,6 +257,22 @@ class TestSweep:
         assert path.read_bytes() == b"previous sweep\n"
         assert os.listdir(tmp_path) == ["sweep.csv"]
 
+    def test_last_row_is_the_endpoint(self, capsys):
+        # 0.059 -> 1 in 7 steps and 0.007 -> 0 in 11 steps are grid points
+        # whose last step, by the interpolation formula, leaves [0, 1].
+        endpoints = ["0", "0.007", "0.059", "0.3", "0.5", "0.9", "1"]
+        for start in endpoints:
+            for stop in endpoints:
+                for steps in ("2", "3", "7", "10", "11"):
+                    code, out, err = run_cli(
+                        capsys, "sweep-efficiency", "--param", "eta_abs",
+                        "--from", start, "--to", stop, "--steps", steps,
+                    )
+                    assert code == 0, (start, stop, steps, err)
+                    rows = out.splitlines()[1:]
+                    assert len(rows) == int(steps)
+                    assert float(rows[-1].split(",")[0]) == float(stop)
+
     def test_rejects_single_step(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep-efficiency", "--param", "eta_abs",

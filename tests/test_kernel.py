@@ -16,6 +16,7 @@ it projects must not grow with the trials.  Such a chunk takes its state
 tree from a cache keyed by its input and ``eta_abs``: a warm tree must
 give the bytes of a cold one, whatever the other knobs, raise
 every error a cold one raises, and project nothing it has projected before.
+A tree corrects and scores each receiver row once, when the row is made.
 Every test here starts on an empty cache.
 """
 
@@ -198,13 +199,14 @@ class TestCoincidenceClamp:
         states = [leading] + [random_state(rng, 8) for _ in range(6)]
         cases = [(s, u) for s in states for u in (0.0, 0.5, LAST_BELOW_ONE)]
         # Each state is one row of the tree's coincidence level, shared by
-        # its three draws.
-        tree = _StateTree()
-        tree.add(3, np.array([s.amplitudes for s in states]), 1.0)
+        # its three draws, and reached from the tree's one start.
+        tree = _StateTree(SHARED_INPUT[None], 1.0)
+        tree.add(3, np.array([s.amplitudes for s in states]), np.zeros(len(states), int))
         at = tree.coincide(
             np.repeat(np.arange(len(states)), 3), np.array([u for _, u in cases])
         )
         picked = tree.bob_pre[at]
+        assert np.isfinite(tree.fidelity[at]).all()  # scored when made
         for row, (state, u) in enumerate(cases):
             assert picked[row].tobytes() == reference_branch(state, u).tobytes(), row
         chi_minus = pair_components(leading)[PairLabel.CHI_MINUS].normalized()
@@ -380,6 +382,38 @@ class TestSharedTreeCache:
         assert info.maxsize == SHARED_TREES
 
 
+class TestReceiverRows:
+    """A receiver row is corrected and scored against its start's input when
+    it is made, once per row of the tree; a trial that lands on it later
+    only gathers it."""
+
+    # "blind" loses every signature to the detector: its rows are scored too.
+    @pytest.mark.parametrize(
+        "cfg",
+        [*LOSS_CONFIGS, EfficiencyConfig(eta_abs=0.9, eta_det=0.0)],
+        ids=["ideal", "benchmark", "lossy", "weak", "blind"],
+    )
+    def test_each_receiver_row_is_scored_once(self, monkeypatch, cfg):
+        scored = []
+
+        def counting(states, inputs):
+            scored.append(states.shape[0])
+            return fidelity_rows(states, inputs)
+
+        monkeypatch.setattr(photonic, "fidelity_rows", counting)
+        inputs = np.tile(SHARED_INPUT, (CHUNK_TRIALS[Mode.PHOTON], 1))
+        cascade_rows(inputs, cfg, TestSharedTreeCache.chunk_draws(1))
+        tree = _shared_tree(SHARED_INPUT.tobytes(), np.float64(cfg.eta_abs).tobytes())
+        # Row 0 is the dark trials' row, never scored.
+        assert sum(scored) == len(tree.fidelity) - 1 > 0
+        scored.clear()
+        cascade_rows(inputs, cfg, TestSharedTreeCache.chunk_draws(1))
+        assert scored == []
+        made = len(tree.fidelity)
+        cascade_rows(inputs, cfg, TestSharedTreeCache.chunk_draws(2))
+        assert sum(scored) == len(tree.fidelity) - made
+
+
 def batch_error(call) -> str:
     with pytest.raises(ValueError) as caught:
         call()
@@ -440,8 +474,9 @@ class TestBatchErrorsMatchTheOneTrialCall:
         _shared_tree.cache_clear()
         assert_same_bytes(after_failures, cascade_rows(inputs, cfg, draws))
 
-    def assert_cascade_input_error(self, inputs: np.ndarray) -> None:
-        cfg = EfficiencyConfig()
+    def assert_cascade_input_error(
+        self, inputs: np.ndarray, cfg: EfficiencyConfig = EfficiencyConfig()
+    ) -> None:
         draws = np.zeros((self.ROWS, CASCADE_DRAWS))
         bad = slice(self.BAD_ROW, self.BAD_ROW + 1)
         one = batch_error(
@@ -467,6 +502,19 @@ class TestBatchErrorsMatchTheOneTrialCall:
 
     def test_unnormalized_shared_cascade_input(self):
         self.assert_cascade_input_error(self.shared_inputs() * 1.001)
+
+    # Every trial fires D1 and then loses it to the detector: a receiver row
+    # is scored against its input when it is made, so the input is checked
+    # though no trial is identified.
+    def test_unnormalized_cascade_input_with_every_signature_lost(self):
+        inputs = self.inputs()
+        inputs[self.BAD_ROW] *= 1.001
+        self.assert_cascade_input_error(inputs, EfficiencyConfig(eta_det=0.0))
+
+    def test_unnormalized_shared_cascade_input_with_every_signature_lost(self):
+        self.assert_cascade_input_error(
+            self.shared_inputs() * 1.001, EfficiencyConfig(eta_det=0.0)
+        )
 
 
 def scalar_haar(u_cos: float, u_phi: float) -> tuple[complex, complex]:

@@ -194,6 +194,14 @@ class TestBellMeasure:
         with pytest.raises(ValueError, match="exactly two"):
             bell_measure(bell_state(BellOutcome.PSI_PLUS), (0,), 0.1)
 
+    def test_rejects_non_integer_qubits(self):
+        # int() would truncate (0.4, 1.6) to (0, 1).
+        state = tensor(bell_state(BellOutcome.PSI_PLUS), StateVector(np.array([1, 0j])))
+        with pytest.raises(ValueError, match=r"must be an integer, got 0\.4$"):
+            bell_measure(state, (0.4, 1.6), 0.3)
+        outcome, _ = bell_measure(state, (np.int64(0), np.int32(1)), 0.3)
+        assert outcome is BellOutcome.PSI_PLUS
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_probabilities_sum_to_one(self, seed):

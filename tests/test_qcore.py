@@ -201,6 +201,13 @@ class TestApply:
         with pytest.raises(ValueError, match="distinct"):
             apply(Operator(np.eye(4, dtype=complex)), ket("00"), (0, 0))
 
+    def test_rejects_non_integer_target(self):
+        # int() would truncate 1.9 and flip qubit 1.
+        with pytest.raises(ValueError, match=r"must be an integer, got 1\.9$"):
+            apply(Operator(X), ket("00"), (1.9,))
+        got = apply(Operator(X), ket("00"), (np.int64(1),))
+        assert got.amplitudes.tobytes() == ket("01").amplitudes.tobytes()
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="target"):
             apply(Operator(np.eye(4, dtype=complex)), ket("00"), (0,))
@@ -444,6 +451,13 @@ class TestContraction:
                 np.testing.assert_allclose(
                     got.amplitudes, oracle @ state.amplitudes, atol=ATOL_EXACT
                 )
+
+    def test_rejects_non_integer_qubits(self):
+        # int() would truncate (0.2, 1.7) to (0, 1).
+        with pytest.raises(ValueError, match=r"must be an integer, got 0\.2$"):
+            contract_with(ket("010"), (0.2, 1.7), ket("01"))
+        got = contract_with(ket("010"), np.array([0, 1]), ket("01"))
+        assert got.amplitudes.tobytes() == ket("0").amplitudes.tobytes()
 
     def test_rejects_contracting_every_qubit(self):
         with pytest.raises(ValueError, match="at least one qubit"):
