@@ -138,6 +138,12 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
+        for name, kinds in (("mode", (Mode,)), ("efficiency", (EfficiencyConfig,)),
+                            ("fixed_input", (UnknownState, type(None)))):
+            value = getattr(self, name)
+            if not isinstance(value, kinds):
+                expected = " or ".join(kind.__name__ for kind in kinds)
+                raise ValueError(f"{name} must be {expected}, got {value!r}")
         try:
             trials = operator.index(self.trials)
         except TypeError:
@@ -524,15 +530,27 @@ def summarize(
     through the running totals a batch keeps (see ``_Tally``).
 
     Only each record's ``fidelity`` and its ``event`` (photon mode) or
-    ``outcome`` (other modes) are read.
+    ``outcome`` (other modes) are read.  A record that is not a dict holding
+    both raises ``ValueError`` naming its 1-based position and the field.
     """
     tally = _Tally(mode)
     field = "event" if mode is Mode.PHOTON else "outcome"
-    records = iter(records)
+    records, seen = iter(records), 0
     while block := list(itertools.islice(records, CHUNK_TRIALS[mode])):
-        values = [record["fidelity"] for record in block]
+        try:
+            values = [record["fidelity"] for record in block]
+            labels = [record[field] for record in block]
+        except (KeyError, TypeError):
+            position, name = next(
+                (position, name)
+                for position, record in enumerate(block, seen + 1)
+                for name in ("fidelity", field)
+                if not isinstance(record, dict) or name not in record
+            )
+            raise ValueError(f"record {position} has no {name!r} field") from None
+        seen += len(block)
         tally.add(
-            collections.Counter([record[field] for record in block]).items(),
+            collections.Counter(labels).items(),
             np.array([value for value in values if value is not None], float),
         )
     return tally.summary(analytic)

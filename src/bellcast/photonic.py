@@ -234,17 +234,6 @@ def _declined(s: StateVector, label: PairLabel, component: np.ndarray) -> StateV
     return StateVector(remainder).normalized()
 
 
-# The row-batched cascade walks a state tree (see _StateTree): the distinct
-# states trials reach, and what each absorber window or coincidence branch
-# leads to.  Every trial draws and compares alone, but each float step runs
-# once per tree entry, the first time a trial lands on it, with the float
-# operations of its scalar form (see qcore's row-batched forms), so each
-# trial is bit-identical to a one-trial call.  A trial that lands on an entry
-# computed before only gathers it.  A tree is filled lazily: under ideal
-# absorbers some windows cannot be reached and their states have zero norm,
-# so an entry no trial reaches is never computed.
-
-
 def _project_rows(states: np.ndarray, label: PairLabel) -> tuple[np.ndarray, ...]:
     """The cascade's one pair-basis projection: each row's Born weight of
     ``label`` on modes (0, 1) and its unnormalized mode-2 component."""
@@ -336,31 +325,23 @@ CASCADE_DRAWS = 7
 # Kinds by their index in the kernel's event codes.
 _KINDS = tuple(CascadeEventKind)
 _CODE = {kind: code for code, kind in enumerate(_KINDS)}
-# Per code, whether the trial identified a branch and so has a fidelity.
-_IDENTIFYING_CODES = np.array([kind in IDENTIFYING_EVENTS for kind in _KINDS])
-# The absorbers in cascade order: the signature each fires, the pair state it
-# selects, and whether the half-wave rotation on mode 1 comes before it.
+# The signature each level of the cascade ends trials in: the absorbers in
+# cascade order, then the coincidence, which ends every trial it reaches.
+_LEVEL_KINDS = (CascadeEventKind.D1, CascadeEventKind.D2, CascadeEventKind.D4,
+                CascadeEventKind.D3_COINCIDENCE)
+# Per absorber level, the pair state it selects, and whether the half-wave
+# rotation on mode 1 comes before it.
 _ABSORBERS = (
-    (CascadeEventKind.D1, PairLabel.CHI_MINUS, False),
-    (CascadeEventKind.D2, PairLabel.CHI_MINUS, True),
-    (CascadeEventKind.D4, PairLabel.CHI_PLUS, False),
+    (PairLabel.CHI_MINUS, False),
+    (PairLabel.CHI_MINUS, True),
+    (PairLabel.CHI_PLUS, False),
 )
 # An absorber's windows: inactive, declined, fired (see _windows).
 _WINDOWS = 3
 # A trial reads its draws in order from column 0: the two availability draws,
-# one per absorber reached, one on a coincidence, then the detection draw.
-# The detection draw's column, by event code:
-_DETECTION_COLUMN = np.array(
-    [
-        {
-            CascadeEventKind.D1: 3,
-            CascadeEventKind.D2: 4,
-            CascadeEventKind.D4: 5,
-            CascadeEventKind.D3_COINCIDENCE: 6,
-        }.get(kind, 2)
-        for kind in _KINDS
-    ]
-)
+# one per level reached, then the detection draw.  Its column, by event code:
+_DETECTION_COLUMN = np.full(len(_KINDS), 2)
+_DETECTION_COLUMN[[_CODE[kind] for kind in _LEVEL_KINDS]] = 3 + np.arange(len(_LEVEL_KINDS))
 
 
 class _Level:
@@ -396,23 +377,29 @@ class _StateTree:
     level ``k + 1`` for the two that pass, a receiver row for the fired one.
     Level 3 holds the states reaching the coincidence detectors, each with
     its cumulative branch weights, its four components, and its receiver
-    row per branch.  A receiver row is finished when it is made: every
-    signature names one branch, so the absorber or coincidence that makes
-    the row fixes its correction, and its start fixes the input it is scored
-    against.  It holds ``bob_pre``, the corrected state and the fidelity;
-    row 0 holds zeros and a NaN (no fidelity) for the trials that reach no
-    absorber.  A child of -1 is not computed yet.
+    row per branch.  A trial walks the levels in order through :meth:`step`
+    until one ends it in the level's signature (``_LEVEL_KINDS``).
 
-    Each entry is computed the first time a trial lands on it, and every
-    step that can raise runs before its entries are stored, so a failed call
-    stores none.  Nothing in the tree depends on the other knobs.
+    A receiver row is finished when it is made: every signature names one
+    branch, so the level that makes the row fixes its correction, and its
+    start fixes the input it is scored against.  It holds ``bob_pre``, the
+    corrected state and the fidelity; row 0 holds zeros and a NaN (no
+    fidelity), the row of every trial without an identifying signature.
+
+    Every trial draws and compares alone, but each float step runs once per
+    entry, the first time a trial lands on it, with the float operations of
+    its scalar form (see qcore's row-batched forms), so each trial is
+    bit-identical to a one-trial call.  A child of -1 is not computed yet;
+    one no trial reaches, such as a window that ideal absorbers leave at
+    zero norm, never is.  Every step that can raise runs before its entries
+    are stored, so a failed call stores none.  Nothing in the tree depends
+    on the other knobs.
     """
 
     def __init__(self, inputs: np.ndarray, eta_abs: float) -> None:
         self.inputs, self.eta_abs = inputs, eta_abs
-        self.levels: list[_Level | None] = [None] * (len(_ABSORBERS) + 1)
-        self.bob_pre = np.zeros((1, 2), dtype=np.complex128)
-        self.bob_post = np.zeros((1, 2), dtype=np.complex128)
+        self.levels: list[_Level | None] = [None] * len(_LEVEL_KINDS)
+        self.bob_pre = self.bob_post = np.zeros((1, 2), dtype=np.complex128)
         self.fidelity = np.full(1, np.nan)
         # Level 0 is build_three_mode of each input row.
         self.add(0, tensor_rows(inputs, pdc_pair().amplitudes), np.arange(len(inputs)))
@@ -421,7 +408,7 @@ class _StateTree:
         """Add ``states``, reached from the start rows ``starts``, to
         ``level`` with their projections; returns their row indices."""
         if level < len(_ABSORBERS):
-            probability, components = _project_rows(states, _ABSORBERS[level][1])
+            probability, components = _project_rows(states, _ABSORBERS[level][0])
             weights, width = self.eta_abs * probability, _WINDOWS
         else:
             weights, components = zip(
@@ -449,34 +436,57 @@ class _StateTree:
         self.fidelity = np.concatenate([self.fidelity, fidelities])
         return np.arange(start, len(self.bob_pre))
 
-    def absorb(
+    def step(
         self, level: int, index: np.ndarray, draws: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Absorber ``level`` on the trials at its rows ``index``, one draw
-        each.  Returns which trials fired, and each trial's child: its
-        receiver row if it fired, else its row of the next level."""
+        """Level ``level`` on the trials at its rows ``index``, one draw each.
+        Returns which trials end here, in signature ``_LEVEL_KINDS[level]``,
+        and each trial's child: its receiver row if it ended, else its row of
+        the next level.
+
+        An absorber (levels 0-2) picks each trial's window (:func:`_windows`)
+        and ends the trials it fires on.  The coincidence (level 3) cannot
+        resolve the pair state, so each trial unravels the receiver's branch
+        mixture by sampling a branch with Born weights, and ends there.
+        """
         node = self.levels[level]
-        windows = _windows(draws, self.eta_abs, node.weights[index])
-        slots = index * _WINDOWS + windows
+        weights = node.weights[index]
+        if level < len(_ABSORBERS):
+            width, outcome = _WINDOWS, _windows(draws, self.eta_abs, weights)
+            ended = outcome == 2
+        else:
+            # searchsorted(weights, u * weights[-1], side="right"), clamped
+            target = (draws * weights[:, -1])[:, None]
+            width = len(PairLabel)
+            outcome = np.minimum((weights <= target).sum(axis=1), width - 1)
+            ended = np.ones(len(index), dtype=bool)
+        slots = index * width + outcome
         child = node.children[slots]
         missing = child < 0
         if missing.any():
-            self._expand(level, index[missing], windows[missing])
+            self._expand(level, slots[missing])
             child = node.children[slots]
-        return windows == 2, child
+        return ended, child
 
-    def _expand(self, level: int, index: np.ndarray, windows: np.ndarray) -> None:
-        """Compute the child of each (row, window) pair of ``level`` named."""
-        node = self.levels[level]
+    def _expand(self, level: int, slots: np.ndarray) -> None:
+        """Compute the child of each slot of ``level`` named (a row's window
+        or branch, see :class:`_Level`).  A coincidence branch's receiver row
+        holds its normalized component."""
+        node, kind = self.levels[level], _LEVEL_KINDS[level]
+        if level == len(_ABSORBERS):
+            drawn, _ = distinct_keys(slots, len(node.children))
+            bob_pre = normalized_rows(node.components.reshape(-1, 2)[drawn])
+            starts = node.starts[drawn // len(PairLabel)]
+            node.children[drawn] = self._receive(kind, bob_pre, starts)
+            return
         m = len(node.states)
+        parents, windows = np.divmod(slots, _WINDOWS)
         # Keys ordered by window (inactive, declined, fired), then by row.
-        keys, _ = distinct_keys(windows * m + index, _WINDOWS * m)
+        keys, _ = distinct_keys(windows * m + parents, _WINDOWS * m)
         windows, parents = np.divmod(keys, m)
         d, f = windows.searchsorted((1, 2))
-        kind, label, _ = _ABSORBERS[level]
-        out = _window_states(
-            node.states[parents], node.components[parents], d, f, label
-        )
+        label = _ABSORBERS[level][0]
+        out = _window_states(node.states[parents], node.components[parents], d, f, label)
         passed, conditioned = out[:f], out[f:]
         starts = node.starts[parents]
         # The receiver rows go first: their fidelity check is the last step
@@ -490,39 +500,10 @@ class _StateTree:
             bob_pre = contract_rows(conditioned, (0, 1), _PAIR_BRAS[label])
             received = self._receive(kind, normalized_rows(bob_pre), starts[f:])
         if f:
-            if level + 1 < len(_ABSORBERS) and _ABSORBERS[level + 1][2]:
+            if level + 1 < len(_ABSORBERS) and _ABSORBERS[level + 1][1]:
                 passed = apply_rows(WAVEPLATE.matrix, passed, (1,))  # waveplate(s, 1)
             entered = self.add(level + 1, passed, starts[:f])
-        slots = parents * _WINDOWS + windows
-        node.children[slots] = np.concatenate([entered, received])
-
-    def coincide(self, index: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        """Sample which pair branch a polarization-blind coincidence consumed,
-        for the trials at rows ``index`` of level 3, one draw each; returns
-        each trial's receiver row.
-
-        The coincidence detectors cannot resolve the pair state, so the
-        receiver mode is left in the branch mixture; per trial we unravel it
-        by sampling a branch with Born weights, and its receiver state is
-        that branch's normalized mode-2 component.  Under ideal absorbers only
-        one branch survives to this point and the sampling is deterministic.
-        """
-        node = self.levels[len(_ABSORBERS)]
-        cumulative = node.weights[index]
-        # searchsorted(cumulative, u * cumulative[-1], side="right"), clamped
-        target = (draws * cumulative[:, -1])[:, None]
-        k = len(PairLabel)
-        slots = index * k + np.minimum((cumulative <= target).sum(axis=1), k - 1)
-        child = node.children[slots]
-        missing = child < 0
-        if missing.any():
-            drawn, _ = distinct_keys(slots[missing], len(node.children))
-            bob_pre = normalized_rows(node.components.reshape(-1, 2)[drawn])
-            node.children[drawn] = self._receive(
-                CascadeEventKind.D3_COINCIDENCE, bob_pre, node.starts[drawn // k]
-            )
-            child = node.children[slots]
-        return child
+        node.children[parents * _WINDOWS + windows] = np.concatenate([entered, received])
 
 
 # Shared-input trees the cache keeps.  A tree holds at most 15 states and 40
@@ -582,9 +563,9 @@ def cascade_rows(
 
     Returns the event codes (indices into ``CascadeEventKind``), ``bob_pre``
     and ``bob_post`` as ``(N, 2)`` arrays and the ``(N,)`` float64
-    fidelities; a row whose code is not identifying holds zeros in
-    ``bob_post`` and a NaN, and ``bob_pre`` is zeros where a source was
-    dark.
+    fidelities, all four gathered through one receiver row per trial.  A row
+    whose code is not identifying, a lost signature's included, holds zeros
+    in ``bob_pre`` and ``bob_post`` and a NaN fidelity.
     """
     n = inputs.shape[0]
     input_available = draws[:, 0] < cfg.p_in
@@ -595,28 +576,22 @@ def cascade_rows(
 
     rows = np.flatnonzero(input_available & pair_available)
     tree, index = _tree_for(inputs, cfg, rows)
-    # Each trial's receiver row in the tree; row 0 holds zeros.
+    # Each trial's receiver row in the tree; row 0 holds zeros and a NaN.
     receiver = np.zeros(n, dtype=np.intp)
     # The walk stops once no trial is left.
-    for level, (kind, _, _) in enumerate(_ABSORBERS):
+    for level, kind in enumerate(_LEVEL_KINDS):
         if not len(rows):
             break
-        fired, child = tree.absorb(level, index, draws[rows, 2 + level])
-        hit = rows[fired]
-        kinds[hit] = _CODE[kind]
-        receiver[hit] = child[fired]
-        passed = ~fired
+        ended, child = tree.step(level, index, draws[rows, 2 + level])
+        hit, passed = rows[ended], ~ended
+        kinds[hit], receiver[hit] = _CODE[kind], child[ended]
         rows, index = rows[passed], child[passed]
-    if len(rows):
-        kinds[rows] = _CODE[CascadeEventKind.D3_COINCIDENCE]
-        receiver[rows] = tree.coincide(index, draws[rows, 2 + len(_ABSORBERS)])
 
     signalled = np.flatnonzero(kinds != _CODE[CascadeEventKind.NO_EVENT])
-    lost = draws[signalled, _DETECTION_COLUMN[kinds[signalled]]] >= cfg.eta_det
-    kinds[signalled[lost]] = _CODE[CascadeEventKind.NO_EVENT]
-
-    shown = np.where(_IDENTIFYING_CODES[kinds], receiver, 0)
-    return kinds, tree.bob_pre[receiver], tree.bob_post[shown], tree.fidelity[shown]
+    lost = signalled[draws[signalled, _DETECTION_COLUMN[kinds[signalled]]] >= cfg.eta_det]
+    kinds[lost] = _CODE[CascadeEventKind.NO_EVENT]
+    receiver[lost] = 0
+    return kinds, tree.bob_pre[receiver], tree.bob_post[receiver], tree.fidelity[receiver]
 
 
 def run_cascade(
@@ -634,17 +609,20 @@ def run_cascade(
     is 2 draws when both sources are dark, 3 for a single-detector event, and
     4 / 5 / 6 / 7 for D1 / D2 / D4 / D3C, whether or not the detection draw
     then loses the signature; at most ``CASCADE_DRAWS`` (7) in all.  The
-    consumed draws are pinned by ``TestDrawCount``.
+    consumed draws are pinned by ``TestDrawCount``.  A signature that
+    identifies no branch, a lost one included, leaves ``bob_pre``,
+    ``bob_post`` and ``fidelity_value`` None.
     """
     kinds, bob_pre, bob_post, fidelities = cascade_rows(
         input_state.state_vector().amplitudes[None],
         cfg,
         _seed_draws(rng_seed, CASCADE_DRAWS),
     )
-    identified = bool(_IDENTIFYING_CODES[kinds[0]])
+    kind = _KINDS[kinds[0]]
+    identified = kind in IDENTIFYING_EVENTS
     return CascadeRecord(
         input=input_state,
-        event=CascadeEvent(_KINDS[kinds[0]]),
+        event=CascadeEvent(kind),
         bob_pre=StateVector(bob_pre[0]) if identified else None,
         bob_post=StateVector(bob_post[0]) if identified else None,
         fidelity_value=float(fidelities[0]) if identified else None,

@@ -357,6 +357,22 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="master_seed must be an integer, got 1.9"):
             RunConfig(mode=Mode.SPIN, master_seed=1.9)
 
+    # Each one ran until the batch first used it: run_batch raised KeyError
+    # for the mode string, and AttributeError for the other two.
+    def test_rejects_a_mode_that_is_not_a_mode(self):
+        with pytest.raises(ValueError, match="^mode must be Mode, got 'spin'$"):
+            RunConfig(mode="spin")
+
+    def test_rejects_an_efficiency_that_is_not_a_config(self):
+        message = "^efficiency must be EfficiencyConfig, got 0.9$"
+        with pytest.raises(ValueError, match=message):
+            RunConfig(mode=Mode.PHOTON, efficiency=0.9)
+
+    def test_rejects_a_fixed_input_that_is_not_a_state(self):
+        message = r"^fixed_input must be UnknownState or NoneType, got \(0.6, 0.8\)$"
+        with pytest.raises(ValueError, match=message):
+            RunConfig(mode=Mode.SPIN, fixed_input=(0.6, 0.8))
+
     def test_stores_the_checked_integers(self):
         cfg = RunConfig(mode=Mode.SPIN, master_seed="5")
         assert cfg.master_seed == 5 and type(cfg.master_seed) is int
@@ -596,6 +612,38 @@ class TestSummarize:
             total += value
         assert summary.mean_fidelity == total / len(values)
         assert summary.min_fidelity == min(values)
+
+    def test_record_without_a_field_in_a_file_names_its_position(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        run_batch(
+            RunConfig(
+                mode=Mode.SPIN, trials=CHUNK_TRIALS[Mode.SPIN] + 3,
+                output_path=str(path),
+            )
+        )
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[-2])
+        del record["fidelity"]
+        lines[-2] = record_to_line(record)
+        path.write_text("\n".join(lines) + "\n")
+        message = f"^record {len(lines) - 1} has no 'fidelity' field$"
+        with pytest.raises(ValueError, match=message):
+            summarize(load_records(str(path)), mode=Mode.SPIN)
+
+    @pytest.mark.parametrize(
+        "bad, mode, message",
+        [
+            (5, Mode.SPIN, "record 3 has no 'fidelity' field"),
+            ([0.5], Mode.SPIN, "record 3 has no 'fidelity' field"),
+            ({"fidelity": 1.0}, Mode.SPIN, "record 3 has no 'outcome' field"),
+            ({"fidelity": None}, Mode.PHOTON, "record 3 has no 'event' field"),
+        ],
+        ids=["int", "list", "no-outcome", "no-event"],
+    )
+    def test_malformed_record_in_a_list_names_its_position(self, bad, mode, message):
+        good = {"outcome": None, "event": "NONE", "fidelity": None}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            summarize([good, good, bad, good], mode=mode)
 
     def test_json_view_is_serializable(self):
         summary = run_batch(RunConfig(mode=Mode.SWAP, trials=20, master_seed=8))

@@ -6,8 +6,8 @@ outcome rule: a draw of 0.0, each exact cumulative edge (a draw on an edge
 resolves to the next outcome), and ``nextafter(1, 0)``, which lies past every
 edge of a slightly sub-normalized state and so exercises the fallback to the
 highest outcome above ``MIN_PROBABILITY``.  The cascade's coincidence sampler
-is checked the same way against its clamp rule, and every error a batch
-raises must read as the one-row call's.  The Haar inputs are checked
+(level 3 of the state tree's ``step``) is checked the same way against its
+clamp rule, and every error a batch raises must read as the one-row call's.  The Haar inputs are checked
 against the scalar numpy calls, with a first amplitude of imaginary part
 +0.0 on every row, and swap's once-per-outcome steps against
 running them on every row.  A cascade chunk of byte-identical inputs starts
@@ -16,8 +16,10 @@ it projects must not grow with the trials.  Such a chunk takes its state
 tree from a cache keyed by its input and ``eta_abs``: a warm tree must
 give the bytes of a cold one, whatever the other knobs, raise
 every error a cold one raises, and project nothing it has projected before.
-A tree corrects and scores each receiver row once, when the row is made.
-Every test here starts on an empty cache.
+A tree corrects and scores each receiver row once, when the row is made, and
+a trial without an identifying signature, one whose signature the detector
+lost included, gathers zeros and a NaN.  Every test here starts on an empty
+cache.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from bellcast.photonic import (
     CASCADE_DRAWS,
     CascadeEventKind,
     EfficiencyConfig,
+    IDENTIFYING_EVENTS,
     SHARED_TREES,
     PairLabel,
     _shared_tree,
@@ -68,6 +71,7 @@ from bellcast.teleport import (
     SWAP_DRAWS,
     _projector_stack,
     _seed_draws,
+    HAAR_DRAWS,
     UnknownState,
     haar_random_input,
     haar_rows,
@@ -202,9 +206,10 @@ class TestCoincidenceClamp:
         # its three draws, and reached from the tree's one start.
         tree = _StateTree(SHARED_INPUT[None], 1.0)
         tree.add(3, np.array([s.amplitudes for s in states]), np.zeros(len(states), int))
-        at = tree.coincide(
-            np.repeat(np.arange(len(states)), 3), np.array([u for _, u in cases])
+        ended, at = tree.step(
+            3, np.repeat(np.arange(len(states)), 3), np.array([u for _, u in cases])
         )
+        assert ended.all()  # every trial that reaches the coincidence ends there
         picked = tree.bob_pre[at]
         assert np.isfinite(tree.fidelity[at]).all()  # scored when made
         for row, (state, u) in enumerate(cases):
@@ -412,6 +417,29 @@ class TestReceiverRows:
         made = len(tree.fidelity)
         cascade_rows(inputs, cfg, TestSharedTreeCache.chunk_draws(2))
         assert sum(scored) == len(tree.fidelity) - made
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-input", "haar"])
+    def test_unidentified_rows_hold_no_receiver_state(self, shared):
+        # At eta_det 0.5 about half of the signatures the absorbers and the
+        # coincidence make are lost, and a lost trial reads as a dark one.
+        cfg = EfficiencyConfig(eta_abs=0.9, eta_det=0.5, p_in=0.95, p_pdc=0.95)
+        n = 400
+        draws = TestSharedTreeCache.chunk_draws(1)[:n]
+        if shared:
+            inputs = np.tile(SHARED_INPUT, (n, 1))
+        else:
+            inputs = haar_rows(uniforms(np.arange(n, dtype=np.uint64), HAAR_DRAWS))
+        kinds, bob_pre, bob_post, fidelities = assert_rows_equal_one_row_calls(
+            inputs, cfg, draws
+        )
+        identifying = [kind in IDENTIFYING_EVENTS for kind in CascadeEventKind]
+        unidentified = ~np.array(identifying)[kinds]
+        # Trials that reached a receiver row and lost its signature are among them.
+        reached = (draws[:, 0] < cfg.p_in) & (draws[:, 1] < cfg.p_pdc)
+        assert (unidentified & reached).sum() > n // 10
+        assert not bob_pre[unidentified].any() and not bob_post[unidentified].any()
+        assert np.isnan(fidelities[unidentified]).all()
+        assert np.isfinite(fidelities[~unidentified]).all()
 
 
 def batch_error(call) -> str:
