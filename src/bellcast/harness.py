@@ -7,10 +7,10 @@ stream tags 0 and 1 to give independent input-sampling and protocol seeds,
 so identical configs reproduce byte-identical record streams.  A trial's
 draws are the first uniforms of ``np.random.default_rng(seed)`` for each of
 those seeds.  Batches compute seeds and draws in bulk, a chunk of
-``CHUNK_TRIALS[mode]`` trials at a time (:mod:`bellcast.stream`; 1024
-trials, 4096 in swap mode), bit-identical to building one generator per
-trial, so a record's ``seed`` still replays it alone and no output depends
-on the chunk size.
+``CHUNK_TRIALS[mode]`` trials at a time (:mod:`bellcast.stream`),
+bit-identical to building one generator per trial, so a record's ``seed``
+still replays it alone and no output depends on the chunk size.  A Haar
+chunk draws both streams in one ``uniforms`` call.
 
 Physics: each chunk makes one call to its mode's batched kernel (see
 :mod:`bellcast.teleport`) on inputs from one ``haar_rows`` call, or on the
@@ -55,8 +55,11 @@ import enum
 import errno
 import itertools
 import json
+import math
 import operator
 import os
+import reprlib
+import struct
 import sys
 import time
 from dataclasses import dataclass, field
@@ -195,13 +198,18 @@ _PROTOCOL_DRAWS = {
 
 # Per mode, the trials whose seeds, draws and physics are computed in one
 # bulk call, and the records ``summarize`` reads per block.  No output
-# depends on it.  ``swap_rows`` projects one shared state against every
-# draw, so its arrays stay small, and a 4096-trial chunk spreads the fixed
-# cost of each numpy call over four times the trials.  In spin and photon
-# mode a 4096-trial chunk gained no speed and cost peak memory (wider
-# columns, longer text); baseline, like them, takes a per-trial input.
+# depends on it.  Each chunk pays fixed costs, its ``uniforms`` and
+# ``floattext.reprs`` calls among them, that a wider chunk spreads over more
+# trials, and peak memory bounds it: the kernel and the encoder each hold
+# about 1.1 KB per trial at their peaks.  Spin gains most from a wider
+# chunk, and its size keeps well inside the benchmark's peak-RSS bound.
+# Baseline's gain at 2048 costs nearly that whole bound, and photon's is
+# unresolved, so both stay at 1024 (measurements: ROADMAP, Baseline).
+# ``swap_rows`` projects one shared state against every draw, so its arrays
+# stay small, and a 4096-trial chunk spreads the fixed cost of each numpy
+# call over four times the trials.
 CHUNK_TRIALS = {
-    Mode.SPIN: 1024,
+    Mode.SPIN: 1536,
     Mode.PHOTON: 1024,
     Mode.BASELINE: 1024,
     Mode.SWAP: 4096,
@@ -273,18 +281,28 @@ def _columns(cfg: RunConfig) -> Iterator[_Chunk]:
     seeds, draws and inputs in bulk, then one call to the mode's kernel."""
     has = _HAS_FIDELITY[cfg.mode]
     size = CHUNK_TRIALS[cfg.mode]
+    protocol = _PROTOCOL_DRAWS[cfg.mode]
+    haar = cfg.mode is not Mode.SWAP and cfg.fixed_input is None
     for start in range(0, cfg.trials, size):
         stop = min(start + size, cfg.trials)
+        count = stop - start
         indices = np.arange(start, stop, dtype=np.uint64)
         base_seeds = derive_seeds(cfg.master_seed, indices)
-        if cfg.mode is Mode.SWAP:
-            inputs = None
-        elif cfg.fixed_input is None:
-            inputs = haar_rows(uniforms(derive_seeds(base_seeds, 0), HAAR_DRAWS))
+        if haar:
+            # Input and protocol draws in one pass over both streams' seeds.
+            # A row's first k uniforms are its random(k), so each stream's
+            # block starts with its draws.
+            seeds = np.concatenate([derive_seeds(base_seeds, tag) for tag in (0, 1)])
+            both = uniforms(seeds, max(HAAR_DRAWS, protocol))
+            inputs = haar_rows(both[:count, :HAAR_DRAWS])
+            draws = both[count:, :protocol]
         else:
-            amplitudes = cfg.fixed_input.state_vector().amplitudes
-            inputs = np.tile(amplitudes, (stop - start, 1))
-        draws = uniforms(derive_seeds(base_seeds, 1), _PROTOCOL_DRAWS[cfg.mode])
+            if cfg.mode is Mode.SWAP:
+                inputs = None
+            else:
+                amplitudes = cfg.fixed_input.state_vector().amplitudes
+                inputs = np.tile(amplitudes, (count, 1))
+            draws = uniforms(derive_seeds(base_seeds, 1), protocol)
         # Each kernel returns its codes first and its fidelities last.
         if cfg.mode is Mode.SPIN:
             result = teleport_rows(inputs, draws)
@@ -355,7 +373,11 @@ def _chunk_lines(cfg: RunConfig, chunk: _Chunk) -> str:
         columns += [haar[:size], haar[size : 2 * size], haar[2 * size :]]
     lines = [head + amplitudes + "}\n" for head in _LINE_HEADS[cfg.mode]]
     template = "".join(map(lines.__getitem__, chunk.codes.tolist()))
-    return template % tuple(itertools.chain.from_iterable(zip(*columns)))
+    # Trial-major argument list, one column slice at a time: no tuple per trial.
+    args = [None] * (len(columns) * len(chunk.seeds))
+    for index, column in enumerate(columns):
+        args[index :: len(columns)] = column
+    return template % tuple(args)
 
 
 @contextlib.contextmanager
@@ -531,29 +553,62 @@ def summarize(
 
     Only each record's ``fidelity`` and its ``event`` (photon mode) or
     ``outcome`` (other modes) are read.  A record that is not a dict holding
-    both raises ``ValueError`` naming its 1-based position and the field.
+    both, whose fidelity is neither null nor a finite number, or whose
+    counted field is neither null nor a string, raises ``ValueError`` naming
+    its 1-based position and the field.
     """
     tally = _Tally(mode)
     field = "event" if mode is Mode.PHOTON else "outcome"
     records, seen = iter(records), 0
     while block := list(itertools.islice(records, CHUNK_TRIALS[mode])):
+        # Checked a block at a time, in C: packing as doubles takes only real
+        # numbers (``np.array`` would parse a string), ``isfinite`` runs over
+        # them all, and each distinct label is checked once.
         try:
             values = [record["fidelity"] for record in block]
-            labels = [record[field] for record in block]
-        except (KeyError, TypeError):
-            position, name = next(
-                (position, name)
-                for position, record in enumerate(block, seen + 1)
-                for name in ("fidelity", field)
-                if not isinstance(record, dict) or name not in record
-            )
-            raise ValueError(f"record {position} has no {name!r} field") from None
+            labels = collections.Counter([record[field] for record in block])
+            present = [value for value in values if value is not None]
+            fidelities = np.frombuffer(struct.pack("%dd" % len(present), *present))
+        except (KeyError, TypeError, struct.error):
+            fidelities = None
+        if (
+            fidelities is None
+            or not np.isfinite(fidelities).all()
+            or not all(label is None or type(label) is str for label in labels)
+        ):
+            raise ValueError(_first_fault(block, seen, field))
         seen += len(block)
-        tally.add(
-            collections.Counter(labels).items(),
-            np.array([value for value in values if value is not None], float),
-        )
+        tally.add(labels.items(), fidelities)
     return tally.summary(analytic)
+
+
+def _finite_number(value) -> bool:
+    """Whether ``value`` passes ``summarize``'s block check: it converts to
+    a float, as ``struct.pack`` converts it, and the float is finite."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _first_fault(block: list, seen: int, field: str) -> str:
+    """The message for the block's first malformed record, which follows
+    ``seen`` records of the stream: its 1-based position and the field."""
+    checks = (
+        ("fidelity", _finite_number, "a finite number"),
+        (field, lambda value: type(value) is str, "a string"),
+    )
+    for position, record in enumerate(block, seen + 1):
+        for name, valid, kind in checks:
+            if not isinstance(record, dict) or name not in record:
+                return f"record {position} has no {name!r} field"
+            value = record[name]
+            if value is not None and not valid(value):
+                return (
+                    f"record {position} field {name!r} must be null or {kind},"
+                    f" got {reprlib.repr(value)}"
+                )
+    raise AssertionError("the block has no malformed record")
 
 
 def parse_input(text: str) -> UnknownState | None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import sys
 import tracemalloc
 
@@ -254,12 +255,13 @@ class TestBulkDraws:
         if mode is Mode.PHOTON:
             analytic = analytic_distribution(UP_INPUT, LOSSY)
         outputs = []
-        for size in (7, 1024, 4096):
+        # Every mode's shipped size, and a boundary that is no power of two.
+        for size in sorted({7, 1024, CHUNK_TRIALS[mode], 4096}):
             monkeypatch.setitem(harness.CHUNK_TRIALS, mode, size)
             summary = run_batch(cfg)
             assert summarize(load_records(str(path)), mode, analytic) == summary
             outputs.append((path.read_bytes(), summary, repr(summary.mean_fidelity)))
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert all(output == outputs[0] for output in outputs[1:])
 
 
 class TestRunBatch:
@@ -637,12 +639,50 @@ class TestSummarize:
             ([0.5], Mode.SPIN, "record 3 has no 'fidelity' field"),
             ({"fidelity": 1.0}, Mode.SPIN, "record 3 has no 'outcome' field"),
             ({"fidelity": None}, Mode.PHOTON, "record 3 has no 'event' field"),
+            *(
+                (
+                    {"outcome": "X", "fidelity": value},
+                    Mode.SPIN,
+                    "record 3 field 'fidelity' must be null or a finite number,"
+                    f" got {text}",
+                )
+                for value, text in [
+                    ("0.5", "'0.5'"),
+                    ("nan", "'nan'"),
+                    ([0.5, 1], "[0.5, 1]"),
+                    ({"re": 0.5}, "{'re': 0.5}"),
+                    (float("nan"), "nan"),
+                    (float("-inf"), "-inf"),
+                    (10**400, "100000000000000000...0000000000000000000"),
+                ]
+            ),
+            (
+                {"outcome": [1], "fidelity": 1.0},
+                Mode.SPIN,
+                "record 3 field 'outcome' must be null or a string, got [1]",
+            ),
+            (
+                {"outcome": 1, "fidelity": 1.0},
+                Mode.SWAP,
+                "record 3 field 'outcome' must be null or a string, got 1",
+            ),
+            (
+                {"event": {"kind": "D1"}, "fidelity": None},
+                Mode.PHOTON,
+                "record 3 field 'event' must be null or a string,"
+                " got {'kind': 'D1'}",
+            ),
         ],
-        ids=["int", "list", "no-outcome", "no-event"],
+        ids=[
+            "int", "list", "no-outcome", "no-event", "string-fidelity",
+            "nan-string-fidelity", "list-fidelity", "object-fidelity",
+            "nan-fidelity", "infinite-fidelity", "huge-int-fidelity",
+            "list-outcome", "int-outcome", "object-event",
+        ],
     )
     def test_malformed_record_in_a_list_names_its_position(self, bad, mode, message):
         good = {"outcome": None, "event": "NONE", "fidelity": None}
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             summarize([good, good, bad, good], mode=mode)
 
     def test_json_view_is_serializable(self):
