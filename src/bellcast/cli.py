@@ -127,6 +127,10 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 def _cmd_run(mode: Mode, args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load_base_config(args, mode), args)
+    # The record file may come from the config; the CSV would replace it.
+    paths = (args.csv, cfg.output_path)
+    if None not in paths and len({os.path.realpath(path) for path in paths}) == 1:
+        raise ValueError(f"--output and --csv name the same file {args.csv!r}")
     if args.csv is None:
         summary = run_batch(cfg)
     else:

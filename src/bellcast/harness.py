@@ -13,14 +13,14 @@ still replays it alone and no output depends on the chunk size.  A Haar
 chunk draws both streams in one ``uniforms`` call.
 
 Physics: each chunk makes one call to its mode's batched kernel (see
-:mod:`bellcast.teleport`) on inputs from one ``haar_rows`` call, or on the
-fixed input tiled over the chunk; the one-trial entry points are its
-one-row calls, bit-identical row for row.  Swap and photon kernels run
-their float steps once per distinct state: swap's chunks all start from
-one state, and so does a photon chunk whose input rows are byte-identical.
-Such a photon chunk walks the state tree that earlier chunks and batches
-of its input and ``eta_abs`` left in the kernel's cache in this process, so
-it computes only what none of them reached (``photonic.cascade_rows``).
+:mod:`bellcast.teleport`) with one draw row per trial, and either one input
+row per trial, from one ``haar_rows`` call, or the fixed input as one row
+that every trial shares; the one-trial entry points are its one-row calls,
+bit-identical row for row.  A shared row is one state for every trial:
+swap's chunks all start from one, and a fixed-input photon chunk walks the
+state tree that earlier chunks and batches of its input and ``eta_abs``
+left in the kernel's cache in this process, so it computes only what none
+of them reached (``photonic.cascade_rows``).
 
 Columns: a chunk stays numpy columns (seeds, codes, fidelities, inputs)
 from the kernel to the summary's running totals, and whether a trial has a
@@ -266,7 +266,7 @@ class _Chunk(NamedTuple):
     """A chunk of a batch as numpy columns in trial order: ``uint64`` seeds,
     ``intp`` codes indexing the mode's ``_WIRE`` table, ``float64``
     fidelities, of which ``present`` holds the rows whose code has one, and
-    inputs (None in swap mode)."""
+    inputs: a row per trial (Haar), one shared row (fixed) or None (swap)."""
 
     start: int
     seeds: np.ndarray
@@ -282,7 +282,10 @@ def _columns(cfg: RunConfig) -> Iterator[_Chunk]:
     has = _HAS_FIDELITY[cfg.mode]
     size = CHUNK_TRIALS[cfg.mode]
     protocol = _PROTOCOL_DRAWS[cfg.mode]
-    haar = cfg.mode is not Mode.SWAP and cfg.fixed_input is None
+    # Swap has no input, and a fixed input is one row that every trial shares.
+    fixed = None if cfg.mode is Mode.SWAP else cfg.fixed_input
+    inputs = None if fixed is None else fixed.state_vector().amplitudes[None]
+    haar = cfg.mode is not Mode.SWAP and fixed is None
     for start in range(0, cfg.trials, size):
         stop = min(start + size, cfg.trials)
         count = stop - start
@@ -297,11 +300,6 @@ def _columns(cfg: RunConfig) -> Iterator[_Chunk]:
             inputs = haar_rows(both[:count, :HAAR_DRAWS])
             draws = both[count:, :protocol]
         else:
-            if cfg.mode is Mode.SWAP:
-                inputs = None
-            else:
-                amplitudes = cfg.fixed_input.state_vector().amplitudes
-                inputs = np.tile(amplitudes, (count, 1))
             draws = uniforms(derive_seeds(base_seeds, 1), protocol)
         # Each kernel returns its codes first and its fidelities last.
         if cfg.mode is Mode.SPIN:
@@ -363,7 +361,7 @@ def _chunk_lines(cfg: RunConfig, chunk: _Chunk) -> str:
     ]
     if chunk.inputs is None:
         amplitudes = _AMPLITUDES % (("null",) * 4)
-    elif cfg.fixed_input is not None:  # every row holds the same input
+    elif cfg.fixed_input is not None:  # one row, shared by every trial
         fixed = chunk.inputs[0].view(np.float64).tolist()
         amplitudes = _AMPLITUDES % tuple(map(repr, fixed))
     else:  # Haar rows
@@ -638,11 +636,11 @@ def parse_config(text: str) -> RunConfig:
 
     Recognized keys: mode, trials, master_seed, one per
     :class:`EfficiencyConfig` field, input (see :func:`parse_input`), output.
-    Errors carry the offending line number and key.
+    Each key may be set once.  Errors carry the offending line number and key.
     """
-    mode: Mode | None = None
     values: dict[str, object] = {}
     efficiency_kwargs: dict[str, float] = {}
+    first_lines: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -651,8 +649,11 @@ def parse_config(text: str) -> RunConfig:
         try:
             if not sep:
                 raise ValueError(f"expected key=value, got {raw.strip()!r}")
+            first = first_lines.setdefault(key, line_no)
+            if first != line_no:
+                raise ValueError(f"duplicate key {key!r} (first set on line {first})")
             if key == "mode":
-                mode = _parsed(Mode, value, f"unknown mode {value!r}")
+                values["mode"] = _parsed(Mode, value, f"unknown mode {value!r}")
             elif key == "trials":
                 values["trials"] = _parsed(int, value, "trials must be an integer")
                 if values["trials"] < 1:
@@ -671,8 +672,6 @@ def parse_config(text: str) -> RunConfig:
                 raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:
             raise ValueError(f"line {line_no}: {exc}") from None
-    if mode is None:
+    if "mode" not in values:
         raise ValueError("config must set mode")
-    return RunConfig(
-        mode=mode, efficiency=EfficiencyConfig(**efficiency_kwargs), **values
-    )
+    return RunConfig(efficiency=EfficiencyConfig(**efficiency_kwargs), **values)

@@ -513,34 +513,21 @@ SHARED_TREES = 8
 
 @functools.lru_cache(maxsize=SHARED_TREES)
 def _shared_tree(input_bytes: bytes, eta_abs_bytes: bytes) -> _StateTree:
-    """The one state tree of every chunk whose input rows all hold the
-    complex128 row ``input_bytes``, under the ``eta_abs`` whose float64
-    bytes are ``eta_abs_bytes``; no other knob changes a tree.  It is built
-    from that one start; the calls that share it fill in the rest."""
+    """The one state tree of every call whose trials all share the complex128
+    input row ``input_bytes``, under the ``eta_abs`` whose float64 bytes are
+    ``eta_abs_bytes``; no other knob changes a tree.  It is built from that
+    one start; the calls that share it fill in the rest."""
     inputs = np.frombuffer(input_bytes, dtype=np.complex128)[None]
     return _StateTree(inputs, float(np.frombuffer(eta_abs_bytes)[0]))
-
-
-def _tree_for(
-    inputs: np.ndarray, cfg: EfficiencyConfig, rows: np.ndarray
-) -> tuple[_StateTree, np.ndarray]:
-    """The state tree the trials ``rows`` walk (see :func:`cascade_rows`),
-    and each one's level-0 row."""
-    # Comparing bytes keeps 0.0 and -0.0 apart.  A one-row call gains
-    # nothing from a cached tree that a tree of its own would not give it.
-    words = inputs.view(np.uint64)
-    if len(rows) and len(words) > 1 and (words == words[:1]).all():
-        tree = _shared_tree(inputs[0].tobytes(), np.float64(cfg.eta_abs).tobytes())
-        return tree, np.zeros(len(rows), dtype=np.intp)
-    return _StateTree(inputs[rows], cfg.eta_abs), np.arange(len(rows))
 
 
 def cascade_rows(
     inputs: np.ndarray, cfg: EfficiencyConfig, draws: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """:func:`run_cascade` for a batch: one ``(N, 2)`` complex128 input row
-    and one ``(N, CASCADE_DRAWS)`` draw row per trial, which the trial reads
-    in order from column 0 (see :func:`run_cascade`).
+    """:func:`run_cascade` for a batch: one ``(N, CASCADE_DRAWS)`` draw row
+    per trial, which the trial reads in order from column 0 (see
+    :func:`run_cascade`), and one ``(N, 2)`` complex128 input row per trial
+    or one ``(1, 2)`` shared row.
 
     The trials walk a state tree (:class:`_StateTree`): each absorber
     window, coincidence branch, ``bob_pre`` round trip, correction and
@@ -548,18 +535,17 @@ def cascade_rows(
     and each trial gathers its results from the tree.  A receiver row is
     corrected and scored when it is made, so every trial that reaches one
     checks its input, whether or not its detection draw then loses the
-    signature.  A chunk of more than one row whose input rows are
-    byte-identical, as every fixed-input chunk is, starts from one state,
-    and takes its tree from a cache of at most ``SHARED_TREES`` trees, least
-    recently used first out, keyed by the bytes of the input row and of
-    ``eta_abs``, the one knob the tree depends on.  A cached tree lives as
-    long as it stays in the cache of this process, so later chunks and
-    batches of one input and ``eta_abs`` in one process only gather; a new
-    process starts on an empty cache.  Any other call, Haar chunks and
-    one-row calls included, starts from one state per trial in a tree of
-    its own, dropped when the call returns.  The draw, ``eta_abs``,
-    normalization and input checks run on every call, on the trials that
-    reach them, cached tree or not.
+    signature.  A shared row of more than one trial, as a fixed input's
+    is, starts every trial from one state, and its tree comes from a cache
+    of at most ``SHARED_TREES`` trees, least recently used first out, keyed
+    by the bytes of the row and of ``eta_abs``, the one knob the tree depends
+    on.  A cached tree lives as long as it stays in the cache of this
+    process, so later chunks and batches of one input and ``eta_abs`` in one
+    process only gather; a new process starts on an empty cache.  Any other
+    call, Haar chunks and one-trial calls included, starts from one state
+    per trial in a tree of its own, dropped when the call returns.  The
+    draw, ``eta_abs``, normalization and input checks run on every call, on
+    the trials that reach them, cached tree or not.
 
     Returns the event codes (indices into ``CascadeEventKind``), ``bob_pre``
     and ``bob_post`` as ``(N, 2)`` arrays and the ``(N,)`` float64
@@ -567,15 +553,21 @@ def cascade_rows(
     whose code is not identifying, a lost signature's included, holds zeros
     in ``bob_pre`` and ``bob_post`` and a NaN fidelity.
     """
-    n = inputs.shape[0]
     input_available = draws[:, 0] < cfg.p_in
     pair_available = draws[:, 1] < cfg.p_pdc
+    n = len(input_available)
     kinds = np.full(n, _CODE[CascadeEventKind.NO_EVENT])
     kinds[pair_available & ~input_available] = _CODE[CascadeEventKind.D3_SINGLE_LOWER]
     kinds[input_available & ~pair_available] = _CODE[CascadeEventKind.D3_SINGLE_TOP]
 
     rows = np.flatnonzero(input_available & pair_available)
-    tree, index = _tree_for(inputs, cfg, rows)
+    # The tree, and each walking trial's row of its level 0: the one start of
+    # a shared row's cached tree, or the trial's own start.
+    if len(inputs) == 1 < n:
+        tree = _shared_tree(inputs[0].tobytes(), np.float64(cfg.eta_abs).tobytes())
+        index = np.zeros(len(rows), dtype=np.intp)
+    else:
+        tree, index = _StateTree(inputs[rows], cfg.eta_abs), np.arange(len(rows))
     # Each trial's receiver row in the tree; row 0 holds zeros and a NaN.
     receiver = np.zeros(n, dtype=np.intp)
     # The walk stops once no trial is left.

@@ -259,8 +259,8 @@ def _projector_stack(n_qubits: int, qubits: tuple[int, int]) -> np.ndarray:
 
 
 def teleport_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`run_trial` for a batch: one ``(N, 2)`` input row and one
-    ``(N, TRIAL_DRAWS)`` draw row per trial.
+    """:func:`run_trial` for a batch: one ``(N, TRIAL_DRAWS)`` draw row per
+    trial, and one ``(N, 2)`` input row per trial or one ``(1, 2)`` shared row.
 
     Returns the outcome indices, ``bob_pre`` and ``bob_post`` as ``(N, 2)``
     arrays, and the ``(N,)`` float64 fidelities.
@@ -325,23 +325,24 @@ def run_entangled_input(rng_seed: int) -> tuple[BellOutcome, StateVector]:
 
 
 def baseline_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`run_baseline_computational` for a batch: one ``(N, 2)`` input
-    row and one ``(N, BASELINE_DRAWS)`` draw row per trial.
+    """:func:`run_baseline_computational` for a batch: one
+    ``(N, BASELINE_DRAWS)`` draw row per trial, and one ``(N, 2)`` input row
+    per trial or one ``(1, 2)`` shared row.
 
     Returns the codes, 1 where a trial was identified and 0 where not, the
     receiver states (``bob_pre``, which is also ``bob_post``) as an
     ``(N, 2)`` array, and the ``(N,)`` float64 fidelities.
     """
-    n = inputs.shape[0]
+    n = draws.shape[0]
     # Product outcomes on the measured pair: |uu>, |ud>, |du>, |dd>.
-    psi = tensor_rows(inputs, _SINGLET).reshape(n, 4, 2)
+    psi = np.broadcast_to(tensor_rows(inputs, _SINGLET).reshape(-1, 4, 2), (n, 4, 2))
     squares = np.abs(psi) ** 2
     cumulative = np.cumsum(squares[:, :, 0] + squares[:, :, 1], axis=1)
     # searchsorted(cumulative, draw, side="right"), clamped to the last outcome
     outcome = np.minimum((cumulative <= draws[:, :1]).sum(axis=1), 3)
     identified = ((outcome == 1) | (outcome == 2)) & (draws[:, 1] < 0.5)
     # A certified trial holds the singlet branch (-a, -b) of decompose_branches.
-    bob = -inputs
+    bob = -np.broadcast_to(inputs, (n, 2))
     missed = np.flatnonzero(~identified)
     bob[missed] = normalized_rows(psi[missed, outcome[missed]])
     fidelities = fidelity_rows(bob, inputs)

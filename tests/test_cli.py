@@ -112,6 +112,43 @@ class TestRunCommands:
         assert calls == []
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize(
+        "csv, config",
+        [
+            ("records", False),
+            ("sub/../records", False),
+            ("link", False),
+            ("records", True),
+        ],
+        ids=["same", "dotdot", "symlink", "output-from-config"],
+    )
+    def test_csv_on_the_record_file_fails_before_any_trial(
+        self, capsys, tmp_path, monkeypatch, csv, config
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link").symlink_to("records")
+        calls = []
+        teleport_rows = harness.teleport_rows
+        monkeypatch.setattr(
+            harness, "teleport_rows",
+            lambda *args: calls.append(1) or teleport_rows(*args),
+        )
+        argv = ["run-spin", "--trials", "5", "--csv", csv]
+        if config:
+            (tmp_path / "batch.cfg").write_text("mode = spin\noutput = records\n")
+            argv += ["--config", "batch.cfg"]
+        else:
+            argv += ["--output", "records"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --output and --csv name the same file {csv!r}\n"
+        assert calls == []
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["sub", "link"] + (["batch.cfg"] if config else [])
+        )
+
     def test_bad_input_argument_fails_cleanly(self, capsys):
         code, _, err = run_cli(capsys, "run-spin", "--input", "sideways")
         assert code == 1

@@ -179,10 +179,10 @@ def _per_seed_record(cfg: RunConfig, index: int) -> dict:
     called with seeds alone (one ``default_rng`` per seed)."""
     base_seed = derive_seed(cfg.master_seed, index)
     protocol_seed = derive_seed(base_seed, 1)
-    input_state = cfg.fixed_input
-    if input_state is None and cfg.mode is not Mode.SWAP:
+    input_state = None  # swap has no single-qubit input, fixed or not
+    if cfg.mode is not Mode.SWAP:
         input_rng = np.random.default_rng(derive_seed(base_seed, 0))
-        input_state = haar_random_input(input_rng)
+        input_state = cfg.fixed_input or haar_random_input(input_rng)
     event = None
     if cfg.mode is Mode.SPIN:
         record = run_trial(input_state, protocol_seed)
@@ -214,23 +214,39 @@ def _per_seed_record(cfg: RunConfig, index: int) -> dict:
 # Photon settings under which every draw count from 2 to 7 occurs: both
 # availability draws can fail, and absorbers can miss through to D3C.
 LOSSY = EfficiencyConfig(eta_abs=0.5, eta_det=0.9, p_in=0.9, p_pdc=0.9)
+# A fixed input reaches every kernel as one row that the chunk's trials share.
+FIXED_INPUT = UnknownState.normalized(0.6, 0.8j)
+
+
+def with_fixed_inputs(cases: list[tuple], ids: list[str]) -> list:
+    """Each case with Haar inputs under its id, then with ``FIXED_INPUT``
+    under its id plus ``-fixed``."""
+    return [
+        pytest.param(*case, fixed_input, id=name + suffix)
+        for fixed_input, suffix in ((None, ""), (FIXED_INPUT, "-fixed"))
+        for case, name in zip(cases, ids)
+    ]
 
 
 class TestBulkDraws:
     @pytest.mark.parametrize(
-        "mode, efficiency",
-        [
-            (Mode.SPIN, EfficiencyConfig()),
-            (Mode.BASELINE, EfficiencyConfig()),
-            (Mode.SWAP, EfficiencyConfig()),
-            (Mode.PHOTON, LOSSY),
-        ],
-        ids=["spin", "baseline", "swap", "photon"],
+        "mode, efficiency, fixed_input",
+        with_fixed_inputs(
+            [
+                (Mode.SPIN, EfficiencyConfig()),
+                (Mode.BASELINE, EfficiencyConfig()),
+                (Mode.SWAP, EfficiencyConfig()),
+                (Mode.PHOTON, LOSSY),
+            ],
+            ["spin", "baseline", "swap", "photon"],
+        ),
     )
-    def test_batch_equals_per_seed_path_across_chunks(self, mode, efficiency):
+    def test_batch_equals_per_seed_path_across_chunks(
+        self, mode, efficiency, fixed_input
+    ):
         cfg = RunConfig(
             mode=mode, trials=2 * CHUNK_TRIALS[mode] + 3, master_seed=3,
-            efficiency=efficiency,
+            efficiency=efficiency, fixed_input=fixed_input,
         )
         records = list(iter_records(cfg))
         assert len(records) == cfg.trials
@@ -242,21 +258,25 @@ class TestBulkDraws:
         if mode is Mode.PHOTON:
             assert {r["event"] for r in records} == {k.value for k in CascadeEventKind}
 
-    @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
+    @pytest.mark.parametrize(
+        "mode, fixed_input",
+        with_fixed_inputs([(mode,) for mode in Mode], [mode.value for mode in Mode]),
+    )
     def test_output_does_not_depend_on_the_chunk_size(
-        self, tmp_path, monkeypatch, mode
+        self, tmp_path, monkeypatch, mode, fixed_input
     ):
         path = tmp_path / "records.jsonl"
         cfg = RunConfig(
             mode=mode, trials=2 * 4096 + 3, master_seed=9, efficiency=LOSSY,
-            output_path=str(path),
+            fixed_input=fixed_input, output_path=str(path),
         )
         analytic = None
         if mode is Mode.PHOTON:
-            analytic = analytic_distribution(UP_INPUT, LOSSY)
+            analytic = analytic_distribution(fixed_input or UP_INPUT, LOSSY)
         outputs = []
-        # Every mode's shipped size, and a boundary that is no power of two.
-        for size in sorted({7, 1024, CHUNK_TRIALS[mode], 4096}):
+        # Every mode's shipped size, a boundary that is no power of two, and
+        # one that leaves a one-trial last chunk.
+        for size in sorted({7, 1024, CHUNK_TRIALS[mode], 4096, cfg.trials - 1}):
             monkeypatch.setitem(harness.CHUNK_TRIALS, mode, size)
             summary = run_batch(cfg)
             assert summarize(load_records(str(path)), mode, analytic) == summary
@@ -821,6 +841,25 @@ class TestParseConfig:
     def test_missing_mode(self):
         with pytest.raises(ValueError, match="must set mode"):
             parse_config("trials=5")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("mode=spin\nmode=photon\ntrials=3\ntrials=4",
+             "line 2: duplicate key 'mode' (first set on line 1)"),
+            ("mode=photon\ntrials=3\n# again\ntrials = 4",
+             "line 4: duplicate key 'trials' (first set on line 2)"),
+            ("mode=photon\neta_abs=0.5\neta_det=0.9\neta_abs=0.5",
+             "line 4: duplicate key 'eta_abs' (first set on line 2)"),
+            ("mode=spin\ninput=haar-random\noutput=a\ninput=fixed:1,0",
+             "line 4: duplicate key 'input' (first set on line 2)"),
+        ],
+        ids=["mode", "trials", "efficiency-knob", "input"],
+    )
+    def test_repeated_key_names_both_lines(self, text, message):
+        with pytest.raises(ValueError) as caught:
+            parse_config(text)
+        assert str(caught.value) == message
 
     def test_unknown_key_names_the_line(self):
         with pytest.raises(ValueError, match=r"line 2: unknown key 'colour'"):

@@ -10,9 +10,11 @@ highest outcome above ``MIN_PROBABILITY``.  The cascade's coincidence sampler
 clamp rule, and every error a batch raises must read as the one-row call's.  The Haar inputs are checked
 against the scalar numpy calls, with a first amplitude of imaginary part
 +0.0 on every row, and swap's once-per-outcome steps against
-running them on every row.  A cascade chunk of byte-identical inputs starts
-from one state: each row must still equal its one-row call, and the rows
-it projects must not grow with the trials.  Such a chunk takes its state
+running them on every row.  A kernel call whose trials share one input row
+must give the bytes of the same call on that row tiled over the trials.  A
+cascade call on a shared row starts from one state: each trial must still
+equal its one-row call, and the rows it projects must not grow with the
+trials.  Such a call takes its state
 tree from a cache keyed by its input and ``eta_abs``: a warm tree must
 give the bytes of a cold one, whatever the other knobs, raise
 every error a cold one raises, and project nothing it has projected before.
@@ -68,11 +70,14 @@ from bellcast.teleport import (
     _BELL_BRAS,
     _CORRECTION_MATRICES,
     _SWAP_STATE,
+    BASELINE_DRAWS,
     SWAP_DRAWS,
+    TRIAL_DRAWS,
     _projector_stack,
     _seed_draws,
     HAAR_DRAWS,
     UnknownState,
+    baseline_rows,
     haar_random_input,
     haar_rows,
     prepare_singlet,
@@ -85,7 +90,8 @@ LAST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 # Inside the 1e-9 normalization tolerance, but short of 1 by far more than
 # rounding: every cumulative edge ends below LAST_BELOW_ONE.
 SHORT = 1.0 - 1e-12
-# The benchmark's fixed photon input, as the harness tiles it over a chunk.
+# The benchmark's fixed photon input, as the one row every trial of a
+# harness chunk shares.
 SHARED_INPUT = UnknownState.normalized(0.6, 0.8j).state_vector().amplitudes
 
 
@@ -232,12 +238,19 @@ class TestCoincidenceClamp:
         assert bob_pre[0].tobytes() == expected.tobytes()
 
 
+def trial_inputs(inputs: np.ndarray, n: int) -> np.ndarray:
+    """Each of ``n`` trials' input row, from one row per trial or one shared
+    row (see ``cascade_rows``)."""
+    return np.broadcast_to(inputs, (n, inputs.shape[1]))
+
+
 def assert_rows_equal_one_row_calls(inputs, cfg, draws) -> tuple[np.ndarray, ...]:
-    """Every row of one ``cascade_rows`` batch, byte for byte, against the
-    one-row call on that row's input and draws."""
+    """Every trial of one ``cascade_rows`` batch, byte for byte, against the
+    one-row call on that trial's input and draws."""
     batch = cascade_rows(inputs, cfg, draws)
-    for row in range(len(inputs)):
-        one = cascade_rows(inputs[row : row + 1], cfg, draws[row : row + 1])
+    rows = trial_inputs(inputs, len(draws))
+    for row in range(len(draws)):
+        one = cascade_rows(rows[row : row + 1], cfg, draws[row : row + 1])
         for got, expected in zip(batch, one):
             assert got[row : row + 1].tobytes() == expected.tobytes(), row
     return batch
@@ -270,18 +283,16 @@ def assert_same_bytes(got: tuple, expected: tuple) -> None:
 
 
 class TestSharedInputTable:
-    """Byte-identical input rows start the cascade from one state.  Each row
-    must still read as its own one-row call, and the float work must not
-    grow with the trials."""
+    """One input row shared by the trials starts the cascade from one state.
+    Each trial must still read as its own one-row call, and the float work
+    must not grow with the trials."""
 
     CFG = EfficiencyConfig(eta_abs=0.5, eta_det=0.9, p_in=0.9, p_pdc=0.9)
 
     def test_shared_input_rows_equal_the_one_row_calls(self):
         n = 2 * CHUNK_TRIALS[Mode.PHOTON] + 5
         draws = uniforms(np.arange(n, dtype=np.uint64), CASCADE_DRAWS)
-        kinds = assert_rows_equal_one_row_calls(
-            np.tile(SHARED_INPUT, (n, 1)), self.CFG, draws
-        )[0]
+        kinds = assert_rows_equal_one_row_calls(SHARED_INPUT[None], self.CFG, draws)[0]
         assert set(kinds.tolist()) == set(range(len(CascadeEventKind)))
 
     def test_signed_zeros_are_distinct_inputs(self, monkeypatch):
@@ -301,8 +312,8 @@ class TestSharedInputTable:
         # second projects as much as the first does on an empty cache.
         _shared_tree.cache_clear()
         assert contracted_rows(
-            monkeypatch, (np.tile(plus, (2, 1)), self.CFG, draws),
-            (np.tile(minus, (2, 1)), self.CFG, draws), cold=False,
+            monkeypatch, (plus, self.CFG, draws), (minus, self.CFG, draws),
+            cold=False,
         ) == [one, one]
         assert _shared_tree.cache_info().currsize == 2
 
@@ -313,14 +324,13 @@ class TestSharedInputTable:
         small, large = contracted_rows(
             monkeypatch,
             *[
-                (np.tile(SHARED_INPUT, (64 * repeat, 1)), self.CFG,
-                 np.tile(draws, (repeat, 1)))
+                (SHARED_INPUT[None], self.CFG, np.tile(draws, (repeat, 1)))
                 for repeat in (1, 64)
             ],
         )
         assert small == large < 64
         # On the tree the first call left warm, the same draws project nothing.
-        call = (np.tile(SHARED_INPUT, (64, 1)), self.CFG, draws)
+        call = (SHARED_INPUT[None], self.CFG, draws)
         _shared_tree.cache_clear()
         assert contracted_rows(monkeypatch, call, call, cold=False) == [small, 0]
 
@@ -348,7 +358,7 @@ class TestSharedTreeCache:
     @pytest.mark.parametrize("cfg", LOSS_CONFIGS, ids=["ideal", "benchmark", "lossy", "weak"])
     def test_cold_equals_warm(self, cfg, text):
         amplitudes = parse_input(text).state_vector().amplitudes
-        inputs = np.tile(amplitudes, (CHUNK_TRIALS[Mode.PHOTON], 1))
+        inputs = amplitudes[None]
         draws = self.chunk_draws(1)
         cold = cascade_rows(inputs, cfg, draws)
         _shared_tree.cache_clear()
@@ -362,7 +372,7 @@ class TestSharedTreeCache:
     def test_only_the_input_and_eta_abs_key_a_tree(self, cfg):
         # The detection and source knobs act after the walk, so a chunk under
         # other values of them gathers from the same tree.
-        inputs = np.tile(SHARED_INPUT, (CHUNK_TRIALS[Mode.PHOTON], 1))
+        inputs = SHARED_INPUT[None]
         other = dataclasses.replace(cfg, eta_det=0.7, p_in=0.85, p_pdc=0.75)
         cold = cascade_rows(inputs, other, self.chunk_draws(1))
         _shared_tree.cache_clear()
@@ -380,7 +390,7 @@ class TestSharedTreeCache:
         draws = self.chunk_draws(3)[:4]
         for k in range(SHARED_TREES + 3):
             theta = 0.1 * (k + 1)
-            inputs = np.tile([np.cos(theta), np.sin(theta) + 0j], (4, 1))
+            inputs = np.array([[np.cos(theta), np.sin(theta) + 0j]])
             cascade_rows(inputs, EfficiencyConfig(), draws)
             info = _shared_tree.cache_info()
             assert info.currsize == min(k + 1, SHARED_TREES)
@@ -406,7 +416,7 @@ class TestReceiverRows:
             return fidelity_rows(states, inputs)
 
         monkeypatch.setattr(photonic, "fidelity_rows", counting)
-        inputs = np.tile(SHARED_INPUT, (CHUNK_TRIALS[Mode.PHOTON], 1))
+        inputs = SHARED_INPUT[None]
         cascade_rows(inputs, cfg, TestSharedTreeCache.chunk_draws(1))
         tree = _shared_tree(SHARED_INPUT.tobytes(), np.float64(cfg.eta_abs).tobytes())
         # Row 0 is the dark trials' row, never scored.
@@ -426,7 +436,7 @@ class TestReceiverRows:
         n = 400
         draws = TestSharedTreeCache.chunk_draws(1)[:n]
         if shared:
-            inputs = np.tile(SHARED_INPUT, (n, 1))
+            inputs = SHARED_INPUT[None]
         else:
             inputs = haar_rows(uniforms(np.arange(n, dtype=np.uint64), HAAR_DRAWS))
         kinds, bob_pre, bob_post, fidelities = assert_rows_equal_one_row_calls(
@@ -440,6 +450,30 @@ class TestReceiverRows:
         assert not bob_pre[unidentified].any() and not bob_post[unidentified].any()
         assert np.isnan(fidelities[unidentified]).all()
         assert np.isfinite(fidelities[~unidentified]).all()
+
+
+class TestSharedInputRow:
+    """A kernel call whose trials share one input row, as those of a
+    fixed-input chunk do, gives the bytes of the same call on that row tiled
+    over the trials, one row per trial."""
+
+    @pytest.mark.parametrize("text", FIXED_INPUTS)
+    @pytest.mark.parametrize(
+        "kernel, width",
+        [
+            (teleport_rows, TRIAL_DRAWS),
+            (baseline_rows, BASELINE_DRAWS),
+            (lambda inputs, draws: cascade_rows(inputs, LOSS_CONFIGS[2], draws),
+             CASCADE_DRAWS),
+        ],
+        ids=["spin", "baseline", "photon"],
+    )
+    def test_shared_row_equals_tiled_rows(self, kernel, width, text):
+        row = parse_input(text).state_vector().amplitudes[None]
+        draws = uniforms(np.arange(300, dtype=np.uint64), width)
+        shared = kernel(row, draws)
+        assert_same_bytes(shared, kernel(np.tile(row, (len(draws), 1)), draws))
+        assert len(shared[0]) == len(draws)
 
 
 def batch_error(call) -> str:
@@ -484,15 +518,17 @@ class TestBatchErrorsMatchTheOneTrialCall:
         assert batch_error(lambda: teleport_rows(inputs, draws)) == one
 
     def shared_inputs(self) -> np.ndarray:
-        """Every row the same input, so the cascade starts from one state."""
-        return np.tile(SHARED_INPUT, (self.ROWS, 1))
+        """One input row every trial shares, so the cascade starts from one
+        state."""
+        return SHARED_INPUT[None]
 
     def assert_absorber_draw_error(self, inputs: np.ndarray, bad: float) -> None:
         cfg = EfficiencyConfig()
         draws = np.full((self.ROWS, CASCADE_DRAWS), 0.0)
         draws[self.BAD_ROW, 2] = bad
         row = slice(self.BAD_ROW, self.BAD_ROW + 1)
-        one = batch_error(lambda: cascade_rows(inputs[row], cfg, draws[row]))
+        one_input = trial_inputs(inputs, self.ROWS)[row]
+        one = batch_error(lambda: cascade_rows(one_input, cfg, draws[row]))
         assert one == f"rng_sample must lie in [0, 1), got {bad}"
         # A shared input's tree stays cached across the failing calls.
         for _ in range(2):
@@ -507,9 +543,8 @@ class TestBatchErrorsMatchTheOneTrialCall:
     ) -> None:
         draws = np.zeros((self.ROWS, CASCADE_DRAWS))
         bad = slice(self.BAD_ROW, self.BAD_ROW + 1)
-        one = batch_error(
-            lambda: cascade_rows(inputs[bad], cfg, draws[bad])
-        )
+        one_input = trial_inputs(inputs, self.ROWS)[bad]
+        one = batch_error(lambda: cascade_rows(one_input, cfg, draws[bad]))
         assert "must be normalized" in one
         # A shared input's tree stays cached across the failing calls.
         for _ in range(2):
