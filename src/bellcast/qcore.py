@@ -274,6 +274,9 @@ def fidelity(s: StateVector, t: StateVector) -> float:
 # numpy hands each row to the same BLAS dot or gemv call as the scalar
 # ``np.vdot`` or ``@``, so every row is bit-identical to the scalar result.
 # ``einsum`` and ``.sum(-1)`` sum in another order and are not used.
+# :func:`pick_rows` is the one outcome rule of every sampled measurement: the
+# Bell measurements reach it through :func:`sample_rows`, and the baseline's
+# product-basis analysis hands it the weights it sums itself.
 
 
 def tensor_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -355,6 +358,25 @@ def require_draws_rows(draws: np.ndarray) -> None:
         raise ValueError(f"rng_sample must lie in [0, 1), got {draws[bad][0]}")
 
 
+def pick_rows(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The outcome step of :func:`measure_projective` for a batch: each
+    draw's outcome index, as an ``(N,)`` array.
+
+    ``probs`` holds ``(S, K)`` Born weights: one row per draw, or one row
+    (``S = 1``) that every draw shares.  ``draws`` holds ``N`` uniforms that
+    the caller has already checked.  The first cumulative edge above a draw
+    wins, a draw past every edge falls back to the highest outcome above
+    ``MIN_PROBABILITY``, and a row with no weight at or above it is an error.
+    """
+    if not (probs.max(axis=1) >= MIN_PROBABILITY).all():  # NaN fails this too
+        raise ValueError("all outcome probabilities are degenerate (below 1e-15)")
+    # The cumulative edges only rise, so the first edge above a draw is the
+    # number of edges at or below it; K means the draw passed every edge.
+    passed = (np.cumsum(probs, axis=1).T <= draws).sum(axis=0)
+    last_live = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > MIN_PROBABILITY, axis=1)
+    return np.where(passed < probs.shape[1], passed, last_live)
+
+
 def sample_rows(
     states: np.ndarray, projectors: np.ndarray, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -365,24 +387,15 @@ def sample_rows(
     that every draw measures.  ``projectors`` is a ``(K, dim, dim)`` array of
     a complete, audited set; ``draws`` holds one uniform per row.  Returns
     the ``(N,)`` outcome indices, the ``(S, K, dim)`` projected states and
-    their ``(S, K)`` Born probabilities, for :func:`post_rows`.  The rules
-    and errors are :func:`measure_projective`'s: the first cumulative edge
-    above the draw wins, a draw past every edge falls back to the highest
-    outcome above ``MIN_PROBABILITY``, and an all-degenerate row is an error.
+    their ``(S, K)`` Born probabilities, for :func:`post_rows`.  The errors
+    are :func:`measure_projective`'s, in its order: the draws, then the
+    states, then the weights in :func:`pick_rows`, which holds the rule.
     """
     require_draws_rows(draws)
     _require_normalized_rows(states, "measured state")
     projected = (projectors @ states[:, None, :, None])[..., 0]
     probs = np.maximum(overlap_rows(states[:, None, :], projected).real, 0.0)
-    if not (probs.max(axis=1) >= MIN_PROBABILITY).all():  # NaN fails this too
-        raise ValueError("all outcome probabilities are degenerate (below 1e-15)")
-    # The cumulative edges only rise, so the first edge above a draw is the
-    # number of edges at or below it; K means the draw passed every edge.
-    passed = (np.cumsum(probs, axis=1).T <= draws).sum(axis=0)
-    live = probs > MIN_PROBABILITY
-    last_live = live.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
-    chosen = np.where(passed < probs.shape[1], passed, last_live)
-    return chosen, projected, probs
+    return pick_rows(probs, draws), projected, probs
 
 
 def post_rows(

@@ -48,7 +48,9 @@ from .qcore import (
     fidelity_rows,
     measure_rows,
     normalized_rows,
+    pick_rows,
     post_rows,
+    require_draws_rows,
     sample_rows,
     tensor,
     tensor_rows,
@@ -332,19 +334,25 @@ def baseline_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ..
     Returns the codes, 1 where a trial was identified and 0 where not, the
     receiver states (``bob_pre``, which is also ``bob_post``) as an
     ``(N, 2)`` array, and the ``(N,)`` float64 fidelities.
+
+    Both draw columns are checked first, with the spin kernel's error.  The
+    product-outcome weights are summed once per input row, and each trial's
+    outcome comes from :func:`qcore.pick_rows`, the rule of every sampled
+    measurement: a draw past every cumulative edge takes the last outcome
+    that weighs more than ``MIN_PROBABILITY``.
     """
-    n = draws.shape[0]
-    # Product outcomes on the measured pair: |uu>, |ud>, |du>, |dd>.
-    psi = np.broadcast_to(tensor_rows(inputs, _SINGLET).reshape(-1, 4, 2), (n, 4, 2))
+    require_draws_rows(draws)
+    # Product outcomes on the measured pair: |uu>, |ud>, |du>, |dd>, one row
+    # of them and of their weights per input row.
+    psi = tensor_rows(inputs, _SINGLET).reshape(-1, 4, 2)
     squares = np.abs(psi) ** 2
-    cumulative = np.cumsum(squares[:, :, 0] + squares[:, :, 1], axis=1)
-    # searchsorted(cumulative, draw, side="right"), clamped to the last outcome
-    outcome = np.minimum((cumulative <= draws[:, :1]).sum(axis=1), 3)
+    outcome = pick_rows(squares[:, :, 0] + squares[:, :, 1], draws[:, 0])
     identified = ((outcome == 1) | (outcome == 2)) & (draws[:, 1] < 0.5)
     # A certified trial holds the singlet branch (-a, -b) of decompose_branches.
-    bob = -np.broadcast_to(inputs, (n, 2))
+    bob = -np.broadcast_to(inputs, (len(draws), 2))
     missed = np.flatnonzero(~identified)
-    bob[missed] = normalized_rows(psi[missed, outcome[missed]])
+    # Trial i measured input row i, or row 0 where every trial shares it.
+    bob[missed] = normalized_rows(psi[missed % len(psi), outcome[missed]])
     fidelities = fidelity_rows(bob, inputs)
     _require_fidelity_range(fidelities)
     return identified.astype(np.intp), bob, fidelities
@@ -373,7 +381,7 @@ def run_baseline_computational(
     identified = bool(codes[0])
     outcome = BellOutcome.PSI_MINUS if identified else None
     bob = StateVector(bob[0])
-    record = TrialRecord(
+    return identified, TrialRecord(
         input=input_state,
         outcome=outcome,
         message=ClassicalMessage.from_outcome(outcome) if identified else None,
@@ -382,4 +390,3 @@ def run_baseline_computational(
         fidelity_value=float(fidelities[0]),
         rng_seed=rng_seed,
     )
-    return identified, record

@@ -9,13 +9,14 @@ trial loops run as batch kernel calls, with trial ``i`` drawing from
 from __future__ import annotations
 
 import functools
+import math
 import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from bellcast.harness import Mode, RunConfig, run_batch
+from bellcast.harness import Mode, RunConfig, iter_records, parse_input, run_batch
 from bellcast.observables import (
     MEASUREMENT_ORDER,
     BellOutcome,
@@ -296,6 +297,50 @@ def test_product_basis_baseline_caps_at_one_quarter(haar_inputs):
     return (
         f"product-basis analysis certifies {rate:.4f} of trials, "
         f"full protocol min fidelity {min_fid:.12f} on the same inputs and seeds"
+    )
+
+
+@criterion("baseline closed form")
+@pytest.mark.parametrize(
+    "text", ["haar-random", "fixed:0.6,0.8j", "fixed:1,0", "fixed:0,1"]
+)
+def test_product_basis_baseline_matches_its_closed_form(text):
+    """The baseline's summary against its hand-derived values, each within
+    4 standard deviations.
+
+    With ``p = |a|^2``, the singlet on qubits (1, 2) puts the product outcomes
+    of qubits (0, 1) at weights |uu> p/2, |ud> p/2, |du> (1 - p)/2 and
+    |dd> (1 - p)/2, and leaves the receiver in |d>, |u>, |d> and |u>, of
+    fidelity 1 - p, p, 1 - p and p.  The odd outcomes |ud> and |du> weigh
+    1/2 together, and a fair post-selection certifies half of them, so
+    ``success_rate`` is 1/4, with a binomial sd of sqrt(3/16 / N).  A
+    certified trial holds the input exactly (fidelity 1), so the mean
+    fidelity is
+
+        p(1 - p)/2 + (p/2)(1 + p)/2 + ((1 - p)/2)(2 - p)/2 + p(1 - p)/2
+          = 1/2 + p(1 - p)/2,
+
+    which is 7/12 over Haar inputs, where p is uniform on [0, 1] and
+    E[p(1 - p)] = 1/6.  Its sd is the sample sd of the batch's fidelities
+    over sqrt(N).
+    """
+    trials = 20_000
+    fixed = parse_input(text)
+    cfg = RunConfig(mode=Mode.BASELINE, trials=trials, master_seed=1, fixed_input=fixed)
+    summary = run_batch(cfg)
+    fidelities = np.array([record["fidelity"] for record in iter_records(cfg)])
+    p = None if fixed is None else abs(fixed.a) ** 2
+    expected = 7 / 12 if p is None else 0.5 + p * (1 - p) / 2
+    z_fidelity = (summary.mean_fidelity - expected) / (
+        fidelities.std(ddof=1) / math.sqrt(trials)
+    )
+    z_success = (summary.success_rate - 0.25) / math.sqrt(3 / 16 / trials)
+    assert abs(z_fidelity) <= 4.0
+    assert abs(z_success) <= 4.0
+    return (
+        f"{text}: mean fidelity {summary.mean_fidelity:.5f} against "
+        f"{expected:.5f} (z {z_fidelity:+.2f}), success {summary.success_rate:.5f} "
+        f"against 0.25 (z {z_success:+.2f})"
     )
 
 

@@ -98,9 +98,10 @@ class TestRunCommands:
     ):
         monkeypatch.chdir(tmp_path)
         calls = []
-        run_trial = harness.run_trial
+        teleport_rows = harness.teleport_rows
         monkeypatch.setattr(
-            harness, "run_trial", lambda *args: calls.append(1) or run_trial(*args)
+            harness, "teleport_rows",
+            lambda *args: calls.append(1) or teleport_rows(*args),
         )
         code, out, err = run_cli(
             capsys, "run-spin", "--trials", "10", "--csv", csv,

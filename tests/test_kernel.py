@@ -7,7 +7,9 @@ resolves to the next outcome), and ``nextafter(1, 0)``, which lies past every
 edge of a slightly sub-normalized state and so exercises the fallback to the
 highest outcome above ``MIN_PROBABILITY``.  The cascade's coincidence sampler
 (level 3 of the state tree's ``step``) is checked the same way against its
-clamp rule, and every error a batch raises must read as the one-row call's.  The Haar inputs are checked
+clamp rule, and the baseline's product-basis outcome against
+``measure_projective`` on the four product projectors.  Every error a batch
+raises must read as the one-row call's.  The Haar inputs are checked
 against the scalar numpy calls, with a first amplitude of imaginary part
 +0.0 on every row, and swap's once-per-outcome steps against
 running them on every row.  A kernel call whose trials share one input row
@@ -56,9 +58,13 @@ from bellcast.photonic import (
     waveplate,
 )
 from bellcast.qcore import (
+    Operator,
     StateVector,
     contract_rows,
+    contract_with,
+    embed_operator,
     fidelity_rows,
+    ket,
     measure_projective,
     measure_rows,
     normalized_rows,
@@ -578,6 +584,59 @@ class TestBatchErrorsMatchTheOneTrialCall:
         self.assert_cascade_input_error(
             self.shared_inputs() * 1.001, EfficiencyConfig(eta_det=0.0)
         )
+
+    @pytest.mark.parametrize("column", [0, 1], ids=["outcome", "certify"])
+    @pytest.mark.parametrize("bad", [1.0, -0.1, float("nan")])
+    def test_out_of_range_baseline_draw(self, bad, column):
+        draws = np.full((self.ROWS, BASELINE_DRAWS), 0.5)
+        draws[self.BAD_ROW, column] = bad
+        row = slice(self.BAD_ROW, self.BAD_ROW + 1)
+        for inputs in (self.inputs(), self.shared_inputs()):
+            one_input = trial_inputs(inputs, self.ROWS)[row]
+            one = batch_error(lambda: baseline_rows(one_input, draws[row]))
+            assert one == f"rng_sample must lie in [0, 1), got {bad}"
+            assert batch_error(lambda: baseline_rows(inputs, draws)) == one
+
+
+def product_projectors() -> list[Operator]:
+    """The product projectors |uu>, |ud>, |du>, |dd> of qubits (0, 1),
+    embedded in the 3-qubit register."""
+    kets = [ket(bits).amplitudes for bits in ("00", "01", "10", "11")]
+    return [embed_operator(Operator(np.outer(k, k)), 3, (0, 1)) for k in kets]
+
+
+class TestBaselineOutcomeRule:
+    """The baseline's product-basis analysis picks its outcome by
+    ``measure_projective``'s rule, fallback included."""
+
+    # Away from every cumulative edge but the last.  The two routes round the
+    # weights differently, so a draw at an inner edge could split them by
+    # rounding alone; past the last edge only the fallback rule decides.
+    DRAWS = (0.1, 0.7, LAST_BELOW_ONE)
+
+    @pytest.mark.parametrize("text", FIXED_INPUTS)
+    def test_outcome_matches_measure_projective(self, text):
+        state = parse_input(text).state_vector()
+        register = tensor(state, prepare_singlet())
+        # A certifying draw of 0.9 certifies nothing, so every receiver state
+        # is the sampled product outcome's.
+        draws = np.array([[draw, 0.9] for draw in self.DRAWS])
+        codes, bob, _ = baseline_rows(state.amplitudes[None], draws)
+        assert not codes.any()
+        projectors = product_projectors()
+        for row, draw in enumerate(self.DRAWS):
+            result = measure_projective(register, projectors, draw)
+            bits = ket(format(result.outcome_index, "02b"))
+            expected = contract_with(result.post_state, (0, 1), bits)
+            np.testing.assert_allclose(bob[row], expected.amplitudes, atol=1e-12)
+
+    def test_a_draw_past_every_edge_skips_dead_outcomes(self):
+        # |du> and |dd> weigh 0, and the four weights sum short of 1.
+        inputs = np.array([[0.9999999999999999, 0.0]], dtype=np.complex128)
+        draws = np.array([[LAST_BELOW_ONE, 0.9]])
+        codes, bob, _ = baseline_rows(inputs, draws)
+        assert codes.tolist() == [0]
+        assert bob.tolist() == [[-1.0, 0.0]]
 
 
 def scalar_haar(u_cos: float, u_phi: float) -> tuple[complex, complex]:
