@@ -59,7 +59,7 @@ from .qcore import (
     tensor_rows,
     unitary_table,
 )
-from .teleport import UnknownState, _seed_draws, correction_for
+from .teleport import UnknownState, _require_input_rows, _seed_draws, correction_for
 
 
 class PairLabel(enum.Enum):
@@ -249,11 +249,10 @@ def _windows(draws: np.ndarray, eta_abs: float, thresholds: np.ndarray) -> np.nd
     the projection comes out negative (1: the selected branch is removed),
     ``[eta, 1)`` it is inactive this trial and the state passes through
     unprojected (0).  ``thresholds`` holds each draw's ``eta*p``.  With
-    ``eta_abs == 1`` this is exactly the ideal projective selection.
+    ``eta_abs == 1`` this is exactly the ideal projective selection.  The
+    caller checks the draws and ``eta_abs``: :func:`cascade_rows` at its
+    entry and :func:`_stage` on its arguments.
     """
-    require_draws_rows(draws)
-    if not 0.0 <= eta_abs <= 1.0:
-        raise ValueError(f"eta_abs must lie in [0, 1], got {eta_abs}")
     return np.add(draws < eta_abs, draws < thresholds, dtype=np.intp)
 
 
@@ -277,6 +276,8 @@ def _window_states(
 def _stage(
     s: StateVector, label: PairLabel, eta_abs: float, rng_sample: float
 ) -> tuple[bool, StateVector]:
+    require_draws_rows(np.array([rng_sample]))
+    EfficiencyConfig(eta_abs=eta_abs)  # checks eta_abs
     states = s.amplitudes[None]
     probability, components = _project_rows(states, label)
     (window,) = _windows(np.array([rng_sample]), eta_abs, eta_abs * probability)
@@ -543,9 +544,13 @@ def cascade_rows(
     process, so later chunks and batches of one input and ``eta_abs`` in one
     process only gather; a new process starts on an empty cache.  Any other
     call, Haar chunks and one-trial calls included, starts from one state
-    per trial in a tree of its own, dropped when the call returns.  The
-    draw, ``eta_abs``, normalization and input checks run on every call, on
-    the trials that reach them, cached tree or not.
+    per trial in a tree of its own, dropped when the call returns.
+
+    Two checks run at entry, before any physics: the input count (one row,
+    or one per draw row) and every draw of the block, each column of each
+    row, whether or not its trial reads it; ``cfg`` has checked ``eta_abs``.
+    The input check is per receiver row: a row's input is checked when the
+    row is made, on the trials that reach it, cached tree or not.
 
     Returns the event codes (indices into ``CascadeEventKind``), ``bob_pre``
     and ``bob_post`` as ``(N, 2)`` arrays and the ``(N,)`` float64
@@ -553,6 +558,8 @@ def cascade_rows(
     whose code is not identifying, a lost signature's included, holds zeros
     in ``bob_pre`` and ``bob_post`` and a NaN fidelity.
     """
+    _require_input_rows(inputs, draws)
+    require_draws_rows(draws)
     input_available = draws[:, 0] < cfg.p_in
     pair_available = draws[:, 1] < cfg.p_pdc
     n = len(input_available)

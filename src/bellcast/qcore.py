@@ -352,7 +352,13 @@ def _require_normalized_rows(x: np.ndarray, what: str) -> None:
 
 
 def require_draws_rows(draws: np.ndarray) -> None:
-    """Reject any draw outside [0, 1), with :func:`measure_projective`'s error."""
+    """Reject any draw outside [0, 1), with :func:`measure_projective`'s error.
+
+    Every draw check calls it: the entries of ``teleport.baseline_rows`` and
+    ``photonic.cascade_rows``, each on its whole draw block,
+    :func:`sample_rows` (the spin and swap kernels), and the scalar
+    :func:`measure_projective` and ``photonic._stage`` on their one draw.
+    """
     bad = ~((draws >= 0.0) & (draws < 1.0))
     if bad.any():
         raise ValueError(f"rng_sample must lie in [0, 1), got {draws[bad][0]}")

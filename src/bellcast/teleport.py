@@ -71,6 +71,16 @@ def _require_normalized(totals) -> None:
         raise ValueError(f"input state not normalized: |a|^2+|b|^2 = {total!r}")
 
 
+def _require_input_rows(inputs: np.ndarray, draws: np.ndarray) -> None:
+    """Every input-taking kernel's entry check: one input row per draw row,
+    or one row that every trial shares."""
+    if len(inputs) not in (1, len(draws)):
+        raise ValueError(
+            f"expected 1 or {len(draws)} input rows for {len(draws)} draw rows,"
+            f" got {len(inputs)}"
+        )
+
+
 def _squared_modulus(a: complex, b: complex) -> float:
     """``|a|^2 + |b|^2``, or ``inf`` where Python's float arithmetic overflows."""
     try:
@@ -267,6 +277,7 @@ def teleport_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ..
     Returns the outcome indices, ``bob_pre`` and ``bob_post`` as ``(N, 2)``
     arrays, and the ``(N,)`` float64 fidelities.
     """
+    _require_input_rows(inputs, draws)
     projectors = _projector_stack(3, (0, 1))
     outcome, post = measure_rows(tensor_rows(inputs, _SINGLET), projectors, draws[:, 0])
     bob_pre = normalized_rows(contract_rows(post, (0, 1), _BELL_BRAS[outcome]))
@@ -335,12 +346,14 @@ def baseline_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ..
     receiver states (``bob_pre``, which is also ``bob_post``) as an
     ``(N, 2)`` array, and the ``(N,)`` float64 fidelities.
 
-    Both draw columns are checked first, with the spin kernel's error.  The
-    product-outcome weights are summed once per input row, and each trial's
-    outcome comes from :func:`qcore.pick_rows`, the rule of every sampled
-    measurement: a draw past every cumulative edge takes the last outcome
-    that weighs more than ``MIN_PROBABILITY``.
+    The input count and both draw columns are checked first, the draws with
+    the spin kernel's error.  The product-outcome weights are summed once
+    per input row, and each trial's outcome comes from
+    :func:`qcore.pick_rows`, the rule of every sampled measurement: a draw
+    past every cumulative edge takes the last outcome that weighs more than
+    ``MIN_PROBABILITY``.
     """
+    _require_input_rows(inputs, draws)
     require_draws_rows(draws)
     # Product outcomes on the measured pair: |uu>, |ud>, |du>, |dd>, one row
     # of them and of their weights per input row.

@@ -9,7 +9,8 @@ highest outcome above ``MIN_PROBABILITY``.  The cascade's coincidence sampler
 (level 3 of the state tree's ``step``) is checked the same way against its
 clamp rule, and the baseline's product-basis outcome against
 ``measure_projective`` on the four product projectors.  Every error a batch
-raises must read as the one-row call's.  The Haar inputs are checked
+raises must read as the one-row call's, and an input block of neither one
+row nor one row per draw row is refused.  The Haar inputs are checked
 against the scalar numpy calls, with a first amplitude of imaginary part
 +0.0 on every row, and swap's once-per-outcome steps against
 running them on every row.  A kernel call whose trials share one input row
@@ -458,22 +459,26 @@ class TestReceiverRows:
         assert np.isfinite(fidelities[~unidentified]).all()
 
 
+# Each input-taking kernel as ``kernel(inputs, draws)``, with its draw width.
+input_kernels = pytest.mark.parametrize(
+    "kernel, width",
+    [
+        (teleport_rows, TRIAL_DRAWS),
+        (baseline_rows, BASELINE_DRAWS),
+        (lambda inputs, draws: cascade_rows(inputs, LOSS_CONFIGS[2], draws),
+         CASCADE_DRAWS),
+    ],
+    ids=["spin", "baseline", "photon"],
+)
+
+
 class TestSharedInputRow:
     """A kernel call whose trials share one input row, as those of a
     fixed-input chunk do, gives the bytes of the same call on that row tiled
     over the trials, one row per trial."""
 
     @pytest.mark.parametrize("text", FIXED_INPUTS)
-    @pytest.mark.parametrize(
-        "kernel, width",
-        [
-            (teleport_rows, TRIAL_DRAWS),
-            (baseline_rows, BASELINE_DRAWS),
-            (lambda inputs, draws: cascade_rows(inputs, LOSS_CONFIGS[2], draws),
-             CASCADE_DRAWS),
-        ],
-        ids=["spin", "baseline", "photon"],
-    )
+    @input_kernels
     def test_shared_row_equals_tiled_rows(self, kernel, width, text):
         row = parse_input(text).state_vector().amplitudes[None]
         draws = uniforms(np.arange(300, dtype=np.uint64), width)
@@ -528,21 +533,25 @@ class TestBatchErrorsMatchTheOneTrialCall:
         state."""
         return SHARED_INPUT[None]
 
-    def assert_absorber_draw_error(self, inputs: np.ndarray, bad: float) -> None:
+    def assert_cascade_draw_error(self, inputs: np.ndarray, bad: float) -> None:
+        """A bad draw in any column is an error, whether or not its trial
+        reads it: every trial here fires D1 on its draw 2 and never reads
+        draws 4-6."""
         cfg = EfficiencyConfig()
-        draws = np.full((self.ROWS, CASCADE_DRAWS), 0.0)
-        draws[self.BAD_ROW, 2] = bad
         row = slice(self.BAD_ROW, self.BAD_ROW + 1)
         one_input = trial_inputs(inputs, self.ROWS)[row]
-        one = batch_error(lambda: cascade_rows(one_input, cfg, draws[row]))
-        assert one == f"rng_sample must lie in [0, 1), got {bad}"
-        # A shared input's tree stays cached across the failing calls.
-        for _ in range(2):
-            assert batch_error(lambda: cascade_rows(inputs, cfg, draws)) == one
-        draws[self.BAD_ROW, 2] = 0.5
-        after_failures = cascade_rows(inputs, cfg, draws)
-        _shared_tree.cache_clear()
-        assert_same_bytes(after_failures, cascade_rows(inputs, cfg, draws))
+        for column in range(CASCADE_DRAWS):
+            draws = np.full((self.ROWS, CASCADE_DRAWS), 0.0)
+            draws[self.BAD_ROW, column] = bad
+            one = batch_error(lambda: cascade_rows(one_input, cfg, draws[row]))
+            assert one == f"rng_sample must lie in [0, 1), got {bad}", column
+            # A shared input's tree stays cached across the failing calls.
+            for _ in range(2):
+                assert batch_error(lambda: cascade_rows(inputs, cfg, draws)) == one
+            draws[self.BAD_ROW, column] = 0.5
+            after_failures = cascade_rows(inputs, cfg, draws)
+            _shared_tree.cache_clear()
+            assert_same_bytes(after_failures, cascade_rows(inputs, cfg, draws))
 
     def assert_cascade_input_error(
         self, inputs: np.ndarray, cfg: EfficiencyConfig = EfficiencyConfig()
@@ -556,13 +565,13 @@ class TestBatchErrorsMatchTheOneTrialCall:
         for _ in range(2):
             assert batch_error(lambda: cascade_rows(inputs, cfg, draws)) == one
 
-    @pytest.mark.parametrize("bad", [-0.25, 1.0])
+    @pytest.mark.parametrize("bad", [-0.25, 1.0, float("nan")])
     def test_out_of_range_absorber_draw(self, bad):
-        self.assert_absorber_draw_error(self.inputs(), bad)
+        self.assert_cascade_draw_error(self.inputs(), bad)
 
-    @pytest.mark.parametrize("bad", [-0.25, 1.0])
+    @pytest.mark.parametrize("bad", [-0.25, 1.0, float("nan")])
     def test_out_of_range_absorber_draw_on_a_shared_input(self, bad):
-        self.assert_absorber_draw_error(self.shared_inputs(), bad)
+        self.assert_cascade_draw_error(self.shared_inputs(), bad)
 
     def test_unnormalized_cascade_input(self):
         inputs = self.inputs()
@@ -596,6 +605,15 @@ class TestBatchErrorsMatchTheOneTrialCall:
             one = batch_error(lambda: baseline_rows(one_input, draws[row]))
             assert one == f"rng_sample must lie in [0, 1), got {bad}"
             assert batch_error(lambda: baseline_rows(inputs, draws)) == one
+
+    # Neither one shared row nor one per draw row: more rows than draw rows
+    # and fewer, both rejected at entry with one message.
+    @pytest.mark.parametrize("rows", [2, 5])
+    @input_kernels
+    def test_input_count_must_match_the_draws(self, kernel, width, rows):
+        draws = np.full((3, width), 0.5)
+        error = batch_error(lambda: kernel(self.inputs()[:rows], draws))
+        assert error == f"expected 1 or 3 input rows for 3 draw rows, got {rows}"
 
 
 def product_projectors() -> list[Operator]:

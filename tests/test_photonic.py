@@ -243,10 +243,12 @@ class TestCascadeResiduals:
 
     def test_window_draw_validation(self):
         state = build_three_mode(UnknownState(1.0, 0.0))
-        with pytest.raises(ValueError, match="rng_sample"):
-            absorption_stage(state, 1.0, 1.0)
-        with pytest.raises(ValueError, match="eta_abs"):
-            absorption_stage(state, 1.5, 0.5)
+        for stage in (absorption_stage, stage_final):
+            for bad in (1.0, float("nan")):
+                with pytest.raises(ValueError, match=rf"rng_sample .*, got {bad}$"):
+                    stage(state, 1.0, bad)
+            with pytest.raises(ValueError, match=r"eta_abs .*, got 1.5$"):
+                stage(state, 1.5, 0.5)
 
 
 class TestEfficiencyConfig:
@@ -505,24 +507,6 @@ class TestSourceFailures:
         }
 
 
-class CountingDraws:
-    """One trial's row of uniforms, indexed as ``draws[rows, columns]`` the
-    way ``cascade_rows`` reads its draw array (``columns`` one column or
-    one per row), that records how many of them were read."""
-
-    def __init__(self, values):
-        self._row = np.array([values], dtype=np.float64)
-        self.read = 0
-
-    def __getitem__(self, key):
-        rows, columns = key
-        values = self._row[rows, columns]
-        columns = np.asarray(columns)
-        if values.size and columns.size:
-            self.read = max(self.read, int(columns.max()) + 1)
-        return values
-
-
 # Draw values that steer the cascade: a source is lit or dark against
 # p = 0.5, an ideal absorber fires or passes (branch weights are 1/4, 1/3
 # and 1/2 in turn), and the detection draw keeps or loses the signature
@@ -533,7 +517,20 @@ DETECTED, LOST = 0.0, 0.99
 
 
 class TestDrawCount:
+    """A trial reads only its path's first draws: rewriting any column past
+    them with other valid draws leaves its outputs byte-identical, while
+    some valid rewrite of the last column it reads changes them."""
+
     CFG = EfficiencyConfig(eta_det=0.5, p_in=0.5, p_pdc=0.5)
+    INPUT = UnknownState(0.6, 0.8j).state_vector().amplitudes[None]
+    # Valid draws for the rewrites: both ends of [0, 1) and points between.
+    REWRITES = (0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0))
+
+    def outputs(self, values) -> list[bytes]:
+        """The bytes of the trial's code, ``bob_pre``, ``bob_post`` and
+        fidelity."""
+        draws = np.array([values], dtype=np.float64)
+        return [column.tobytes() for column in cascade_rows(self.INPUT, self.CFG, draws)]
 
     @pytest.mark.parametrize(
         "steer, kind, expected",
@@ -553,14 +550,28 @@ class TestDrawCount:
     @pytest.mark.parametrize("detection", [DETECTED, LOST], ids=["detected", "lost"])
     def test_draws_consumed_per_outcome(self, steer, kind, expected, detection):
         values = (steer + (detection,) + (0.5,) * CASCADE_DRAWS)[:CASCADE_DRAWS]
-        input_state = UnknownState(0.6, 0.8j)
-        draws = CountingDraws(values)
         codes, _, _, fidelities = cascade_rows(
-            input_state.state_vector().amplitudes[None], self.CFG, draws
+            self.INPUT, self.CFG, np.array([values], dtype=np.float64)
         )
         if detection == LOST:
             kind = CascadeEventKind.NO_EVENT
         identifying = kind in IDENTIFYING_EVENTS
         assert list(CascadeEventKind)[codes[0]] is kind
         assert np.isfinite(fidelities[0]) == identifying
-        assert draws.read == expected
+        # Every column past the first ``expected`` rewritten: each to one
+        # value, and to random draws.
+        outputs, unread = self.outputs(values), CASCADE_DRAWS - expected
+        rng = np.random.default_rng(expected)
+        rewrites = [(value,) * unread for value in self.REWRITES]
+        rewrites += [tuple(rng.random(unread)) for _ in range(4)]
+        for rewrite in rewrites:
+            assert self.outputs(values[:expected] + rewrite) == outputs, rewrite
+        # The last column read is read: some value of it changes the trial,
+        # under one of the rewrites above (a lost single count hides a lit
+        # source behind its detection draw).
+        last = expected - 1
+        assert any(
+            self.outputs(values[:last] + (value,) + rewrite) != outputs
+            for value in self.REWRITES
+            for rewrite in rewrites
+        )
