@@ -16,11 +16,14 @@ Physics: each chunk makes one call to its mode's batched kernel (see
 :mod:`bellcast.teleport`) with one draw row per trial, and either one input
 row per trial, from one ``haar_rows`` call, or the fixed input as one row
 that every trial shares; the one-trial entry points are its one-row calls,
-bit-identical row for row.  A shared row is one state for every trial:
-swap's chunks all start from one, and a fixed-input photon chunk walks the
-state tree that earlier chunks and batches of its input and ``eta_abs``
-left in the kernel's cache in this process, so it computes only what none
-of them reached (``photonic.cascade_rows``).
+bit-identical row for row.  Spin and swap share one kernel,
+``teleport_rows``; a swap chunk's input is the singlet row
+``teleport.SWAP_INPUT``, and its records still write null amplitudes.  A
+shared row is one state for every trial: a fixed-input spin chunk and every
+swap chunk finish each distinct outcome once, and a fixed-input photon chunk
+walks the state tree that earlier chunks and batches of its input and
+``eta_abs`` left in the kernel's cache in this process, so it computes only
+what none of them reached (``photonic.cascade_rows``).
 
 Columns: a chunk stays numpy columns (seeds, codes, fidelities, inputs)
 from the kernel to the summary's running totals, and whether a trial has a
@@ -85,7 +88,7 @@ from .stream import derive_seeds, uniforms
 from .teleport import (
     BASELINE_DRAWS,
     HAAR_DRAWS,
-    SWAP_DRAWS,
+    SWAP_INPUT,
     TRIAL_DRAWS,
     ClassicalMessage,
     UnknownState,
@@ -95,7 +98,6 @@ from .teleport import (
     haar_random_input,  # noqa: F401 - perfbench's tracer looks it up here
     run_entangled_input,  # noqa: F401 - perfbench's tracer looks it up here
     run_trial,  # noqa: F401 - perfbench's tracer looks it up here
-    swap_rows,
     teleport_rows,
 )
 
@@ -192,7 +194,7 @@ _MESSAGE_BITS = {
 _PROTOCOL_DRAWS = {
     Mode.SPIN: TRIAL_DRAWS,
     Mode.BASELINE: BASELINE_DRAWS,
-    Mode.SWAP: SWAP_DRAWS,
+    Mode.SWAP: TRIAL_DRAWS,
     Mode.PHOTON: CASCADE_DRAWS,
 }
 
@@ -205,9 +207,10 @@ _PROTOCOL_DRAWS = {
 # chunk, and its size keeps well inside the benchmark's peak-RSS bound.
 # Baseline's gain at 2048 costs nearly that whole bound, and photon's is
 # unresolved, so both stay at 1024 (measurements: ROADMAP, Baseline).
-# ``swap_rows`` projects one shared state against every draw, so its arrays
-# stay small, and a 4096-trial chunk spreads the fixed cost of each numpy
-# call over four times the trials.
+# A swap chunk projects one shared state, the singlet row, against every
+# draw and finishes each distinct outcome once, so its arrays stay small,
+# and a 4096-trial chunk spreads the fixed cost of each numpy call over four
+# times the trials.
 CHUNK_TRIALS = {
     Mode.SPIN: 1536,
     Mode.PHOTON: 1024,
@@ -302,12 +305,10 @@ def _columns(cfg: RunConfig) -> Iterator[_Chunk]:
         else:
             draws = uniforms(derive_seeds(base_seeds, 1), protocol)
         # Each kernel returns its codes first and its fidelities last.
-        if cfg.mode is Mode.SPIN:
-            result = teleport_rows(inputs, draws)
+        if cfg.mode in (Mode.SPIN, Mode.SWAP):
+            result = teleport_rows(SWAP_INPUT if inputs is None else inputs, draws)
         elif cfg.mode is Mode.BASELINE:
             result = baseline_rows(inputs, draws)
-        elif cfg.mode is Mode.SWAP:
-            result = swap_rows(draws)
         else:
             result = cascade_rows(inputs, cfg.efficiency, draws)
         codes, fidelities = result[0], result[-1]
@@ -464,12 +465,12 @@ class _Tally:
     """The running totals behind a :class:`BatchSummary`, fed one block of
     trials at a time, in constant memory.
 
-    Counting key: the event string in photon mode, else the outcome string
-    (missing outcomes count under "none").  Mean/min fidelity cover only the
-    trials that carry one; the sum runs in trial order, carried from block to
-    block.  Success means fidelity at the recovery threshold for spin/swap,
-    an identified trial for baseline, and a detected branch-identifying
-    event for photon mode.
+    Counting key: the event in photon mode, else the outcome; a null (or
+    empty) value counts under "none" in every mode.  Mean/min fidelity cover
+    only the trials that carry one; the sum runs in trial order, carried from
+    block to block.  Success means fidelity at the recovery threshold for
+    spin/swap, an identified trial for baseline, and a detected
+    branch-identifying event for photon mode.
     """
 
     def __init__(self, mode: Mode) -> None:
@@ -490,10 +491,10 @@ class _Tally:
         for value, count in counted:
             if not count:
                 continue
+            key = value or "none"
             if self.mode is Mode.PHOTON:
-                key, success = value, value in _IDENTIFYING_WIRE
+                success = value in _IDENTIFYING_WIRE
             else:
-                key = value or "none"
                 success = self.mode is Mode.BASELINE and value is not None
             self.counts[key] = self.counts.get(key, 0) + count
             self.successes += count if success else 0

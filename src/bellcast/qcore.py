@@ -276,7 +276,10 @@ def fidelity(s: StateVector, t: StateVector) -> float:
 # ``einsum`` and ``.sum(-1)`` sum in another order and are not used.
 # :func:`pick_rows` is the one outcome rule of every sampled measurement: the
 # Bell measurements reach it through :func:`sample_rows`, and the baseline's
-# product-basis analysis hands it the weights it sums itself.
+# product-basis analysis hands it the weights it sums itself.  A Bell
+# measurement's caller then renormalizes, through :func:`post_rows`, only the
+# post states it keeps: one per trial, or one per distinct outcome of a
+# state that every trial shares.
 
 
 def tensor_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -356,7 +359,7 @@ def require_draws_rows(draws: np.ndarray) -> None:
 
     Every draw check calls it: the entries of ``teleport.baseline_rows`` and
     ``photonic.cascade_rows``, each on its whole draw block,
-    :func:`sample_rows` (the spin and swap kernels), and the scalar
+    :func:`sample_rows` (the teleportation kernel), and the scalar
     :func:`measure_projective` and ``photonic._stage`` on their one draw.
     """
     bad = ~((draws >= 0.0) & (draws < 1.0))
@@ -386,8 +389,8 @@ def pick_rows(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
 def sample_rows(
     states: np.ndarray, projectors: np.ndarray, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sampling half of :func:`measure_rows`, which checks its inputs and
-    picks each draw's outcome.
+    """The sampling half of :func:`measure_projective` for a batch, which
+    checks its inputs and picks each draw's outcome.
 
     ``states`` is ``(S, dim)``: one state per draw, or one state (``S = 1``)
     that every draw measures.  ``projectors`` is a ``(K, dim, dim)`` array of
@@ -411,19 +414,6 @@ def post_rows(
     :func:`sample_rows`' output, as :func:`measure_projective` divides them;
     ``rows`` and ``outcomes`` broadcast against each other."""
     return projected[rows, outcomes] / np.sqrt(probs[rows, outcomes])[..., None]
-
-
-def measure_rows(
-    states: np.ndarray, projectors: np.ndarray, draws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`measure_projective` of every row against one projector set:
-    :func:`sample_rows`, then :func:`post_rows` of each row's outcome.
-
-    Returns the ``(N,)`` outcome indices and the ``(N, dim)`` renormalized
-    post states.
-    """
-    chosen, projected, probs = sample_rows(states, projectors, draws)
-    return chosen, post_rows(projected, probs, np.arange(states.shape[0]), chosen)
 
 
 def fidelity_rows(s: np.ndarray, t: np.ndarray) -> np.ndarray:

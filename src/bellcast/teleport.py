@@ -13,10 +13,12 @@ Identifying the branch via the commuting squared-spin measurement and sending
 two classical bits lets the receiver recover the input exactly, every trial.
 The two message bits are simply the measured (Sz^2, Sx^2) pair.
 
-Also provided: teleportation of a qubit that is itself half of another
-singlet (entanglement swapping), and a baseline in which the sender measures
-in the product basis and only ever identifies the singlet branch, succeeding
-on a quarter of trials.
+Entanglement swapping is the same procedure on a qubit that is itself half
+of another singlet: one kernel, :func:`teleport_rows`, takes a one- or
+two-qubit input register and Bell-measures its last qubit with the channel
+pair's first.  Also provided: a baseline in which the sender measures in the
+product basis and only ever identifies the singlet branch, succeeding on a
+quarter of trials.
 """
 
 from __future__ import annotations
@@ -46,13 +48,12 @@ from .qcore import (
     distinct_keys,
     fidelity,  # noqa: F401 - perfbench's tracer looks it up here
     fidelity_rows,
-    measure_rows,
     normalized_rows,
     pick_rows,
     post_rows,
     require_draws_rows,
     sample_rows,
-    tensor,
+    tensor,  # noqa: F401 - perfbench's tracer looks it up here
     tensor_rows,
     unitary_table,
 )
@@ -124,7 +125,6 @@ def checked_input(a: complex, b: complex) -> UnknownState:
 # Uniform draws each entry point consumes at most (see _seed_draws).
 HAAR_DRAWS = 2
 TRIAL_DRAWS = 1
-SWAP_DRAWS = 1
 BASELINE_DRAWS = 2
 
 
@@ -249,7 +249,7 @@ def correction_for(outcome: BellOutcome) -> Operator:
     return _CORRECTION_OPS[outcome]
 
 
-# The row-batched kernel.  Each protocol below runs a whole batch of trials
+# The row-batched kernels.  Each protocol below runs a whole batch of trials
 # as (N, 8) or (N, 16) complex arrays, one trial per row, with the same float
 # operations in the same order as the scalar qcore calls (see qcore's
 # row-batched forms), so every row is bit-identical to a one-trial call.
@@ -258,7 +258,8 @@ def correction_for(outcome: BellOutcome) -> Operator:
 _SINGLET = prepare_singlet().amplitudes
 _BELL_BRAS = np.array([bell_state(o).amplitudes.conj() for o in MEASUREMENT_ORDER])
 _CORRECTION_MATRICES = np.array([_CORRECTION_OPS[o].matrix for o in MEASUREMENT_ORDER])
-_SWAP_STATE = tensor(prepare_singlet(), prepare_singlet()).amplitudes
+# Entanglement swapping's input register: qubits (0, 1) of another singlet.
+SWAP_INPUT = _SINGLET[None]
 
 
 @functools.cache
@@ -271,25 +272,42 @@ def _projector_stack(n_qubits: int, qubits: tuple[int, int]) -> np.ndarray:
 
 
 def teleport_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`run_trial` for a batch: one ``(N, TRIAL_DRAWS)`` draw row per
-    trial, and one ``(N, 2)`` input row per trial or one ``(1, 2)`` shared row.
+    """:func:`run_trial` and :func:`run_entangled_input` for a batch: one
+    ``(N, TRIAL_DRAWS)`` draw row per trial, and one input row per trial or
+    one ``(1, width)`` row that every trial shares.
 
-    Returns the outcome indices, ``bob_pre`` and ``bob_post`` as ``(N, 2)``
-    arrays, and the ``(N,)`` float64 fidelities.
+    An input row holds a one-qubit state (width 2) or a two-qubit one (width
+    4, as :data:`SWAP_INPUT`).  The input is tensored with the channel
+    singlet, and its last qubit and the pair's first are Bell-measured.  The
+    measured pair is contracted out, the rest normalized, corrected on the
+    receiver (the last qubit) and scored against the input: once per trial,
+    or once per distinct outcome when every trial shares one input row.
+
+    Returns the ``(N,)`` outcome indices, ``bob_pre`` and ``bob_post`` with
+    one row per trial or per distinct outcome, ascending, each trial's row
+    ``inverse`` in them, and the ``(N,)`` float64 fidelities.
     """
     _require_input_rows(inputs, draws)
-    projectors = _projector_stack(3, (0, 1))
-    outcome, post = measure_rows(tensor_rows(inputs, _SINGLET), projectors, draws[:, 0])
-    bob_pre = normalized_rows(contract_rows(post, (0, 1), _BELL_BRAS[outcome]))
-    bob_post = apply_rows(_CORRECTION_MATRICES[outcome], bob_pre, (0,))
+    n = inputs.shape[1].bit_length() - 1
+    measured = (n - 1, n)
+    projectors = _projector_stack(n + 2, measured)
+    outcome, projected, probs = sample_rows(
+        tensor_rows(inputs, _SINGLET), projectors, draws[:, 0]
+    )
+    keys, inverse = outcome, np.arange(len(outcome))
+    if len(inputs) == 1:  # one state for every trial
+        keys, inverse = distinct_keys(outcome, len(projectors))
+    post = post_rows(projected, probs, np.arange(len(inputs)), keys)
+    bob_pre = normalized_rows(contract_rows(post, measured, _BELL_BRAS[keys]))
+    bob_post = apply_rows(_CORRECTION_MATRICES[keys], bob_pre, (n - 1,))
     fidelities = fidelity_rows(bob_post, inputs)
     _require_fidelity_range(fidelities)
-    return outcome, bob_pre, bob_post, fidelities
+    return outcome, bob_pre, bob_post, inverse, fidelities[inverse]
 
 
 def run_trial(input_state: UnknownState, rng_seed: int) -> TrialRecord:
     """One full teleportation trial, deterministic in ``rng_seed``."""
-    outcome, bob_pre, bob_post, fidelities = teleport_rows(
+    outcome, bob_pre, bob_post, _, fidelities = teleport_rows(
         input_state.state_vector().amplitudes[None],
         _seed_draws(rng_seed, TRIAL_DRAWS),
     )
@@ -305,36 +323,18 @@ def run_trial(input_state: UnknownState, rng_seed: int) -> TrialRecord:
     )
 
 
-def swap_rows(draws: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`run_entangled_input` for a batch of ``(N, SWAP_DRAWS)`` draw rows.
-
-    Every trial starts from the same state, so one :func:`sample_rows` call
-    measures it against all the draws, and the post state and every step
-    after it run once per distinct outcome: at most 4 rows.  Returns the
-    outcome indices, the ``(D, 4)`` states of qubits (0, 3) per distinct
-    outcome, ascending, each trial's row ``inverse`` in them, and the
-    ``(N,)`` float64 fidelities to the singlet.
-    """
-    projectors = _projector_stack(4, (1, 2))
-    outcome, projected, probs = sample_rows(_SWAP_STATE[None], projectors, draws[:, 0])
-    distinct, inverse = distinct_keys(outcome, len(projectors))
-    post = post_rows(projected, probs, 0, distinct)
-    # The correction on qubit 3, then <Bell| contracted over qubits (1, 2).
-    corrected = apply_rows(_CORRECTION_MATRICES[distinct], post, (3,))
-    final = normalized_rows(contract_rows(corrected, (1, 2), _BELL_BRAS[distinct]))
-    values = fidelity_rows(final, np.broadcast_to(_SINGLET, final.shape))
-    return outcome, final, inverse, values[inverse]
-
-
 def run_entangled_input(rng_seed: int) -> tuple[BellOutcome, StateVector]:
     """Teleport a qubit that is half of another singlet (entanglement swap).
 
-    Qubits (0, 1) and (2, 3) start as singlets; the Bell measurement lands on
-    (1, 2) and the correction on qubit 3.  The returned state of qubits
-    (0, 3) is again the singlet, for every outcome.
+    The one-row :func:`teleport_rows` call on :data:`SWAP_INPUT`: qubits
+    (0, 1) and (2, 3) start as singlets, the Bell measurement lands on
+    (1, 2), and the correction on qubit 3 of the remaining pair (0, 3).  The
+    returned state of that pair is again the singlet, for every outcome.
     """
-    outcome, final, inverse, _ = swap_rows(_seed_draws(rng_seed, SWAP_DRAWS))
-    return MEASUREMENT_ORDER[outcome[0]], StateVector(final[inverse[0]])
+    outcome, _, bob_post, _, _ = teleport_rows(
+        SWAP_INPUT, _seed_draws(rng_seed, TRIAL_DRAWS)
+    )
+    return MEASUREMENT_ORDER[outcome[0]], StateVector(bob_post[0])
 
 
 def baseline_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -157,7 +157,7 @@ def test_squared_spin_set_commutes_with_exact_eigen_table():
 def test_teleportation_succeeds_on_every_haar_input(haar_inputs):
     # Trial i runs haar_inputs[i] with rng_seed=i.
     trials = len(haar_inputs)
-    outcomes, _, _, fidelities = teleport_rows(
+    outcomes, _, _, _, fidelities = teleport_rows(
         amplitude_rows(haar_inputs), seed_draws(range(trials), TRIAL_DRAWS)
     )
     counts = Counter(MEASUREMENT_ORDER[i] for i in outcomes.tolist())
@@ -291,7 +291,7 @@ def test_product_basis_baseline_caps_at_one_quarter(haar_inputs):
     rate = int(identified.sum()) / len(trials)
     assert abs(rate - 0.25) <= FREQ_TOL_10K
 
-    _, _, _, fidelities = teleport_rows(inputs, seed_draws(trials, TRIAL_DRAWS))
+    *_, fidelities = teleport_rows(inputs, seed_draws(trials, TRIAL_DRAWS))
     min_fid = min(fidelities)
     assert min_fid >= SUCCESS_FIDELITY
     return (

@@ -517,9 +517,9 @@ class TestRunBatch:
         original = harness.teleport_rows
 
         def infinite_fidelity(inputs, draws):
-            outcomes, bob_pre, bob_post, fidelities = original(inputs, draws)
+            *columns, fidelities = original(inputs, draws)
             fidelities[5] = float("inf")
-            return outcomes, bob_pre, bob_post, fidelities
+            return *columns, fidelities
 
         monkeypatch.setattr(harness, "teleport_rows", infinite_fidelity)
         path = tmp_path / "records.jsonl"
@@ -606,17 +606,23 @@ class TestSummarize:
         assert summary.chi_square == float("inf")
 
     def test_counts_any_key_and_only_keys_seen(self):
-        records = [
-            {"outcome": "Xyz", "fidelity": 0.5},
-            {"outcome": None, "fidelity": None},
-            {"outcome": "Xyz", "fidelity": 1.0},
-            {"outcome": "", "fidelity": 0.25},
-        ]
-        summary = summarize(records, mode=Mode.SPIN)
-        assert summary.counts == {"Xyz": 2, "none": 2}
-        assert summary.mean_fidelity == (0.5 + 1.0 + 0.25) / 3
-        assert summary.min_fidelity == 0.25
-        assert summary.success_rate == 0.25
+        # A null or empty counted field counts under "none" in every mode,
+        # so the summary's tables still sort.
+        for mode, field, success in (
+            (Mode.SPIN, "outcome", 0.25), (Mode.PHOTON, "event", 0.0)
+        ):
+            records = [
+                {field: "Xyz", "fidelity": 0.5},
+                {field: None, "fidelity": None},
+                {field: "Xyz", "fidelity": 1.0},
+                {field: "", "fidelity": 0.25},
+            ]
+            summary = summarize(records, mode=mode)
+            assert summary.counts == {"Xyz": 2, "none": 2}
+            assert summary.mean_fidelity == (0.5 + 1.0 + 0.25) / 3
+            assert summary.min_fidelity == 0.25
+            assert summary.success_rate == success
+            assert summary.to_json_obj()["counts"] == {"Xyz": 2, "none": 2}
         live = run_batch(RunConfig(mode=Mode.SPIN, trials=1, master_seed=3))
         assert len(live.counts) == 1
 

@@ -1,7 +1,8 @@
 """The row-batched kernel against the scalar rules it must reproduce bit for bit.
 
 ``measure_projective`` stays independent of the kernel, so it is the oracle
-for ``measure_rows``.  Both get the same states and draws at the edges of the
+for ``sample_rows`` then ``post_rows``, the calls the teleportation kernel
+makes.  Both get the same states and draws at the edges of the
 outcome rule: a draw of 0.0, each exact cumulative edge (a draw on an edge
 resolves to the next outcome), and ``nextafter(1, 0)``, which lies past every
 edge of a slightly sub-normalized state and so exercises the fallback to the
@@ -12,9 +13,12 @@ clamp rule, and the baseline's product-basis outcome against
 raises must read as the one-row call's, and an input block of neither one
 row nor one row per draw row is refused.  The Haar inputs are checked
 against the scalar numpy calls, with a first amplitude of imaginary part
-+0.0 on every row, and swap's once-per-outcome steps against
-running them on every row.  A kernel call whose trials share one input row
-must give the bytes of the same call on that row tiled over the trials.  A
++0.0 on every row.  Swapping is the teleportation kernel on the singlet
+row: its once-per-outcome steps are checked against a hand-written
+reference that runs them on every row.  A kernel call whose trials share one
+input row must give the bytes of the same call on that row tiled over the
+trials, per trial, and the teleportation kernel must normalize only one post
+state per distinct outcome of such a call.  A
 cascade call on a shared row starts from one state: each trial must still
 equal its one-row call, and the rows it projects must not grow with the
 trials.  Such a call takes its state
@@ -67,18 +71,17 @@ from bellcast.qcore import (
     fidelity_rows,
     ket,
     measure_projective,
-    measure_rows,
     normalized_rows,
     post_rows,
+    sample_rows,
     tensor,
 )
 from bellcast.stream import derive_seeds, uniforms
 from bellcast.teleport import (
     _BELL_BRAS,
     _CORRECTION_MATRICES,
-    _SWAP_STATE,
     BASELINE_DRAWS,
-    SWAP_DRAWS,
+    SWAP_INPUT,
     TRIAL_DRAWS,
     _projector_stack,
     _seed_draws,
@@ -89,7 +92,6 @@ from bellcast.teleport import (
     haar_rows,
     prepare_singlet,
     run_entangled_input,
-    swap_rows,
     teleport_rows,
 )
 
@@ -129,13 +131,15 @@ def edge_draws(state: StateVector, projectors) -> list[float]:
 
 
 def measure_both(states: list[StateVector], projectors):
-    """Every (state, edge draw) pair through the batch and the scalar rule."""
+    """Every (state, edge draw) pair through the batch and the scalar rule:
+    ``sample_rows``, then ``post_rows`` of each row's outcome."""
     cases = [(s, d) for s in states for d in edge_draws(s, projectors)]
-    chosen, post = measure_rows(
+    chosen, projected, probs = sample_rows(
         np.array([s.amplitudes for s, _ in cases]),
         np.array([p.matrix for p in projectors]),
         np.array([d for _, d in cases]),
     )
+    post = post_rows(projected, probs, np.arange(len(cases)), chosen)
     for row, (state, draw) in enumerate(cases):
         expected = measure_projective(state, projectors, draw)
         assert chosen[row] == expected.outcome_index, (row, draw)
@@ -178,7 +182,7 @@ class TestMeasureRowsEdges:
         projectors = bell_projectors(3, (0, 1))[1:]
         live = tensor(bell_state(BellOutcome.PSI_PLUS), StateVector([1.0, 0.0]))
         with pytest.raises(ValueError) as many:
-            measure_rows(
+            sample_rows(
                 np.array([live.amplitudes, state.amplitudes]),
                 np.array([p.matrix for p in projectors]),
                 np.array([0.5, 0.5]),
@@ -459,11 +463,19 @@ class TestReceiverRows:
         assert np.isfinite(fidelities[~unidentified]).all()
 
 
-# Each input-taking kernel as ``kernel(inputs, draws)``, with its draw width.
+def per_trial(result: tuple) -> tuple:
+    """``teleport_rows``' columns with one row per trial: its receiver rows
+    gathered through ``inverse``."""
+    outcome, bob_pre, bob_post, inverse, fidelities = result
+    return outcome, bob_pre[inverse], bob_post[inverse], fidelities
+
+
+# Each input-taking kernel as ``kernel(inputs, draws)``, with its draw width,
+# returning one row per trial in every column.
 input_kernels = pytest.mark.parametrize(
     "kernel, width",
     [
-        (teleport_rows, TRIAL_DRAWS),
+        (lambda inputs, draws: per_trial(teleport_rows(inputs, draws)), TRIAL_DRAWS),
         (baseline_rows, BASELINE_DRAWS),
         (lambda inputs, draws: cascade_rows(inputs, LOSS_CONFIGS[2], draws),
          CASCADE_DRAWS),
@@ -485,6 +497,13 @@ class TestSharedInputRow:
         shared = kernel(row, draws)
         assert_same_bytes(shared, kernel(np.tile(row, (len(draws), 1)), draws))
         assert len(shared[0]) == len(draws)
+
+    def test_swap_singlet_row_equals_tiled_rows(self):
+        draws = uniforms(np.arange(300, dtype=np.uint64), TRIAL_DRAWS)
+        shared = teleport_rows(SWAP_INPUT, draws)
+        tiled = teleport_rows(np.tile(SWAP_INPUT, (len(draws), 1)), draws)
+        assert_same_bytes(per_trial(shared), per_trial(tiled))
+        assert len(shared[1]) == 4 and len(tiled[1]) == len(draws)
 
 
 def batch_error(call) -> str:
@@ -706,16 +725,21 @@ class TestHaarRows:
 
 
 def swap_every_row(draws: np.ndarray):
-    """Swap's steps run on every row, each measuring its own copy of the state."""
+    """Swap's steps run on every row, each measuring its own copy of the
+    state: contract ``<Bell|`` over qubits (1, 2), normalize, then correct
+    qubit 1 of the remaining pair (0, 3)."""
     n = draws.shape[0]
-    state = np.broadcast_to(_SWAP_STATE, (n, 16))
-    outcome, post = measure_rows(state, _projector_stack(4, (1, 2)), draws[:, 0])
-    moved = post.reshape(n, 8, 2).transpose(0, 2, 1)
-    corrected = (_CORRECTION_MATRICES[outcome] @ moved).transpose(0, 2, 1)
-    pair_first = corrected.reshape(n, 2, 4, 2).transpose(0, 2, 1, 3).reshape(n, 4, 4)
-    final = normalized_rows((_BELL_BRAS[outcome][:, None, :] @ pair_first)[:, 0])
-    target = np.broadcast_to(prepare_singlet().amplitudes, final.shape)
-    return outcome, final, fidelity_rows(final, target)
+    singlet = prepare_singlet()
+    state = np.broadcast_to(tensor(singlet, singlet).amplitudes, (n, 16))
+    projectors = _projector_stack(4, (1, 2))
+    outcome, projected, probs = sample_rows(state, projectors, draws[:, 0])
+    post = post_rows(projected, probs, np.arange(n), outcome)
+    pair_first = post.reshape(n, 2, 2, 2, 2).transpose(0, 2, 3, 1, 4).reshape(n, 4, 4)
+    bob_pre = normalized_rows((_BELL_BRAS[outcome][:, None, :] @ pair_first)[:, 0])
+    moved = bob_pre.reshape(n, 2, 2).transpose(0, 2, 1)
+    bob_post = (_CORRECTION_MATRICES[outcome] @ moved).transpose(0, 2, 1).reshape(n, 4)
+    target = np.broadcast_to(singlet.amplitudes, bob_post.shape)
+    return outcome, bob_pre, bob_post, fidelity_rows(bob_post, target)
 
 
 class TestProjectorStackBits:
@@ -737,32 +761,42 @@ class TestProjectorStackBits:
 
 
 class TestSwapRows:
+    """``teleport_rows`` on the singlet row ``SWAP_INPUT``: entanglement
+    swapping."""
+
+    @staticmethod
+    def assert_equals_every_row(result: tuple, draws: np.ndarray) -> None:
+        outcome, bob_pre, bob_post, inverse, fidelities = result
+        expected = swap_every_row(draws)
+        assert outcome.tolist() == expected[0].tolist()
+        assert bob_pre[inverse].tobytes() == expected[1].tobytes()
+        assert bob_post[inverse].tobytes() == expected[2].tobytes()
+        assert fidelities.tobytes() == expected[3].tobytes()
+
     def test_once_per_outcome_equals_every_row(self):
         edges = [0.0, 0.25, 0.5, 0.75, LAST_BELOW_ONE]
         draws = np.concatenate(
             [np.array(edges)[:, None], uniforms(np.arange(3000, dtype=np.uint64), 1)]
         )
-        outcome, final, inverse, fidelities = swap_rows(draws)
-        expected = swap_every_row(draws)
-        assert outcome.tolist() == expected[0].tolist()
-        assert set(outcome.tolist()) == {0, 1, 2, 3}
-        assert final.shape == (4, 4)
-        assert final[inverse].tobytes() == expected[1].tobytes()
-        assert fidelities.tobytes() == expected[2].tobytes()
+        result = teleport_rows(SWAP_INPUT, draws)
+        self.assert_equals_every_row(result, draws)
+        assert set(result[0].tolist()) == {0, 1, 2, 3}
+        assert result[2].shape == (4, 4)
 
     def test_one_outcome_chunk_and_one_row_call(self):
         draws = np.full((7, 1), 0.1)
-        outcome, final, inverse, fidelities = swap_rows(draws)
-        expected = swap_every_row(draws)
+        result = teleport_rows(SWAP_INPUT, draws)
+        self.assert_equals_every_row(result, draws)
+        outcome, _, final, inverse, _ = result
         assert final.shape == (1, 4)
-        assert final[inverse].tobytes() == expected[1].tobytes()
-        assert fidelities.tobytes() == expected[2].tobytes()
-        row_outcome, row_final, row_inverse, _ = swap_rows(draws[:1])
+        row_outcome, _, row_final, row_inverse, _ = teleport_rows(SWAP_INPUT, draws[:1])
         assert row_outcome.tolist() == outcome[:1].tolist()
         assert row_final[row_inverse].tobytes() == final[inverse[:1]].tobytes()
         for seed in (0, 7, 2**64 - 1):
             label, state = run_entangled_input(seed)
-            outcome, final, inverse, _ = swap_rows(_seed_draws(seed, SWAP_DRAWS))
+            outcome, _, final, inverse, _ = teleport_rows(
+                SWAP_INPUT, _seed_draws(seed, TRIAL_DRAWS)
+            )
             assert label is MEASUREMENT_ORDER[outcome[0]]
             assert state.amplitudes.tobytes() == final[inverse[0]].tobytes()
 
@@ -776,15 +810,18 @@ class TestSwapRows:
 
         monkeypatch.setattr(teleport, "post_rows", counting_post_rows)
         chunk = uniforms(np.arange(1024, dtype=np.uint64), 1)
-        for draws in (np.full((1, 1), 0.1), chunk):
-            outcome = swap_rows(draws)[0]
-            assert normalized.pop() == np.unique(outcome).size <= 4
+        # Every trial of a swap chunk, and of a fixed-input spin chunk,
+        # measures one shared state.
+        for inputs in (SWAP_INPUT, SHARED_INPUT[None]):
+            for draws in (np.full((1, 1), 0.1), chunk):
+                outcome = teleport_rows(inputs, draws)[0]
+                assert normalized.pop() == np.unique(outcome).size <= 4
         assert not normalized
 
     @pytest.mark.parametrize("bad", [-0.25, 1.0, float("nan")])
     def test_out_of_range_draw(self, bad):
         draws = np.full((6, 1), 0.5)
         draws[3, 0] = bad
-        one = batch_error(lambda: swap_rows(np.array([[bad]])))
+        one = batch_error(lambda: teleport_rows(SWAP_INPUT, np.array([[bad]])))
         assert one == f"rng_sample must lie in [0, 1), got {bad}"
-        assert batch_error(lambda: swap_rows(draws)) == one
+        assert batch_error(lambda: teleport_rows(SWAP_INPUT, draws)) == one

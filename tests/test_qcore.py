@@ -22,8 +22,8 @@ from bellcast.qcore import (
     fidelity_rows,
     ket,
     measure_projective,
-    measure_rows,
     normalized_rows,
+    post_rows,
     sample_rows,
     tensor,
 )
@@ -411,10 +411,14 @@ class TestRowChecksRejectNaN:
             normalized_rows(self.rows(2))
 
     def test_measure_rows(self):
+        # The kernel's measurement: sample_rows, then post_rows of each outcome.
         projectors = np.array([np.diag(e) for e in np.eye(8, dtype=complex)])
         message = r"measured state must be normalized \(norm nan\)"
         with pytest.raises(ValueError, match=message):
-            measure_rows(self.rows(8), projectors, np.full(3, 0.5))
+            chosen, projected, probs = sample_rows(
+                self.rows(8), projectors, np.full(3, 0.5)
+            )
+            post_rows(projected, probs, np.arange(3), chosen)
 
     def test_sample_rows_degenerate_check(self):
         # Normalized states, but NaN probabilities: no outcome is live.
