@@ -166,16 +166,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_batch_flags(parser: argparse.ArgumentParser, photon: bool) -> None:
+def _add_batch_flags(parser: argparse.ArgumentParser, mode: Mode) -> None:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--trials", type=int, help="number of trials")
     parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument(
-        "--input", help="'haar-random' or 'fixed:a,b' (checked but unused by run-swap)"
-    )
+    if mode is not Mode.SWAP:  # swap teleports half of a second pair instead
+        parser.add_argument("--input", help="'haar-random' or 'fixed:a,b'")
     parser.add_argument("--output", help="JSON-lines record file")
     parser.add_argument("--csv", help="per-outcome CSV summary file")
-    if photon:
+    if mode is Mode.PHOTON:
         for name in EFFICIENCY_KNOBS:
             parser.add_argument(
                 f"--{name.replace('_', '-')}",
@@ -204,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("run-swap", Mode.SWAP),
     ):
         cmd = sub.add_parser(name, help=f"run a {mode.value}-mode batch")
-        _add_batch_flags(cmd, photon=(mode is Mode.PHOTON))
+        _add_batch_flags(cmd, mode)
         cmd.set_defaults(func=lambda args, m=mode: _cmd_run(m, args))
 
     sweep = sub.add_parser(

@@ -76,7 +76,6 @@ from .photonic import (
     CASCADE_DRAWS,
     EFFICIENCY_KNOBS,
     EVENT_ORIGINAL_BRANCH,
-    IDENTIFYING_EVENTS,
     CascadeEventKind,
     EfficiencyConfig,
     analytic_distribution,
@@ -236,15 +235,22 @@ _WIRE = {
         for kind in CascadeEventKind
     ],
 }
-_IDENTIFYING_WIRE = frozenset(kind.value for kind in IDENTIFYING_EVENTS)
-# Per mode and code, whether the trial has a fidelity (not photon's misses).
+# Per mode and code, whether the trial has a fidelity: every code but a
+# photon code whose wire carries no outcome (its misses).
 _HAS_FIDELITY = {
-    mode: np.array([mode != Mode.PHOTON or e in _IDENTIFYING_WIRE for *_, e in wire])
+    mode: np.array([mode is not Mode.PHOTON or o is not None for o, *_ in wire])
     for mode, wire in _WIRE.items()
 }
 # Per mode and code, the value of the field the summary counts by.
 _COUNTED = {
     mode: [event if mode is Mode.PHOTON else outcome for outcome, _, event in wire]
+    for mode, wire in _WIRE.items()
+}
+# Per mode, the counted keys of the codes whose wire carries an outcome.  They
+# are the successes of photon (an identifying event) and baseline (a
+# certified trial); spin and swap count theirs by fidelity.
+_SUCCESS_KEYS = {
+    mode: frozenset(key for key, (o, *_) in zip(_COUNTED[mode], wire) if o is not None)
     for mode, wire in _WIRE.items()
 }
 # Per mode and code, its record line up to the amplitudes, with everything
@@ -466,18 +472,20 @@ class _Tally:
     trials at a time, in constant memory.
 
     Counting key: the event in photon mode, else the outcome; a null (or
-    empty) value counts under "none" in every mode.  Mean/min fidelity cover
-    only the trials that carry one; the sum runs in trial order, carried from
-    block to block.  Success means fidelity at the recovery threshold for
-    spin/swap, an identified trial for baseline, and a detected
-    branch-identifying event for photon mode.
+    empty) value counts under "none" in every mode.  The trial total comes
+    from the counts.  Mean/min fidelity cover only the trials that carry
+    one; the sum runs in trial order, carried from block to block.  Success
+    means fidelity at the recovery threshold for spin/swap, counted as the
+    blocks come; for baseline and photon mode it is a count of the mode's
+    ``_SUCCESS_KEYS``, the keys its kernel writes with an outcome (a
+    certified trial, a detected branch-identifying event), so any other key,
+    an empty or unknown one included, is never a success.
     """
 
     def __init__(self, mode: Mode) -> None:
         self.mode = mode
         self.counts: dict[str, int] = {}
-        self.total = 0
-        self.successes = 0
+        self.successes = 0  # spin and swap: trials at SUCCESS_FIDELITY
         self.fidelity_count = 0
         self.fidelity_sum = 0.0
         self.fidelity_min = float("inf")
@@ -489,16 +497,9 @@ class _Tally:
         from (``event`` in photon mode, else ``outcome``), and the fidelities
         of the block's trials that have one, in trial order."""
         for value, count in counted:
-            if not count:
-                continue
-            key = value or "none"
-            if self.mode is Mode.PHOTON:
-                success = value in _IDENTIFYING_WIRE
-            else:
-                success = self.mode is Mode.BASELINE and value is not None
-            self.counts[key] = self.counts.get(key, 0) + count
-            self.successes += count if success else 0
-            self.total += count
+            if count:
+                key = value or "none"
+                self.counts[key] = self.counts.get(key, 0) + count
         if not fidelities.size:
             return
         values = np.concatenate(([self.fidelity_sum], fidelities))
@@ -513,14 +514,18 @@ class _Tally:
     def summary(
         self, analytic: dict[CascadeEventKind, float] | None
     ) -> BatchSummary:
-        if self.total == 0:
+        total = sum(self.counts.values())
+        if total == 0:
             raise ValueError("cannot summarize an empty record stream")
+        successes = self.successes
+        if self.mode in (Mode.PHOTON, Mode.BASELINE):
+            successes = sum(self.counts.get(key, 0) for key in _SUCCESS_KEYS[self.mode])
         chi_square = None
         if analytic is not None:
             chi_square = 0.0
             for kind, probability in analytic.items():
                 observed = self.counts.get(kind.value, 0)
-                expected = probability * self.total
+                expected = probability * total
                 if expected <= 0.0:
                     if observed:
                         chi_square = float("inf")
@@ -530,14 +535,14 @@ class _Tally:
         has_fidelity = self.fidelity_count > 0
         return BatchSummary(
             mode=self.mode,
-            trials=self.total,
+            trials=total,
             counts=self.counts,
-            frequencies={key: n / self.total for key, n in self.counts.items()},
+            frequencies={key: n / total for key, n in self.counts.items()},
             mean_fidelity=(
                 self.fidelity_sum / self.fidelity_count if has_fidelity else None
             ),
             min_fidelity=self.fidelity_min if has_fidelity else None,
-            success_rate=self.successes / self.total,
+            success_rate=successes / total,
             chi_square=chi_square,
         )
 

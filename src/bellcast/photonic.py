@@ -45,6 +45,7 @@ from .observables import PAULI_X, BellOutcome, bell_state
 from .qcore import (
     Operator,
     StateVector,
+    _require_normalized_rows,
     apply,
     apply_rows,
     contract_rows,
@@ -59,7 +60,7 @@ from .qcore import (
     tensor_rows,
     unitary_table,
 )
-from .teleport import UnknownState, _require_input_rows, _seed_draws, correction_for
+from .teleport import UnknownState, _require_blocks, _seed_draws, correction_for
 
 
 class PairLabel(enum.Enum):
@@ -370,7 +371,9 @@ class _StateTree:
     """The distinct states a cascade's trials reach from its start inputs
     under one ``eta_abs``, and what each leads to.
 
-    Level 0 holds one start state (:func:`build_three_mode`) per input row.
+    Level 0 holds one start state (:func:`build_three_mode`) per input row,
+    and each input row's norm is checked when the tree is made, as the
+    receiver rows' fidelities would check it: to within 1e-9, NaN failing.
     Level ``k < 3`` holds the states entering absorber ``k`` (after the
     half-wave rotation, where one comes first), each with its start row, its
     fire threshold ``eta_abs * p``, its mode-2 component of the absorber's
@@ -398,6 +401,7 @@ class _StateTree:
     """
 
     def __init__(self, inputs: np.ndarray, eta_abs: float) -> None:
+        _require_normalized_rows(inputs, "input state")
         self.inputs, self.eta_abs = inputs, eta_abs
         self.levels: list[_Level | None] = [None] * len(_LEVEL_KINDS)
         self.bob_pre = self.bob_post = np.zeros((1, 2), dtype=np.complex128)
@@ -534,23 +538,26 @@ def cascade_rows(
     window, coincidence branch, ``bob_pre`` round trip, correction and
     fidelity runs once per tree entry, the first time a trial lands on it,
     and each trial gathers its results from the tree.  A receiver row is
-    corrected and scored when it is made, so every trial that reaches one
-    checks its input, whether or not its detection draw then loses the
-    signature.  A shared row of more than one trial, as a fixed input's
-    is, starts every trial from one state, and its tree comes from a cache
-    of at most ``SHARED_TREES`` trees, least recently used first out, keyed
-    by the bytes of the row and of ``eta_abs``, the one knob the tree depends
-    on.  A cached tree lives as long as it stays in the cache of this
-    process, so later chunks and batches of one input and ``eta_abs`` in one
-    process only gather; a new process starts on an empty cache.  Any other
-    call, Haar chunks and one-trial calls included, starts from one state
-    per trial in a tree of its own, dropped when the call returns.
+    corrected and scored when it is made, whether or not a trial's detection
+    draw then loses the signature.  A shared row of more than one trial, as
+    a fixed input's is, starts every trial from one state, and its tree
+    comes from a cache of at most ``SHARED_TREES`` trees, least recently
+    used first out, keyed by the bytes of the row and of ``eta_abs``, the
+    one knob the tree depends on.  A cached tree lives as long as it stays
+    in the cache of this process, so later chunks and batches of one input
+    and ``eta_abs`` in one process only gather; a new process starts on an
+    empty cache.  Any other call, Haar chunks and one-trial calls included,
+    starts from one state per input row, a dark trial's included, in a tree
+    of its own, dropped when the call returns.
 
-    Two checks run at entry, before any physics: the input count (one row,
-    or one per draw row) and every draw of the block, each column of each
-    row, whether or not its trial reads it; ``cfg`` has checked ``eta_abs``.
-    The input check is per receiver row: a row's input is checked when the
-    row is made, on the trials that reach it, cached tree or not.
+    Its first statement checks both blocks, before any physics, as every
+    kernel's does (``teleport._require_blocks``): input rows of width 2, one
+    per draw row or one shared, a draw block of ``CASCADE_DRAWS`` columns,
+    and every draw of it, each column of each row, whether or not its trial
+    reads it; ``cfg`` has checked ``eta_abs``.  Each input row's norm is
+    checked once, when the tree that starts from it is made, so a trial
+    whose source is dark checks its input too, and a cached tree's row is
+    not checked again.
 
     Returns the event codes (indices into ``CascadeEventKind``), ``bob_pre``
     and ``bob_post`` as ``(N, 2)`` arrays and the ``(N,)`` float64
@@ -558,8 +565,7 @@ def cascade_rows(
     whose code is not identifying, a lost signature's included, holds zeros
     in ``bob_pre`` and ``bob_post`` and a NaN fidelity.
     """
-    _require_input_rows(inputs, draws)
-    require_draws_rows(draws)
+    _require_blocks(inputs, (2,), draws, CASCADE_DRAWS)
     input_available = draws[:, 0] < cfg.p_in
     pair_available = draws[:, 1] < cfg.p_pdc
     n = len(input_available)
@@ -569,12 +575,13 @@ def cascade_rows(
 
     rows = np.flatnonzero(input_available & pair_available)
     # The tree, and each walking trial's row of its level 0: the one start of
-    # a shared row's cached tree, or the trial's own start.
+    # a shared row's cached tree, or the trial's own start in a tree made from
+    # every input row.
     if len(inputs) == 1 < n:
         tree = _shared_tree(inputs[0].tobytes(), np.float64(cfg.eta_abs).tobytes())
         index = np.zeros(len(rows), dtype=np.intp)
     else:
-        tree, index = _StateTree(inputs[rows], cfg.eta_abs), np.arange(len(rows))
+        tree, index = _StateTree(inputs, cfg.eta_abs), rows
     # Each trial's receiver row in the tree; row 0 holds zeros and a NaN.
     receiver = np.zeros(n, dtype=np.intp)
     # The walk stops once no trial is left.

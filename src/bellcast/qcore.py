@@ -357,9 +357,9 @@ def _require_normalized_rows(x: np.ndarray, what: str) -> None:
 def require_draws_rows(draws: np.ndarray) -> None:
     """Reject any draw outside [0, 1), with :func:`measure_projective`'s error.
 
-    Every draw check calls it: the entries of ``teleport.baseline_rows`` and
-    ``photonic.cascade_rows``, each on its whole draw block,
-    :func:`sample_rows` (the teleportation kernel), and the scalar
+    Every draw check calls it: ``teleport._require_blocks``, the boundary
+    check at the entry of each kernel (``teleport_rows``, ``baseline_rows``
+    and ``cascade_rows``), on the kernel's whole draw block, and the scalar
     :func:`measure_projective` and ``photonic._stage`` on their one draw.
     """
     bad = ~((draws >= 0.0) & (draws < 1.0))
@@ -390,17 +390,17 @@ def sample_rows(
     states: np.ndarray, projectors: np.ndarray, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sampling half of :func:`measure_projective` for a batch, which
-    checks its inputs and picks each draw's outcome.
+    checks its states and picks each draw's outcome.
 
     ``states`` is ``(S, dim)``: one state per draw, or one state (``S = 1``)
     that every draw measures.  ``projectors`` is a ``(K, dim, dim)`` array of
-    a complete, audited set; ``draws`` holds one uniform per row.  Returns
+    a complete, audited set; ``draws`` holds one uniform per row, which the
+    caller has already checked, as :func:`pick_rows` takes them.  Returns
     the ``(N,)`` outcome indices, the ``(S, K, dim)`` projected states and
     their ``(S, K)`` Born probabilities, for :func:`post_rows`.  The errors
-    are :func:`measure_projective`'s, in its order: the draws, then the
+    are :func:`measure_projective`'s after its draw check, in its order: the
     states, then the weights in :func:`pick_rows`, which holds the rule.
     """
-    require_draws_rows(draws)
     _require_normalized_rows(states, "measured state")
     projected = (projectors @ states[:, None, :, None])[..., 0]
     probs = np.maximum(overlap_rows(states[:, None, :], projected).real, 0.0)

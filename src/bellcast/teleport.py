@@ -72,14 +72,27 @@ def _require_normalized(totals) -> None:
         raise ValueError(f"input state not normalized: |a|^2+|b|^2 = {total!r}")
 
 
-def _require_input_rows(inputs: np.ndarray, draws: np.ndarray) -> None:
-    """Every input-taking kernel's entry check: one input row per draw row,
-    or one row that every trial shares."""
+def _require_blocks(
+    inputs: np.ndarray, widths: tuple[int, ...], draws: np.ndarray, k: int
+) -> None:
+    """Every kernel's one boundary check, its first statement: a 2-D block
+    of input rows of a width in ``widths``, a 2-D block of ``k`` draws per
+    row, one input row per draw row or one row that every trial shares, and
+    every draw in [0, 1) (:func:`qcore.require_draws_rows`), each column of
+    each row, whether or not its trial reads it.  No message about a block's
+    shape names its row count, so a batch and a one-row call raise alike.
+    Past it, a kernel trusts its blocks' shapes and draws."""
+    for block, what, allowed in ((inputs, "input", widths), (draws, "draw", (k,))):
+        if block.ndim != 2 or block.shape[1] not in allowed:
+            got = f"width {block.shape[1]}" if block.ndim == 2 else f"{block.ndim}-D"
+            expected = " or ".join(map(str, allowed))
+            raise ValueError(f"expected 2-D {what} rows of width {expected}, got {got}")
     if len(inputs) not in (1, len(draws)):
         raise ValueError(
             f"expected 1 or {len(draws)} input rows for {len(draws)} draw rows,"
             f" got {len(inputs)}"
         )
+    require_draws_rows(draws)
 
 
 def _squared_modulus(a: complex, b: complex) -> float:
@@ -194,15 +207,10 @@ class TrialRecord:
     rng_seed: int
 
     def __post_init__(self) -> None:
-        _require_fidelity_range([self.fidelity_value])
-
-
-def _require_fidelity_range(values: np.ndarray | list[float]) -> None:
-    """:class:`TrialRecord`'s fidelity check, over a batch's values."""
-    array = np.asarray(values, dtype=np.float64)
-    bad = ~((array >= -1e-12) & (array <= 1.0 + 1e-12))
-    if bad.any():
-        raise ValueError(f"fidelity {array[bad][0]} outside [0, 1]")
+        # The kernels' fidelities lie in [0, 1] by construction (fidelity_rows);
+        # this checks a record built by hand.
+        if not -1e-12 <= self.fidelity_value <= 1.0 + 1e-12:  # NaN fails this too
+            raise ValueError(f"fidelity {self.fidelity_value} outside [0, 1]")
 
 
 def prepare_singlet() -> StateVector:
@@ -283,11 +291,16 @@ def teleport_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ..
     receiver (the last qubit) and scored against the input: once per trial,
     or once per distinct outcome when every trial shares one input row.
 
+    Its first statement checks both blocks (:func:`_require_blocks`): input
+    rows of width 2 or 4, one draw per row, every draw in [0, 1).  Past it,
+    :func:`qcore.sample_rows` checks the measured states' norms, and the
+    fidelities lie in [0, 1] by construction (:func:`qcore.fidelity_rows`).
+
     Returns the ``(N,)`` outcome indices, ``bob_pre`` and ``bob_post`` with
     one row per trial or per distinct outcome, ascending, each trial's row
     ``inverse`` in them, and the ``(N,)`` float64 fidelities.
     """
-    _require_input_rows(inputs, draws)
+    _require_blocks(inputs, (2, 4), draws, TRIAL_DRAWS)
     n = inputs.shape[1].bit_length() - 1
     measured = (n - 1, n)
     projectors = _projector_stack(n + 2, measured)
@@ -301,7 +314,6 @@ def teleport_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ..
     bob_pre = normalized_rows(contract_rows(post, measured, _BELL_BRAS[keys]))
     bob_post = apply_rows(_CORRECTION_MATRICES[keys], bob_pre, (n - 1,))
     fidelities = fidelity_rows(bob_post, inputs)
-    _require_fidelity_range(fidelities)
     return outcome, bob_pre, bob_post, inverse, fidelities[inverse]
 
 
@@ -346,15 +358,15 @@ def baseline_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ..
     receiver states (``bob_pre``, which is also ``bob_post``) as an
     ``(N, 2)`` array, and the ``(N,)`` float64 fidelities.
 
-    The input count and both draw columns are checked first, the draws with
-    the spin kernel's error.  The product-outcome weights are summed once
+    Its first statement checks both blocks, as every kernel's does
+    (:func:`_require_blocks`): input rows of width 2, both draw columns,
+    every draw in [0, 1).  The product-outcome weights are summed once
     per input row, and each trial's outcome comes from
     :func:`qcore.pick_rows`, the rule of every sampled measurement: a draw
     past every cumulative edge takes the last outcome that weighs more than
     ``MIN_PROBABILITY``.
     """
-    _require_input_rows(inputs, draws)
-    require_draws_rows(draws)
+    _require_blocks(inputs, (2,), draws, BASELINE_DRAWS)
     # Product outcomes on the measured pair: |uu>, |ud>, |du>, |dd>, one row
     # of them and of their weights per input row.
     psi = tensor_rows(inputs, _SINGLET).reshape(-1, 4, 2)
@@ -366,9 +378,7 @@ def baseline_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ..
     missed = np.flatnonzero(~identified)
     # Trial i measured input row i, or row 0 where every trial shares it.
     bob[missed] = normalized_rows(psi[missed % len(psi), outcome[missed]])
-    fidelities = fidelity_rows(bob, inputs)
-    _require_fidelity_range(fidelities)
-    return identified.astype(np.intp), bob, fidelities
+    return identified.astype(np.intp), bob, fidelity_rows(bob, inputs)
 
 
 def run_baseline_computational(

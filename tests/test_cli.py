@@ -339,6 +339,13 @@ class TestArgumentErrors:
             main(["run-spin", "--warp", "9"])
         assert excinfo.value.code == 2
 
+    def test_swap_takes_no_input_flag(self, capsys):
+        # A swap batch teleports half of a second pair; it has no input to set.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run-swap", "--trials", "3", "--input", "fixed:1,0"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --input fixed:1,0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["-1", str(2**64)])
     def test_out_of_range_seed_flag_names_the_flag(self, capsys, tmp_path, value):
         output = tmp_path / "records.jsonl"

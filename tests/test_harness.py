@@ -626,6 +626,19 @@ class TestSummarize:
         live = run_batch(RunConfig(mode=Mode.SPIN, trials=1, master_seed=3))
         assert len(live.counts) == 1
 
+    def test_baseline_success_is_the_certified_key(self):
+        # A baseline success is a count of the key its kernel writes with an
+        # outcome, PsiMinus.  An empty outcome counts under "none", and one
+        # no baseline code writes under its own key; neither is a success.
+        for outcome, key in (("", "none"), (None, "none"), ("PsiPlus", "PsiPlus")):
+            summary = summarize([{"outcome": outcome, "fidelity": 0.5}], Mode.BASELINE)
+            assert summary.counts == {key: 1}
+            assert summary.success_rate == 0.0
+        records = [
+            {"outcome": "PsiMinus", "fidelity": 1.0}, {"outcome": "", "fidelity": 0.5}
+        ]
+        assert summarize(records, Mode.BASELINE).success_rate == 0.5
+
     def test_summary_spans_blocks_in_trial_order(self):
         cfg = RunConfig(
             mode=Mode.PHOTON, trials=2 * CHUNK_TRIALS[Mode.PHOTON] + 3, master_seed=6,

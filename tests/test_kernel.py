@@ -11,9 +11,10 @@ highest outcome above ``MIN_PROBABILITY``.  The cascade's coincidence sampler
 clamp rule, and the baseline's product-basis outcome against
 ``measure_projective`` on the four product projectors.  Every error a batch
 raises must read as the one-row call's, and an input block of neither one
-row nor one row per draw row is refused.  The Haar inputs are checked
-against the scalar numpy calls, with a first amplitude of imaginary part
-+0.0 on every row.  Swapping is the teleportation kernel on the singlet
+row nor one row per draw row is refused, as is an input or draw block of
+another shape than the kernel's boundary check allows.  The Haar inputs are
+checked against the scalar numpy calls, with a first amplitude of imaginary
+part +0.0 on every row.  Swapping is the teleportation kernel on the singlet
 row: its once-per-outcome steps are checked against a hand-written
 reference that runs them on every row.  A kernel call whose trials share one
 input row must give the bytes of the same call on that row tiled over the
@@ -633,6 +634,99 @@ class TestBatchErrorsMatchTheOneTrialCall:
         draws = np.full((3, width), 0.5)
         error = batch_error(lambda: kernel(self.inputs()[:rows], draws))
         assert error == f"expected 1 or 3 input rows for 3 draw rows, got {rows}"
+
+    # A trial whose source is dark reaches no receiver row, yet its input is
+    # checked: each input row's norm is checked when the tree starting from
+    # it is made, in one-row calls and batches, shared row or not.
+    def test_unnormalized_cascade_input_of_dark_trials(self):
+        cfg = EfficiencyConfig(p_in=0.5)
+        draws = np.full((self.ROWS, CASCADE_DRAWS), 0.5)
+        per_trial_inputs = self.inputs()
+        per_trial_inputs[self.BAD_ROW] *= 1.1
+        draws[self.BAD_ROW, 0] = 0.99  # only the bad row's trial is dark
+        bad = slice(self.BAD_ROW, self.BAD_ROW + 1)
+        one = batch_error(lambda: cascade_rows(per_trial_inputs[bad], cfg, draws[bad]))
+        assert one == "input state must be normalized (norm 1.1)"
+        assert batch_error(lambda: cascade_rows(per_trial_inputs, cfg, draws)) == one
+        draws[:, 0] = 0.99  # every trial dark
+        shared = np.array([[0.66, 0.88j]])
+        for inputs in (shared, np.tile(shared, (self.ROWS, 1))):
+            assert batch_error(lambda: cascade_rows(inputs[:1], cfg, draws[:1])) == one
+            # A shared row's tree is never made, so never cached.
+            for _ in range(2):
+                assert batch_error(lambda: cascade_rows(inputs, cfg, draws)) == one
+
+
+# Each kernel as ``kernel(inputs, draws)``, with its draw count and the input
+# widths its boundary check allows.
+boundary_kernels = pytest.mark.parametrize(
+    "kernel, k, widths",
+    [
+        (teleport_rows, TRIAL_DRAWS, (2, 4)),
+        (baseline_rows, BASELINE_DRAWS, (2,)),
+        (lambda inputs, draws: cascade_rows(inputs, EfficiencyConfig(), draws),
+         CASCADE_DRAWS, (2,)),
+    ],
+    ids=["teleport", "baseline", "photon"],
+)
+
+
+class TestBoundaryCheck:
+    """Each kernel's first statement checks its input and draw blocks: a 2-D
+    block of input rows of an allowed width and a 2-D block of the kernel's
+    draw count per row.  A block of another shape raises a bellcast error
+    that names what was expected, the same from a batch as from its one-row
+    call, before any physics runs."""
+
+    ROWS = 6
+
+    def assert_raises_alike(self, kernel, batch, one_row, message):
+        assert batch_error(lambda: kernel(*one_row)) == message
+        assert batch_error(lambda: kernel(*batch)) == message
+
+    def haar_inputs(self) -> np.ndarray:
+        return haar_rows(uniforms(np.arange(self.ROWS, dtype=np.uint64), HAAR_DRAWS))
+
+    @boundary_kernels
+    def test_input_rows_of_a_refused_width(self, kernel, k, widths):
+        draws = np.full((self.ROWS, k), 0.5)
+        allowed = " or ".join(map(str, widths))
+        refused = [width for width in (1, 3, 4, 8) if width not in widths]
+        assert refused
+        for width in refused:
+            inputs = np.full((self.ROWS, width), width**-0.5, dtype=np.complex128)
+            self.assert_raises_alike(
+                kernel, (inputs, draws), (inputs[:1], draws[:1]),
+                f"expected 2-D input rows of width {allowed}, got width {width}",
+            )
+
+    @boundary_kernels
+    def test_a_one_dimensional_input_block(self, kernel, k, widths):
+        draws = np.full((self.ROWS, k), 0.5)
+        allowed = " or ".join(map(str, widths))
+        self.assert_raises_alike(
+            kernel, (SHARED_INPUT, draws), (SHARED_INPUT, draws[:1]),
+            f"expected 2-D input rows of width {allowed}, got 1-D",
+        )
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    @boundary_kernels
+    def test_a_draw_block_of_another_draw_count(self, kernel, k, widths, extra):
+        inputs = self.haar_inputs()
+        draws = np.full((self.ROWS, k + extra), 0.5)
+        self.assert_raises_alike(
+            kernel, (inputs, draws), (inputs[:1], draws[:1]),
+            f"expected 2-D draw rows of width {k}, got width {k + extra}",
+        )
+
+    @boundary_kernels
+    def test_a_one_dimensional_draw_block(self, kernel, k, widths):
+        inputs = self.haar_inputs()
+        draws = np.full((self.ROWS, k), 0.5)
+        self.assert_raises_alike(
+            kernel, (inputs, draws.ravel()), (inputs[:1], draws[0]),
+            f"expected 2-D draw rows of width {k}, got 1-D",
+        )
 
 
 def product_projectors() -> list[Operator]:
