@@ -45,7 +45,6 @@ from .observables import PAULI_X, BellOutcome, bell_state
 from .qcore import (
     Operator,
     StateVector,
-    _require_normalized_rows,
     apply,
     apply_rows,
     contract_rows,
@@ -371,9 +370,8 @@ class _StateTree:
     """The distinct states a cascade's trials reach from its start inputs
     under one ``eta_abs``, and what each leads to.
 
-    Level 0 holds one start state (:func:`build_three_mode`) per input row,
-    and each input row's norm is checked when the tree is made, as the
-    receiver rows' fidelities would check it: to within 1e-9, NaN failing.
+    Level 0 holds one start state (:func:`build_three_mode`) per input row;
+    the rows are trusted, as :func:`cascade_rows` has checked them.
     Level ``k < 3`` holds the states entering absorber ``k`` (after the
     half-wave rotation, where one comes first), each with its start row, its
     fire threshold ``eta_abs * p``, its mode-2 component of the absorber's
@@ -401,7 +399,6 @@ class _StateTree:
     """
 
     def __init__(self, inputs: np.ndarray, eta_abs: float) -> None:
-        _require_normalized_rows(inputs, "input state")
         self.inputs, self.eta_abs = inputs, eta_abs
         self.levels: list[_Level | None] = [None] * len(_LEVEL_KINDS)
         self.bob_pre = self.bob_post = np.zeros((1, 2), dtype=np.complex128)
@@ -521,7 +518,8 @@ def _shared_tree(input_bytes: bytes, eta_abs_bytes: bytes) -> _StateTree:
     """The one state tree of every call whose trials all share the complex128
     input row ``input_bytes``, under the ``eta_abs`` whose float64 bytes are
     ``eta_abs_bytes``; no other knob changes a tree.  It is built from that
-    one start; the calls that share it fill in the rest."""
+    one start; the calls that share it fill in the rest.  Each call checks
+    the row before it looks a tree up (see :func:`cascade_rows`)."""
     inputs = np.frombuffer(input_bytes, dtype=np.complex128)[None]
     return _StateTree(inputs, float(np.frombuffer(eta_abs_bytes)[0]))
 
@@ -531,8 +529,8 @@ def cascade_rows(
 ) -> tuple[np.ndarray, ...]:
     """:func:`run_cascade` for a batch: one ``(N, CASCADE_DRAWS)`` draw row
     per trial, which the trial reads in order from column 0 (see
-    :func:`run_cascade`), and one ``(N, 2)`` complex128 input row per trial
-    or one ``(1, 2)`` shared row.
+    :func:`run_cascade`), and one ``(N, 2)`` input row per trial or one
+    ``(1, 2)`` shared row.
 
     The trials walk a state tree (:class:`_StateTree`): each absorber
     window, coincidence branch, ``bob_pre`` round trip, correction and
@@ -552,12 +550,12 @@ def cascade_rows(
 
     Its first statement checks both blocks, before any physics, as every
     kernel's does (``teleport._require_blocks``): input rows of width 2, one
-    per draw row or one shared, a draw block of ``CASCADE_DRAWS`` columns,
-    and every draw of it, each column of each row, whether or not its trial
-    reads it; ``cfg`` has checked ``eta_abs``.  Each input row's norm is
-    checked once, when the tree that starts from it is made, so a trial
-    whose source is dark checks its input too, and a cached tree's row is
-    not checked again.
+    per draw row or one shared, each normalized, a draw block of
+    ``CASCADE_DRAWS`` columns, and every draw of it, each column of each
+    row, whether or not its trial reads it; ``cfg`` has checked ``eta_abs``.
+    So a trial whose source is dark checks its input too, and a shared row
+    is checked on every call, whether or not its tree is cached.  The rest
+    of the call uses the complex128 block the check returns.
 
     Returns the event codes (indices into ``CascadeEventKind``), ``bob_pre``
     and ``bob_post`` as ``(N, 2)`` arrays and the ``(N,)`` float64
@@ -565,7 +563,7 @@ def cascade_rows(
     whose code is not identifying, a lost signature's included, holds zeros
     in ``bob_pre`` and ``bob_post`` and a NaN fidelity.
     """
-    _require_blocks(inputs, (2,), draws, CASCADE_DRAWS)
+    inputs = _require_blocks(inputs, (2,), draws, CASCADE_DRAWS)
     input_available = draws[:, 0] < cfg.p_in
     pair_available = draws[:, 1] < cfg.p_pdc
     n = len(input_available)

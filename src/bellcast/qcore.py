@@ -274,6 +274,9 @@ def fidelity(s: StateVector, t: StateVector) -> float:
 # numpy hands each row to the same BLAS dot or gemv call as the scalar
 # ``np.vdot`` or ``@``, so every row is bit-identical to the scalar result.
 # ``einsum`` and ``.sum(-1)`` sum in another order and are not used.
+# The row forms trust their rows' shapes, draws and norms: each kernel checks
+# its input and draw blocks once, at entry (``teleport._require_blocks``).
+# The scalar forms above keep their checks, as the references.
 # :func:`pick_rows` is the one outcome rule of every sampled measurement: the
 # Bell measurements reach it through :func:`sample_rows`, and the baseline's
 # product-basis analysis hands it the weights it sums itself.  A Bell
@@ -348,6 +351,8 @@ def distinct_keys(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _require_normalized_rows(x: np.ndarray, what: str) -> None:
+    """The norm check of :func:`measure_projective`, :func:`fidelity` and the
+    kernels' input rows (``teleport._require_blocks``)."""
     n = _norm_rows(x)
     ok = np.abs(n - 1.0) <= _NORM_ATOL  # NaN fails this too
     if not ok.all():
@@ -389,19 +394,18 @@ def pick_rows(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
 def sample_rows(
     states: np.ndarray, projectors: np.ndarray, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sampling half of :func:`measure_projective` for a batch, which
-    checks its states and picks each draw's outcome.
+    """The sampling half of :func:`measure_projective` for a batch: each
+    draw's outcome.
 
-    ``states`` is ``(S, dim)``: one state per draw, or one state (``S = 1``)
-    that every draw measures.  ``projectors`` is a ``(K, dim, dim)`` array of
-    a complete, audited set; ``draws`` holds one uniform per row, which the
-    caller has already checked, as :func:`pick_rows` takes them.  Returns
-    the ``(N,)`` outcome indices, the ``(S, K, dim)`` projected states and
-    their ``(S, K)`` Born probabilities, for :func:`post_rows`.  The errors
-    are :func:`measure_projective`'s after its draw check, in its order: the
-    states, then the weights in :func:`pick_rows`, which holds the rule.
+    ``states`` is ``(S, dim)``: one normalized state per draw, or one state
+    (``S = 1``) that every draw measures.  ``projectors`` is a
+    ``(K, dim, dim)`` array of a complete, audited set; ``draws`` holds one
+    uniform per row.  The caller has checked the states and draws, as
+    :func:`pick_rows` takes them.  Returns the ``(N,)`` outcome indices, the
+    ``(S, K, dim)`` projected states and their ``(S, K)`` Born
+    probabilities, for :func:`post_rows`.  Its one error is
+    :func:`pick_rows`' degenerate rule, which holds the outcome rule.
     """
-    _require_normalized_rows(states, "measured state")
     projected = (projectors @ states[:, None, :, None])[..., 0]
     probs = np.maximum(overlap_rows(states[:, None, :], projected).real, 0.0)
     return pick_rows(probs, draws), projected, probs
@@ -417,17 +421,14 @@ def post_rows(
 
 
 def fidelity_rows(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """:func:`fidelity` of every row pair, with the same checks, as an array.
+    """:func:`fidelity` of every row pair, as an array.  The rows are
+    trusted: one dimension, each normalized.
 
     Python's ``abs`` of a complex is libm ``hypot`` and its ``x ** 2`` is
     libm ``pow``; ``np.hypot`` and ``np.float_power`` call the same
     functions.  ``x * x``, ``np.square`` and ``np.power`` (which squares) do
     not: they differ from ``pow`` on about 0.09% of values.
     """
-    if s.shape[-1] != t.shape[-1]:
-        raise ValueError(f"dimension mismatch: {s.shape[-1]} vs {t.shape[-1]}")
-    _require_normalized_rows(s, "first state")
-    _require_normalized_rows(t, "second state")
     z = overlap_rows(s, t)
     return np.minimum(np.float_power(np.hypot(z.real, z.imag), 2.0), 1.0)
 

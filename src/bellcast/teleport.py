@@ -41,6 +41,7 @@ from .observables import (
 from .qcore import (
     Operator,
     StateVector,
+    _require_normalized_rows,
     apply,  # noqa: F401 - perfbench's tracer looks it up here
     apply_rows,
     contract_rows,
@@ -74,14 +75,17 @@ def _require_normalized(totals) -> None:
 
 def _require_blocks(
     inputs: np.ndarray, widths: tuple[int, ...], draws: np.ndarray, k: int
-) -> None:
+) -> np.ndarray:
     """Every kernel's one boundary check, its first statement: a 2-D block
     of input rows of a width in ``widths``, a 2-D block of ``k`` draws per
-    row, one input row per draw row or one row that every trial shares, and
+    row, one input row per draw row or one row that every trial shares,
     every draw in [0, 1) (:func:`qcore.require_draws_rows`), each column of
-    each row, whether or not its trial reads it.  No message about a block's
-    shape names its row count, so a batch and a one-row call raise alike.
-    Past it, a kernel trusts its blocks' shapes and draws."""
+    each row, whether or not its trial reads it, and every input row
+    normalized to within 1e-9 (NaN fails), a dark trial's included.  No
+    message about a block names its row count, so a batch and a
+    one-row call raise alike.  Returns the input block as complex128, which
+    the kernel then uses: a real or integer row reads as its complex row.
+    Past it, a kernel and the row forms it calls trust their blocks."""
     for block, what, allowed in ((inputs, "input", widths), (draws, "draw", (k,))):
         if block.ndim != 2 or block.shape[1] not in allowed:
             got = f"width {block.shape[1]}" if block.ndim == 2 else f"{block.ndim}-D"
@@ -93,6 +97,9 @@ def _require_blocks(
             f" got {len(inputs)}"
         )
     require_draws_rows(draws)
+    inputs = np.asarray(inputs, np.complex128)
+    _require_normalized_rows(inputs, "input state")
+    return inputs
 
 
 def _squared_modulus(a: complex, b: complex) -> float:
@@ -292,15 +299,15 @@ def teleport_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ..
     or once per distinct outcome when every trial shares one input row.
 
     Its first statement checks both blocks (:func:`_require_blocks`): input
-    rows of width 2 or 4, one draw per row, every draw in [0, 1).  Past it,
-    :func:`qcore.sample_rows` checks the measured states' norms, and the
-    fidelities lie in [0, 1] by construction (:func:`qcore.fidelity_rows`).
+    rows of width 2 or 4, each normalized, one draw per row, every draw in
+    [0, 1).  Past it, the row forms trust their rows, and the fidelities lie
+    in [0, 1] by construction (:func:`qcore.fidelity_rows`).
 
     Returns the ``(N,)`` outcome indices, ``bob_pre`` and ``bob_post`` with
     one row per trial or per distinct outcome, ascending, each trial's row
     ``inverse`` in them, and the ``(N,)`` float64 fidelities.
     """
-    _require_blocks(inputs, (2, 4), draws, TRIAL_DRAWS)
+    inputs = _require_blocks(inputs, (2, 4), draws, TRIAL_DRAWS)
     n = inputs.shape[1].bit_length() - 1
     measured = (n - 1, n)
     projectors = _projector_stack(n + 2, measured)
@@ -359,14 +366,15 @@ def baseline_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ..
     ``(N, 2)`` array, and the ``(N,)`` float64 fidelities.
 
     Its first statement checks both blocks, as every kernel's does
-    (:func:`_require_blocks`): input rows of width 2, both draw columns,
-    every draw in [0, 1).  The product-outcome weights are summed once
-    per input row, and each trial's outcome comes from
+    (:func:`_require_blocks`): input rows of width 2, each normalized, both
+    draw columns, every draw in [0, 1).  A zero row is a norm error there,
+    not a degenerate measurement.  The product-outcome weights are summed
+    once per input row, and each trial's outcome comes from
     :func:`qcore.pick_rows`, the rule of every sampled measurement: a draw
     past every cumulative edge takes the last outcome that weighs more than
     ``MIN_PROBABILITY``.
     """
-    _require_blocks(inputs, (2,), draws, BASELINE_DRAWS)
+    inputs = _require_blocks(inputs, (2,), draws, BASELINE_DRAWS)
     # Product outcomes on the measured pair: |uu>, |ud>, |du>, |dd>, one row
     # of them and of their weights per input row.
     psi = tensor_rows(inputs, _SINGLET).reshape(-1, 4, 2)

@@ -12,14 +12,17 @@ clamp rule, and the baseline's product-basis outcome against
 ``measure_projective`` on the four product projectors.  Every error a batch
 raises must read as the one-row call's, and an input block of neither one
 row nor one row per draw row is refused, as is an input or draw block of
-another shape than the kernel's boundary check allows.  The Haar inputs are
+another shape than the kernel's boundary check allows, and an input row of
+another norm than 1: every kernel refuses it at entry, with one message,
+before any physics runs.  The Haar inputs are
 checked against the scalar numpy calls, with a first amplitude of imaginary
 part +0.0 on every row.  Swapping is the teleportation kernel on the singlet
 row: its once-per-outcome steps are checked against a hand-written
 reference that runs them on every row.  A kernel call whose trials share one
 input row must give the bytes of the same call on that row tiled over the
-trials, per trial, and the teleportation kernel must normalize only one post
-state per distinct outcome of such a call.  A
+trials, per trial, a real or integer row the bytes of its complex row, and
+the teleportation kernel must normalize only one post state per distinct
+outcome of such a call.  A
 cascade call on a shared row starts from one state: each trial must still
 equal its one-row call, and the rows it projects must not grow with the
 trials.  Such a call takes its state
@@ -487,17 +490,29 @@ input_kernels = pytest.mark.parametrize(
 
 class TestSharedInputRow:
     """A kernel call whose trials share one input row, as those of a
-    fixed-input chunk do, gives the bytes of the same call on that row tiled
-    over the trials, one row per trial."""
+    fixed-input chunk do, gives the bytes of the same call on that row, as
+    complex128, tiled over the trials, one row per trial."""
 
-    @pytest.mark.parametrize("text", FIXED_INPUTS)
+    # The fixed inputs' rows, then a real and an integer row: each kernel
+    # reads its input block as complex128, shared by the trials or not.
+    @pytest.mark.parametrize(
+        "row",
+        [
+            *(
+                pytest.param(parse_input(text).state_vector().amplitudes[None], id=text)
+                for text in FIXED_INPUTS
+            ),
+            pytest.param(np.array([[0.6, 0.8]]), id="float64:0.6,0.8"),
+            pytest.param(np.array([[1, 0]]), id="int64:1,0"),
+        ],
+    )
     @input_kernels
-    def test_shared_row_equals_tiled_rows(self, kernel, width, text):
-        row = parse_input(text).state_vector().amplitudes[None]
+    def test_shared_row_equals_tiled_rows(self, kernel, width, row):
         draws = uniforms(np.arange(300, dtype=np.uint64), width)
-        shared = kernel(row, draws)
-        assert_same_bytes(shared, kernel(np.tile(row, (len(draws), 1)), draws))
-        assert len(shared[0]) == len(draws)
+        tiled = kernel(np.tile(row.astype(np.complex128), (len(draws), 1)), draws)
+        assert len(tiled[0]) == len(draws)
+        for block in (row, np.tile(row, (len(draws), 1))):
+            assert_same_bytes(kernel(block, draws), tiled)
 
     def test_swap_singlet_row_equals_tiled_rows(self):
         draws = uniforms(np.arange(300, dtype=np.uint64), TRIAL_DRAWS)
@@ -538,15 +553,17 @@ class TestBatchErrorsMatchTheOneTrialCall:
         draws = np.full((self.ROWS, 1), 0.5)
         bad = slice(self.BAD_ROW, self.BAD_ROW + 1)
         one = batch_error(lambda: teleport_rows(inputs[bad], draws[bad]))
-        scalar = batch_error(
-            lambda: measure_projective(
-                tensor(StateVector(inputs[self.BAD_ROW]), prepare_singlet()),
-                bell_projectors(3, (0, 1)), 0.5,
-            )
-        )
-        assert one == scalar
-        assert "measured state must be normalized" in one
+        assert one == "input state must be normalized (norm 1.001)"
         assert batch_error(lambda: teleport_rows(inputs, draws)) == one
+        # The check is every kernel's boundary: the baseline and the cascade
+        # refuse the row with the spin kernel's message.
+        for kernel, k in (
+            (baseline_rows, BASELINE_DRAWS),
+            (lambda i, d: cascade_rows(i, EfficiencyConfig(), d), CASCADE_DRAWS),
+        ):
+            wide = np.full((self.ROWS, k), 0.5)
+            assert batch_error(lambda: kernel(inputs[bad], wide[bad])) == one
+            assert batch_error(lambda: kernel(inputs, wide)) == one
 
     def shared_inputs(self) -> np.ndarray:
         """One input row every trial shares, so the cascade starts from one
@@ -581,7 +598,8 @@ class TestBatchErrorsMatchTheOneTrialCall:
         one_input = trial_inputs(inputs, self.ROWS)[bad]
         one = batch_error(lambda: cascade_rows(one_input, cfg, draws[bad]))
         assert "must be normalized" in one
-        # A shared input's tree stays cached across the failing calls.
+        # The boundary check raises before a tree is looked up, so a repeated
+        # call finds no tree that the first one left.
         for _ in range(2):
             assert batch_error(lambda: cascade_rows(inputs, cfg, draws)) == one
 
@@ -601,9 +619,8 @@ class TestBatchErrorsMatchTheOneTrialCall:
     def test_unnormalized_shared_cascade_input(self):
         self.assert_cascade_input_error(self.shared_inputs() * 1.001)
 
-    # Every trial fires D1 and then loses it to the detector: a receiver row
-    # is scored against its input when it is made, so the input is checked
-    # though no trial is identified.
+    # Every trial would fire D1 and then lose it to the detector: the input
+    # is checked at entry though no trial is identified.
     def test_unnormalized_cascade_input_with_every_signature_lost(self):
         inputs = self.inputs()
         inputs[self.BAD_ROW] *= 1.001
@@ -636,8 +653,8 @@ class TestBatchErrorsMatchTheOneTrialCall:
         assert error == f"expected 1 or 3 input rows for 3 draw rows, got {rows}"
 
     # A trial whose source is dark reaches no receiver row, yet its input is
-    # checked: each input row's norm is checked when the tree starting from
-    # it is made, in one-row calls and batches, shared row or not.
+    # checked: the boundary check reads every input row, in one-row calls and
+    # batches, shared row or not.
     def test_unnormalized_cascade_input_of_dark_trials(self):
         cfg = EfficiencyConfig(p_in=0.5)
         draws = np.full((self.ROWS, CASCADE_DRAWS), 0.5)
@@ -727,6 +744,31 @@ class TestBoundaryCheck:
             kernel, (inputs, draws.ravel()), (inputs[:1], draws[0]),
             f"expected 2-D draw rows of width {k}, got 1-D",
         )
+
+    @pytest.mark.parametrize("scale, norm", [(1.1, "1.1"), (0.0, "0"), (np.nan, "nan")])
+    @boundary_kernels
+    def test_an_unnormalized_input_row(
+        self, monkeypatch, kernel, k, widths, scale, norm
+    ):
+        """One message per trial or shared, from a batch or its one-row call,
+        and no physics on the failing call: no state is tensored with the
+        channel and no state tree is made."""
+        physics = []
+        monkeypatch.setattr(teleport, "tensor_rows", lambda *a: physics.append(a))
+        monkeypatch.setattr(photonic, "_StateTree", lambda *a: physics.append(a))
+        draws = np.full((self.ROWS, k), 0.5)
+        message = f"input state must be normalized (norm {norm})"
+        for width in widths:
+            inputs = np.tile(SWAP_INPUT, (self.ROWS, 1))
+            if width == 2:
+                inputs = self.haar_inputs()
+            inputs[3] *= scale
+            bad = inputs[3:4]
+            for block in (inputs, bad):  # a row per trial, then one shared row
+                self.assert_raises_alike(
+                    kernel, (block, draws), (bad, draws[:1]), message
+                )
+        assert not physics
 
 
 def product_projectors() -> list[Operator]:

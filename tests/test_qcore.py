@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellcast.photonic import CASCADE_DRAWS, EfficiencyConfig, cascade_rows
 from bellcast.qcore import (
     MeasurementResult,
     Operator,
@@ -23,9 +24,14 @@ from bellcast.qcore import (
     ket,
     measure_projective,
     normalized_rows,
-    post_rows,
     sample_rows,
     tensor,
+)
+from bellcast.teleport import (
+    BASELINE_DRAWS,
+    TRIAL_DRAWS,
+    baseline_rows,
+    teleport_rows,
 )
 
 ATOL_EXACT = 1e-13
@@ -283,6 +289,12 @@ class TestMeasureProjective:
         with pytest.raises(ValueError, match="rng_sample"):
             measure_projective(ket("0"), self.up_down_projectors(), 1.0)
 
+    def test_rejects_unnormalized_state(self):
+        state = StateVector(ket("0").amplitudes * 1.001)
+        with pytest.raises(ValueError) as caught:
+            measure_projective(state, self.up_down_projectors(), 0.5)
+        assert str(caught.value) == "measured state must be normalized (norm 1.001)"
+
     def test_probabilities_sum_to_one_for_random_states(self):
         rng = np.random.default_rng(17)
         projectors = [
@@ -312,6 +324,15 @@ class TestFidelity:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             fidelity(ket("0"), ket("00"))
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_rejects_unnormalized_state(self, side):
+        plus = StateVector(np.array([SQRT_HALF, SQRT_HALF], dtype=complex))
+        states = [plus, plus]
+        states[side == "second"] = StateVector(plus.amplitudes * 1.001)
+        with pytest.raises(ValueError) as caught:
+            fidelity(*states)
+        assert str(caught.value) == f"{side} state must be normalized (norm 1.001)"
 
     @settings(max_examples=40, deadline=None)
     @given(normalized_states(2), st.floats(0.0, 2 * np.pi))
@@ -388,7 +409,11 @@ class TestFidelityRows:
 
 class TestRowChecksRejectNaN:
     """A NaN row fails every row check, as the scalar forms reject the state:
-    ``StateVector`` refuses non-finite amplitudes."""
+    ``StateVector`` refuses non-finite amplitudes.  ``sample_rows`` and
+    ``fidelity_rows`` trust their rows; a NaN input row fails every kernel's
+    boundary check (``teleport._require_blocks``) before it reaches them."""
+
+    INPUT_MESSAGE = r"^input state must be normalized \(norm nan\)$"
 
     @staticmethod
     def rows(dim: int, nan: bool = True) -> np.ndarray:
@@ -398,27 +423,35 @@ class TestRowChecksRejectNaN:
         rows[1, 0] = np.nan if nan else 1.0
         return rows
 
+    @staticmethod
+    def kernels():
+        """Each kernel as ``(call(inputs, draws), input width, draw count)``:
+        spin and swap teleportation, the baseline and the cascade."""
+        return [
+            (teleport_rows, 2, TRIAL_DRAWS),
+            (teleport_rows, 4, TRIAL_DRAWS),
+            (baseline_rows, 2, BASELINE_DRAWS),
+            (lambda inputs, draws: cascade_rows(inputs, EfficiencyConfig(), draws),
+             2, CASCADE_DRAWS),
+        ]
+
     def test_fidelity_rows(self):
-        good, bad = self.rows(2, nan=False), self.rows(2)
-        message = r"state must be normalized \(norm nan\)"
-        with pytest.raises(ValueError, match="first " + message):
-            fidelity_rows(bad, good)
-        with pytest.raises(ValueError, match="second " + message):
-            fidelity_rows(good, bad)
+        # Every kernel scores its receiver rows against its input rows with
+        # fidelity_rows: a NaN input row is refused before that.
+        for kernel, width, k in self.kernels():
+            with pytest.raises(ValueError, match=self.INPUT_MESSAGE):
+                kernel(self.rows(width), np.full((3, k), 0.5))
 
     def test_normalized_rows(self):
         with pytest.raises(ValueError, match="cannot normalize"):
             normalized_rows(self.rows(2))
 
     def test_measure_rows(self):
-        # The kernel's measurement: sample_rows, then post_rows of each outcome.
-        projectors = np.array([np.diag(e) for e in np.eye(8, dtype=complex)])
-        message = r"measured state must be normalized \(norm nan\)"
-        with pytest.raises(ValueError, match=message):
-            chosen, projected, probs = sample_rows(
-                self.rows(8), projectors, np.full(3, 0.5)
-            )
-            post_rows(projected, probs, np.arange(3), chosen)
+        # The kernels' measurement: sample_rows of the input tensored with the
+        # channel, here of one NaN input row that every trial shares.
+        for kernel, width, k in self.kernels():
+            with pytest.raises(ValueError, match=self.INPUT_MESSAGE):
+                kernel(self.rows(width)[1:2], np.full((3, k), 0.5))
 
     def test_sample_rows_degenerate_check(self):
         # Normalized states, but NaN probabilities: no outcome is live.
