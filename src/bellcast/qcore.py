@@ -270,9 +270,14 @@ def fidelity(s: StateVector, t: StateVector) -> float:
 
 
 # Row-batched forms of the operations above.  A batch holds one state per row
-# of an ``(N, dim)`` complex128 array.  Every contraction is a stacked ``@``:
-# numpy hands each row to the same BLAS dot or gemv call as the scalar
-# ``np.vdot`` or ``@``, so every row is bit-identical to the scalar result.
+# of an ``(N, dim)`` complex128 array.  Every contraction but one is a
+# stacked ``@``: numpy hands each row to the same BLAS dot or gemv call as
+# the scalar ``np.vdot`` or ``@``, so every row is bit-identical to the scalar
+# result.  The one is :func:`sample_rows`' projection, one 2-D product of all
+# rows with all projectors.  Its bytes equal the stacked product's by
+# measurement, not by derivation: each amplitude is a sum of two products of
+# a projector entry (0 or +-0.5000000000000001) with an amplitude, and the
+# tests and the record digests gate it under more than one BLAS kernel.
 # ``einsum`` and ``.sum(-1)`` sum in another order and are not used.
 # The row forms trust their rows' shapes, draws and norms: each kernel checks
 # its input and draw blocks once, at entry (``teleport._require_blocks``).
@@ -382,13 +387,16 @@ def pick_rows(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
     wins, a draw past every edge falls back to the highest outcome above
     ``MIN_PROBABILITY``, and a row with no weight at or above it is an error.
     """
-    if not (probs.max(axis=1) >= MIN_PROBABILITY).all():  # NaN fails this too
+    # One contiguous (K, S) copy: reductions over its first axis run over
+    # whole rows, where the (S, K) axis 1 is a 4-wide strided one.
+    weights = np.ascontiguousarray(probs.T)
+    if not (weights.max(axis=0) >= MIN_PROBABILITY).all():  # NaN fails this too
         raise ValueError("all outcome probabilities are degenerate (below 1e-15)")
     # The cumulative edges only rise, so the first edge above a draw is the
     # number of edges at or below it; K means the draw passed every edge.
-    passed = (np.cumsum(probs, axis=1).T <= draws).sum(axis=0)
-    last_live = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > MIN_PROBABILITY, axis=1)
-    return np.where(passed < probs.shape[1], passed, last_live)
+    passed = (np.cumsum(weights, axis=0) <= draws).sum(axis=0)
+    last_live = len(weights) - 1 - np.argmax(weights[::-1] > MIN_PROBABILITY, axis=0)
+    return np.where(passed < len(weights), passed, last_live)
 
 
 def sample_rows(
@@ -406,7 +414,8 @@ def sample_rows(
     probabilities, for :func:`post_rows`.  Its one error is
     :func:`pick_rows`' degenerate rule, which holds the outcome rule.
     """
-    projected = (projectors @ states[:, None, :, None])[..., 0]
+    k, dim, _ = projectors.shape
+    projected = (states @ projectors.reshape(k * dim, dim).T).reshape(-1, k, dim)
     probs = np.maximum(overlap_rows(states[:, None, :], projected).real, 0.0)
     return pick_rows(probs, draws), projected, probs
 

@@ -16,7 +16,10 @@ another shape than the kernel's boundary check allows, and an input row of
 another norm than 1: every kernel refuses it at entry, with one message,
 before any physics runs.  The Haar inputs are
 checked against the scalar numpy calls, with a first amplitude of imaginary
-part +0.0 on every row.  Swapping is the teleportation kernel on the singlet
+part +0.0 on every row.  ``sample_rows`` projects in one 2-D product: its
+bytes are compared with the stacked per-row product's on Haar rows, the
+swap state and one-row calls, and ``pick_rows`` with its rule written over
+row-major weights.  Swapping is the teleportation kernel on the singlet
 row: its once-per-outcome steps are checked against a hand-written
 reference that runs them on every row.  A kernel call whose trials share one
 input row must give the bytes of the same call on that row tiled over the
@@ -67,6 +70,7 @@ from bellcast.photonic import (
     waveplate,
 )
 from bellcast.qcore import (
+    MIN_PROBABILITY,
     Operator,
     StateVector,
     contract_rows,
@@ -76,13 +80,17 @@ from bellcast.qcore import (
     ket,
     measure_projective,
     normalized_rows,
+    overlap_rows,
+    pick_rows,
     post_rows,
     sample_rows,
     tensor,
+    tensor_rows,
 )
 from bellcast.stream import derive_seeds, uniforms
 from bellcast.teleport import (
     _BELL_BRAS,
+    _SINGLET,
     _CORRECTION_MATRICES,
     BASELINE_DRAWS,
     SWAP_INPUT,
@@ -894,6 +902,101 @@ class TestProjectorStackBits:
         assert stack.shape == (4, 1 << n_qubits, 1 << n_qubits)
         assert stack.dtype == np.complex128
         assert hashlib.sha256(stack.tobytes()).hexdigest() == digest
+
+
+def stacked_projection(projectors: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Each row's projections as one stacked matrix-vector product per
+    projector and row: the reference for ``sample_rows``' one 2-D product."""
+    return (projectors @ states[:, None, :, None])[..., 0]
+
+
+def reference_pick(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """``pick_rows``' rule written over the row-major ``(S, K)`` weights,
+    each reduction along their strided axis 1."""
+    if not (probs.max(axis=1) >= MIN_PROBABILITY).all():
+        raise ValueError("all outcome probabilities are degenerate (below 1e-15)")
+    passed = (np.cumsum(probs, axis=1).T <= draws).sum(axis=0)
+    last_live = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > MIN_PROBABILITY, axis=1)
+    return np.where(passed < probs.shape[1], passed, last_live)
+
+
+class TestProjectionBits:
+    """``sample_rows`` projects every row on every projector in one 2-D
+    product.  Its bytes must equal the stacked product's, row by row; this
+    is measured, not derived, so it is checked on many rows, at the draw
+    edges and on one-row calls, which BLAS may run as another routine."""
+
+    SPIN = _projector_stack(3, (0, 1))
+
+    @staticmethod
+    def assert_projects_as_stacked(states: np.ndarray, projectors: np.ndarray) -> None:
+        _, projected, _ = sample_rows(states, projectors, np.full(len(states), 0.5))
+        expected = stacked_projection(projectors, states)
+        assert projected.tobytes() == expected.tobytes()
+
+    def test_haar_rows(self):
+        seeds = derive_seeds(derive_seeds(13, np.arange(100_008, dtype=np.uint64)), 0)
+        edges = [(a, b) for a in TestHaarRows.EDGES for b in TestHaarRows.EDGES]
+        states = tensor_rows(haar_rows(np.array(edges)), _SINGLET)
+        self.assert_projects_as_stacked(states, self.SPIN)
+        # Spin's chunks, the call shape the harness makes.
+        states = tensor_rows(haar_rows(uniforms(seeds, 2)), _SINGLET)
+        for chunk in np.array_split(states, len(states) // CHUNK_TRIALS[Mode.SPIN]):
+            self.assert_projects_as_stacked(chunk, self.SPIN)
+
+    def test_swap_state(self):
+        state = tensor_rows(SWAP_INPUT, _SINGLET)
+        self.assert_projects_as_stacked(state, _projector_stack(4, (1, 2)))
+
+    def test_one_row_calls(self):
+        seeds = derive_seeds(np.arange(64, dtype=np.uint64), 0)
+        draws = np.concatenate([[(0.0, 0.0), (LAST_BELOW_ONE, 0.5)], uniforms(seeds, 2)])
+        states = tensor_rows(haar_rows(draws), _SINGLET)
+        for state in (*states, tensor_rows(SHARED_INPUT, _SINGLET)[0]):
+            self.assert_projects_as_stacked(state[None], self.SPIN)
+
+
+class TestPickRowsBits:
+    """``pick_rows`` reduces one contiguous ``(K, S)`` copy of its weights;
+    it must pick as the row-major rule does, error and fallback included."""
+
+    @staticmethod
+    def assert_picks_as_reference(probs: np.ndarray, draws: np.ndarray) -> None:
+        expected = reference_pick(probs, draws)
+        assert pick_rows(probs, draws).tobytes() == expected.tobytes()
+
+    def test_haar_weights(self):
+        seeds = derive_seeds(np.arange(20_000, dtype=np.uint64), 0)
+        columns = uniforms(seeds, 3)
+        states = tensor_rows(haar_rows(columns[:, :2]), _SINGLET)
+        projected = stacked_projection(TestProjectionBits.SPIN, states)
+        probs = np.maximum(overlap_rows(states[:, None, :], projected).real, 0.0)
+        draws = columns[:, 2].copy()
+        # A first draw, a last one, and one on an inner cumulative edge.
+        draws[:3] = (0.0, LAST_BELOW_ONE, np.cumsum(probs[2])[1])
+        self.assert_picks_as_reference(probs, draws)
+
+    def test_shared_row(self):
+        probs = np.array([[0.25, 0.125, 0.5, 0.125]])
+        edges = [0.0, 0.25, 0.375, 0.875, LAST_BELOW_ONE]
+        draws = np.concatenate([edges, uniforms(np.arange(500, dtype=np.uint64), 1)[:, 0]])
+        self.assert_picks_as_reference(probs, draws)
+
+    def test_nan_row_is_degenerate(self):
+        probs = np.full((5, 4), 0.25)
+        probs[3, 1] = float("nan")
+        draws = np.full(5, 0.5)
+        expected = batch_error(lambda: reference_pick(probs, draws))
+        assert expected == "all outcome probabilities are degenerate (below 1e-15)"
+        assert batch_error(lambda: pick_rows(probs, draws)) == expected
+
+    def test_zero_trailing_weights_fall_back_to_the_last_live(self):
+        # Both rows sum short of LAST_BELOW_ONE; the second's last two weights
+        # are dead, one of them above 0 but below MIN_PROBABILITY.
+        probs = np.array([[0.5, 0.25, 0.25 - 2.0**-40, 0.0], [1.0 - 2.0**-30, 1e-14, 1e-16, 0.0]])
+        draws = np.array([LAST_BELOW_ONE, LAST_BELOW_ONE])
+        self.assert_picks_as_reference(probs, draws)
+        assert pick_rows(probs, draws).tolist() == [2, 1]
 
 
 class TestSwapRows:
