@@ -16,6 +16,7 @@ import os
 import sys
 
 from .harness import (
+    MODE_SPECS,
     SEED_ENV_VAR,
     Mode,
     RunConfig,
@@ -170,7 +171,7 @@ def _add_batch_flags(parser: argparse.ArgumentParser, mode: Mode) -> None:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--trials", type=int, help="number of trials")
     parser.add_argument("--seed", type=int, help="master seed")
-    if mode is not Mode.SWAP:  # swap teleports half of a second pair instead
+    if MODE_SPECS[mode].takes_input:  # swap teleports half of a second pair
         parser.add_argument("--input", help="'haar-random' or 'fixed:a,b'")
     parser.add_argument("--output", help="JSON-lines record file")
     parser.add_argument("--csv", help="per-outcome CSV summary file")
@@ -196,13 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the eigenvalue table and all commutator norms",
     ).set_defaults(func=_cmd_verify_observables)
 
-    for name, mode in (
-        ("run-spin", Mode.SPIN),
-        ("run-photon", Mode.PHOTON),
-        ("run-baseline", Mode.BASELINE),
-        ("run-swap", Mode.SWAP),
-    ):
-        cmd = sub.add_parser(name, help=f"run a {mode.value}-mode batch")
+    for mode in Mode:
+        cmd = sub.add_parser(f"run-{mode.value}", help=f"run a {mode.value}-mode batch")
         _add_batch_flags(cmd, mode)
         cmd.set_defaults(func=lambda args, m=mode: _cmd_run(m, args))
 

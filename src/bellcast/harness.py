@@ -12,23 +12,32 @@ bit-identical to building one generator per trial, so a record's ``seed``
 still replays it alone and no output depends on the chunk size.  A Haar
 chunk draws both streams in one ``uniforms`` call.
 
+Modes: what each mode is lives in one spec, ``MODE_SPECS[mode]`` (see
+``ModeSpec``): its draw count, kernel call, whether it takes an input, the
+wire of each code, the record field its summary counts by, its success rule
+and its oracle.  Everything else reads the spec and never branches on the
+mode; only ``CHUNK_TRIALS``, the chunk sizes, is a table of its own.
+
 Physics: each chunk makes one call to its mode's batched kernel (see
-:mod:`bellcast.teleport`) with one draw row per trial, and either one input
-row per trial, from one ``haar_rows`` call, or the fixed input as one row
-that every trial shares; the one-trial entry points are its one-row calls,
-bit-identical row for row.  Spin and swap share one kernel,
-``teleport_rows``; a swap chunk's input is the singlet row
-``teleport.SWAP_INPUT``, and its records still write null amplitudes.  A
-shared row is one state for every trial: a fixed-input spin chunk and every
-swap chunk finish each distinct outcome once, and a fixed-input photon chunk
-walks the state tree that earlier chunks and batches of its input and
-``eta_abs`` left in the kernel's cache in this process, so it computes only
-what none of them reached (``photonic.cascade_rows``).
+:mod:`bellcast.teleport`), through the spec's ``kernel``, which looks the
+kernel up by name in this module when the chunk runs.  It passes one draw
+row per trial, and either one input row per trial, from one ``haar_rows``
+call, or the fixed input as one row that every trial shares; the one-trial
+entry points are its one-row calls, bit-identical row for row.  Spin and
+swap share one kernel, ``teleport_rows``; swap takes no input, so its call
+passes the singlet row ``teleport.SWAP_INPUT``, and its records write null
+amplitudes.  A shared row is one state for every trial: a fixed-input spin
+chunk and every swap chunk finish each distinct outcome once, and a
+fixed-input photon chunk walks the state tree that earlier chunks and
+batches of its input and ``eta_abs`` left in the kernel's cache in this
+process, so it computes only what none of them reached
+(``photonic.cascade_rows``).
 
 Columns: a chunk stays numpy columns (seeds, codes, fidelities, inputs)
 from the kernel to the summary's running totals, and whether a trial has a
-fidelity comes from its code.  ``_chunk_lines`` is the one record encoder:
-one ``%`` fills the chunk's template (its codes' line templates, joined).
+fidelity comes from its code, through the spec.  ``_chunk_lines`` is the one
+record encoder: one ``%`` fills the chunk's template (the spec's line heads
+of its codes, joined).
 Float text is ``repr``'s, as ``json.dumps`` writes it.  A Haar chunk's
 ``a_re``, ``b_re`` and ``b_im`` columns get theirs from one
 ``floattext.reprs`` call, and its ``a_im`` is the literal ``0.0``, since
@@ -66,7 +75,7 @@ import struct
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -190,13 +199,6 @@ _MESSAGE_BITS = {
     for outcome in BellOutcome
 }
 
-_PROTOCOL_DRAWS = {
-    Mode.SPIN: TRIAL_DRAWS,
-    Mode.BASELINE: BASELINE_DRAWS,
-    Mode.SWAP: TRIAL_DRAWS,
-    Mode.PHOTON: CASCADE_DRAWS,
-}
-
 # Per mode, the trials whose seeds, draws and physics are computed in one
 # bulk call, and the records ``summarize`` reads per block.  No output
 # depends on it.  Each chunk pays fixed costs, its ``uniforms`` and
@@ -217,63 +219,96 @@ CHUNK_TRIALS = {
     Mode.SWAP: 4096,
 }
 
-# Per mode, the wire (outcome, message_bits, event) of each code its kernel
-# returns: the measurement outcome index (spin, swap), whether the trial was
-# identified (baseline), or the cascade event code (photon).
-_OUTCOME_WIRE = [(o.value, _MESSAGE_BITS[o], None) for o in MEASUREMENT_ORDER]
-_WIRE = {
-    Mode.SPIN: _OUTCOME_WIRE,
-    Mode.SWAP: _OUTCOME_WIRE,
-    Mode.BASELINE: [
-        (None, None, None),
-        (BellOutcome.PSI_MINUS.value, _MESSAGE_BITS[BellOutcome.PSI_MINUS], None),
-    ],
-    Mode.PHOTON: [
-        (branch.value, _MESSAGE_BITS[branch.bell_analog], kind.value)
-        if (branch := EVENT_ORIGINAL_BRANCH.get(kind))
-        else (None, None, kind.value)
-        for kind in CascadeEventKind
-    ],
-}
-# Per mode and code, whether the trial has a fidelity: every code but a
-# photon code whose wire carries no outcome (its misses).
-_HAS_FIDELITY = {
-    mode: np.array([mode is not Mode.PHOTON or o is not None for o, *_ in wire])
-    for mode, wire in _WIRE.items()
-}
-# Per mode and code, the value of the field the summary counts by.
-_COUNTED = {
-    mode: [event if mode is Mode.PHOTON else outcome for outcome, _, event in wire]
-    for mode, wire in _WIRE.items()
-}
-# Per mode, the counted keys of the codes whose wire carries an outcome.  They
-# are the successes of photon (an identifying event) and baseline (a
-# certified trial); spin and swap count theirs by fidelity.
-_SUCCESS_KEYS = {
-    mode: frozenset(key for key, (o, *_) in zip(_COUNTED[mode], wire) if o is not None)
-    for mode, wire in _WIRE.items()
-}
-# Per mode and code, its record line up to the amplitudes, with everything
-# the code decides pre-encoded; each trial fills in its index, seed and
-# fidelity text.  Ints are ``str`` and floats ``repr``, as ``json.dumps``
-# writes them.  ``_AMPLITUDES`` is filled once per chunk: with null (swap),
-# a fixed input's text, or, for Haar rows, placeholders for each trial's
-# a_re, b_re and b_im around the a_im literal.
-_LINE_HEADS = {
-    mode: [
+
+class ModeSpec(NamedTuple):
+    """What a mode is, the one per-mode table of the harness (``MODE_SPECS``).
+
+    ``draws``: the protocol draws per trial.  ``kernel(cfg, inputs, draws)``:
+    the mode's kernel call, codes first and fidelities last; it looks the
+    kernel up by name when a chunk runs.  ``takes_input``: False for swap,
+    which teleports the singlet row ``SWAP_INPUT``.  ``field``: the record
+    field the summary counts by.  ``oracle(cfg)``: the analytic event table
+    the chi-square is taken against, or None.  The rest is derived from the
+    mode's wire by ``_spec``, once, per code its kernel returns: the value
+    of ``field`` that is counted, whether the trial has a fidelity, and the
+    record line up to the amplitudes, with all the code decides
+    pre-encoded; each trial fills in its index, seed and fidelity text.
+    ``success_keys`` are the counted keys that are successes, or None when
+    success is a fidelity at ``SUCCESS_FIDELITY``."""
+
+    draws: int
+    kernel: Callable
+    takes_input: bool
+    field: str
+    oracle: Callable | None
+    counted: list
+    has_fidelity: np.ndarray
+    success_keys: frozenset | None
+    line_heads: list
+
+
+def _spec(draws, kernel, wire, *, takes_input=True, field="outcome",
+          by_fidelity=False, oracle=None) -> ModeSpec:
+    """A mode's spec from the wire (outcome, message_bits, event) of each
+    code.  A code has a fidelity unless it is an event that identified
+    nothing (a photon miss).  Unless success goes ``by_fidelity``, the
+    successes are the counted keys whose wire carries an outcome (a
+    certified trial, a branch-identifying event).  Ints are ``str`` and
+    floats ``repr`` in the line heads, as ``json.dumps`` writes them."""
+    counted = [event if field == "event" else outcome for outcome, _, event in wire]
+    heads = [
         f'{{"trial":%d,"seed":%d,"outcome":{json.dumps(outcome)},'
         f'"message_bits":{json.dumps(bits)},"fidelity":%s'
         + ("" if event is None else f',"event":{json.dumps(event)}')
         for outcome, bits, event in wire
     ]
-    for mode, wire in _WIRE.items()
+    has = np.array([outcome is not None or event is None for outcome, _, event in wire])
+    successes = frozenset(key for key, (outcome, *_) in zip(counted, wire) if outcome)
+    return ModeSpec(draws, kernel, takes_input, field, oracle, counted, has,
+                    None if by_fidelity else successes, heads)
+
+
+# Spin and swap codes are the measurement outcome's index, baseline's
+# whether the trial was identified, and photon's the cascade event.
+_OUTCOME_WIRE = [(o.value, _MESSAGE_BITS[o], None) for o in MEASUREMENT_ORDER]
+_CERTIFIED = BellOutcome.PSI_MINUS
+MODE_SPECS: dict[Mode, ModeSpec] = {
+    Mode.SPIN: _spec(
+        TRIAL_DRAWS, lambda cfg, x, d: teleport_rows(x, d), _OUTCOME_WIRE,
+        by_fidelity=True,
+    ),
+    Mode.PHOTON: _spec(
+        CASCADE_DRAWS,
+        lambda cfg, x, d: cascade_rows(x, cfg.efficiency, d),
+        [
+            (branch.value, _MESSAGE_BITS[branch.bell_analog], kind.value)
+            if (branch := EVENT_ORIGINAL_BRANCH.get(kind))
+            else (None, None, kind.value)
+            for kind in CascadeEventKind
+        ],
+        field="event",
+        oracle=lambda cfg: analytic_distribution(
+            cfg.fixed_input or UnknownState(1.0, 0.0), cfg.efficiency
+        ),
+    ),
+    Mode.BASELINE: _spec(
+        BASELINE_DRAWS, lambda cfg, x, d: baseline_rows(x, d),
+        [(None, None, None), (_CERTIFIED.value, _MESSAGE_BITS[_CERTIFIED], None)],
+    ),
+    Mode.SWAP: _spec(
+        TRIAL_DRAWS, lambda cfg, x, d: teleport_rows(SWAP_INPUT, d), _OUTCOME_WIRE,
+        takes_input=False, by_fidelity=True,
+    ),
 }
+# Filled once per chunk: with null (swap), a fixed input's text, or, for
+# Haar rows, placeholders for each trial's a_re, b_re and b_im around the
+# a_im literal.
 _AMPLITUDES = ',"a_re":%s,"a_im":%s,"b_re":%s,"b_im":%s'
 
 
 class _Chunk(NamedTuple):
     """A chunk of a batch as numpy columns in trial order: ``uint64`` seeds,
-    ``intp`` codes indexing the mode's ``_WIRE`` table, ``float64``
+    ``intp`` codes indexing the wire of the mode's spec, ``float64``
     fidelities, of which ``present`` holds the rows whose code has one, and
     inputs: a row per trial (Haar), one shared row (fixed) or None (swap)."""
 
@@ -288,13 +323,12 @@ class _Chunk(NamedTuple):
 def _columns(cfg: RunConfig) -> Iterator[_Chunk]:
     """The batch's chunks, ``CHUNK_TRIALS[cfg.mode]`` trials each: their
     seeds, draws and inputs in bulk, then one call to the mode's kernel."""
-    has = _HAS_FIDELITY[cfg.mode]
-    size = CHUNK_TRIALS[cfg.mode]
-    protocol = _PROTOCOL_DRAWS[cfg.mode]
+    spec, size = MODE_SPECS[cfg.mode], CHUNK_TRIALS[cfg.mode]
+    has = spec.has_fidelity
     # Swap has no input, and a fixed input is one row that every trial shares.
-    fixed = None if cfg.mode is Mode.SWAP else cfg.fixed_input
+    fixed = cfg.fixed_input if spec.takes_input else None
     inputs = None if fixed is None else fixed.state_vector().amplitudes[None]
-    haar = cfg.mode is not Mode.SWAP and fixed is None
+    haar = spec.takes_input and fixed is None
     for start in range(0, cfg.trials, size):
         stop = min(start + size, cfg.trials)
         count = stop - start
@@ -305,19 +339,12 @@ def _columns(cfg: RunConfig) -> Iterator[_Chunk]:
             # A row's first k uniforms are its random(k), so each stream's
             # block starts with its draws.
             seeds = np.concatenate([derive_seeds(base_seeds, tag) for tag in (0, 1)])
-            both = uniforms(seeds, max(HAAR_DRAWS, protocol))
+            both = uniforms(seeds, max(HAAR_DRAWS, spec.draws))
             inputs = haar_rows(both[:count, :HAAR_DRAWS])
-            draws = both[count:, :protocol]
+            draws = both[count:, :spec.draws]
         else:
-            draws = uniforms(derive_seeds(base_seeds, 1), protocol)
-        # Each kernel returns its codes first and its fidelities last.
-        if cfg.mode in (Mode.SPIN, Mode.SWAP):
-            result = teleport_rows(SWAP_INPUT if inputs is None else inputs, draws)
-        elif cfg.mode is Mode.BASELINE:
-            result = baseline_rows(inputs, draws)
-        else:
-            result = cascade_rows(inputs, cfg.efficiency, draws)
-        codes, fidelities = result[0], result[-1]
+            draws = uniforms(derive_seeds(base_seeds, 1), spec.draws)
+        codes, *_, fidelities = spec.kernel(cfg, inputs, draws)
         present = fidelities if has.all() else fidelities[has[codes]]
         yield _Chunk(start, base_seeds, codes, fidelities, present, inputs)
 
@@ -376,7 +403,7 @@ def _chunk_lines(cfg: RunConfig, chunk: _Chunk) -> str:
         haar = reprs(chunk.inputs.view(np.float64).T[[0, 2, 3]])
         size = len(chunk.seeds)
         columns += [haar[:size], haar[size : 2 * size], haar[2 * size :]]
-    lines = [head + amplitudes + "}\n" for head in _LINE_HEADS[cfg.mode]]
+    lines = [head + amplitudes + "}\n" for head in MODE_SPECS[cfg.mode].line_heads]
     template = "".join(map(lines.__getitem__, chunk.codes.tolist()))
     # Trial-major argument list, one column slice at a time: no tuple per trial.
     args = [None] * (len(columns) * len(chunk.seeds))
@@ -423,12 +450,9 @@ def run_batch(cfg: RunConfig) -> BatchSummary:
     to ``cfg.output_path``, when set, in one write, and its codes and
     fidelities to the summary's running totals."""
     start = time.perf_counter()
-    analytic = None
-    if cfg.mode is Mode.PHOTON:
-        reference_input = cfg.fixed_input or UnknownState(1.0, 0.0)
-        analytic = analytic_distribution(reference_input, cfg.efficiency)
+    spec = MODE_SPECS[cfg.mode]
+    analytic = None if spec.oracle is None else spec.oracle(cfg)
     tally = _Tally(cfg.mode)
-    counted = _COUNTED[cfg.mode]
     output = contextlib.nullcontext()
     if cfg.output_path is not None:
         output = atomic_writer(cfg.output_path)
@@ -436,8 +460,8 @@ def run_batch(cfg: RunConfig) -> BatchSummary:
         for chunk in _columns(cfg):
             if handle is not None:
                 handle.write(_chunk_lines(cfg, chunk))
-            counts = np.bincount(chunk.codes, minlength=len(counted)).tolist()
-            tally.add(zip(counted, counts), chunk.present)
+            counts = np.bincount(chunk.codes, minlength=len(spec.counted)).tolist()
+            tally.add(zip(spec.counted, counts), chunk.present)
     summary = tally.summary(analytic)
     return dataclasses.replace(summary, duration_seconds=time.perf_counter() - start)
 
@@ -471,21 +495,22 @@ class _Tally:
     """The running totals behind a :class:`BatchSummary`, fed one block of
     trials at a time, in constant memory.
 
-    Counting key: the event in photon mode, else the outcome; a null (or
-    empty) value counts under "none" in every mode.  The trial total comes
-    from the counts.  Mean/min fidelity cover only the trials that carry
-    one; the sum runs in trial order, carried from block to block.  Success
-    means fidelity at the recovery threshold for spin/swap, counted as the
-    blocks come; for baseline and photon mode it is a count of the mode's
-    ``_SUCCESS_KEYS``, the keys its kernel writes with an outcome (a
-    certified trial, a detected branch-identifying event), so any other key,
-    an empty or unknown one included, is never a success.
+    Counting key: the spec's ``field``, the event in photon mode, else the
+    outcome; a null (or empty) value counts under "none" in every mode.  The
+    trial total comes from the counts.  Mean/min fidelity cover only the
+    trials that carry one; the sum runs in trial order, carried from block
+    to block.  Success follows the spec: fidelity at the recovery threshold
+    (spin, swap), counted as the blocks come, or a count of its
+    ``success_keys`` (baseline, photon), the keys its kernel writes with an
+    outcome (a certified trial, a detected branch-identifying event), so any
+    other key, an empty or unknown one included, is never a success.
     """
 
     def __init__(self, mode: Mode) -> None:
         self.mode = mode
+        self.success_keys = MODE_SPECS[mode].success_keys
         self.counts: dict[str, int] = {}
-        self.successes = 0  # spin and swap: trials at SUCCESS_FIDELITY
+        self.successes = 0  # trials at SUCCESS_FIDELITY
         self.fidelity_count = 0
         self.fidelity_sum = 0.0
         self.fidelity_min = float("inf")
@@ -508,7 +533,7 @@ class _Tally:
         self.fidelity_sum = float(np.add.accumulate(values)[-1])
         self.fidelity_count += fidelities.size
         self.fidelity_min = min(self.fidelity_min, float(fidelities.min()))
-        if self.mode in (Mode.SPIN, Mode.SWAP):
+        if self.success_keys is None:
             self.successes += int(np.count_nonzero(fidelities >= SUCCESS_FIDELITY))
 
     def summary(
@@ -518,8 +543,8 @@ class _Tally:
         if total == 0:
             raise ValueError("cannot summarize an empty record stream")
         successes = self.successes
-        if self.mode in (Mode.PHOTON, Mode.BASELINE):
-            successes = sum(self.counts.get(key, 0) for key in _SUCCESS_KEYS[self.mode])
+        if self.success_keys is not None:
+            successes = sum(self.counts.get(key, 0) for key in self.success_keys)
         chi_square = None
         if analytic is not None:
             chi_square = 0.0
@@ -562,7 +587,7 @@ def summarize(
     its 1-based position and the field.
     """
     tally = _Tally(mode)
-    field = "event" if mode is Mode.PHOTON else "outcome"
+    field = MODE_SPECS[mode].field
     records, seen = iter(records), 0
     while block := list(itertools.islice(records, CHUNK_TRIALS[mode])):
         # Checked a block at a time, in C: packing as doubles takes only real

@@ -346,6 +346,22 @@ class TestArgumentErrors:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --input fixed:1,0" in capsys.readouterr().err
 
+    def test_run_subcommands_follow_the_mode_table(self, capsys):
+        parser = cli.build_parser()
+        for mode in harness.Mode:
+            name = f"run-{mode.value}"
+            assert parser.parse_args([name]).command == name
+            argv = [name, "--input", "haar-random"]
+            if harness.MODE_SPECS[mode].takes_input:
+                assert parser.parse_args(argv).input == "haar-random"
+            else:
+                with pytest.raises(SystemExit) as excinfo:
+                    main(argv)
+                assert excinfo.value.code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run-swap", "--input", "haar-random"])
+        assert excinfo.value.code == 2
+
     @pytest.mark.parametrize("value", ["-1", str(2**64)])
     def test_out_of_range_seed_flag_names_the_flag(self, capsys, tmp_path, value):
         output = tmp_path / "records.jsonl"

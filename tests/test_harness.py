@@ -8,8 +8,10 @@ seed derivation or serialization must fail loudly.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
+import pathlib
 import re
 import sys
 import tracemalloc
@@ -46,6 +48,13 @@ from bellcast.teleport import (
     run_entangled_input,
     run_trial,
 )
+
+# The digest pins hold on one platform (OpenBLAS kernel and numpy SIMD
+# level); a mismatch names the platform it ran on.
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "digest_platform.py"
+_SPEC = importlib.util.spec_from_file_location("digest_platform", _PATH)
+digest_platform = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(digest_platform)
 
 UP_INPUT = UnknownState(1.0, 0.0)
 
@@ -312,7 +321,7 @@ class TestRunBatch:
             )
         )
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == PINNED_FILE_DIGESTS[mode]
+        assert digest == PINNED_FILE_DIGESTS[mode], digest_platform.describe()
 
     @pytest.mark.parametrize("name", list(PINNED_PHOTON_DIGESTS))
     def test_pinned_lossy_photon_file_digest(self, tmp_path, name):
@@ -325,7 +334,7 @@ class TestRunBatch:
             )
         )
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == PINNED_PHOTON_DIGESTS[name]
+        assert digest == PINNED_PHOTON_DIGESTS[name], digest_platform.describe()
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
     def test_summary_recomputes_from_the_record_file(self, tmp_path, mode):
@@ -435,6 +444,28 @@ class TestRunBatch:
 
         monkeypatch.setattr(harness, name, counted)
         return calls
+
+    @pytest.mark.parametrize(
+        "mode, kernel",
+        [
+            (Mode.SPIN, "teleport_rows"),
+            (Mode.SWAP, "teleport_rows"),
+            (Mode.BASELINE, "baseline_rows"),
+            (Mode.PHOTON, "cascade_rows"),
+        ],
+        ids=lambda value: getattr(value, "value", value),
+    )
+    def test_kernel_and_oracle_are_looked_up_when_called(
+        self, monkeypatch, mode, kernel
+    ):
+        # A patch of harness's names reaches a batch only if the mode table
+        # looks them up when a chunk runs, not when the table is built: one
+        # kernel call per chunk, and one oracle call per photon batch.
+        kernel_calls = self._count_calls(monkeypatch, kernel)
+        oracle_calls = self._count_calls(monkeypatch, "analytic_distribution")
+        run_batch(RunConfig(mode=mode, trials=2 * CHUNK_TRIALS[mode] + 3))
+        assert kernel_calls == [3]
+        assert oracle_calls == [1 if mode is Mode.PHOTON else 0]
 
     @pytest.mark.parametrize("target", ["missing/records.jsonl", "."])
     def test_bad_output_path_fails_before_any_trial(

@@ -14,6 +14,11 @@ warm tree changes no byte.  A change that keeps records byte-identical
 prints exactly ``tools/record_digests.txt``:
 
     PYTHONPATH=src python3 tools/record_digests.py | diff tools/record_digests.txt -
+
+Haar digests are defined on one platform only, the OpenBLAS kernel and
+numpy SIMD level ``tools/digest_platform.py`` names.  So the tool first
+writes that platform and the committed one to stderr, which the diff does
+not read.
 """
 
 from __future__ import annotations
@@ -21,10 +26,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
+
+from digest_platform import describe
 
 from bellcast.harness import (
     CHUNK_TRIALS,
+    MODE_SPECS,
     Mode,
     RunConfig,
     load_records,
@@ -32,8 +41,7 @@ from bellcast.harness import (
     run_batch,
     summarize,
 )
-from bellcast.photonic import EfficiencyConfig, analytic_distribution
-from bellcast.teleport import UnknownState
+from bellcast.photonic import EfficiencyConfig
 
 TRIALS = 20_000
 # Each batch must span more than two chunks of its mode, or byte-identity
@@ -62,18 +70,15 @@ def configs():
 
 def digest(directory: str, mode: Mode, efficiency, text: str, seed: int) -> str:
     path = os.path.join(directory, "records.jsonl")
-    fixed = parse_input(text)
     cfg = RunConfig(
         mode=mode, trials=TRIALS, master_seed=seed, efficiency=efficiency,
-        fixed_input=fixed, output_path=path,
+        fixed_input=parse_input(text), output_path=path,
     )
     summary = run_batch(cfg)
     with open(path, "rb") as handle:
         sha = hashlib.sha256(handle.read()).hexdigest()
-    analytic = None
-    if mode is Mode.PHOTON:
-        analytic = analytic_distribution(fixed or UnknownState(1.0, 0.0), efficiency)
-    replayed = summarize(load_records(path), mode, analytic)
+    oracle = MODE_SPECS[mode].oracle
+    replayed = summarize(load_records(path), mode, oracle and oracle(cfg))
     counts = json.dumps(dict(sorted(summary.counts.items())), separators=(",", ":"))
     return " ".join([
         sha,
@@ -87,6 +92,8 @@ def digest(directory: str, mode: Mode, efficiency, text: str, seed: int) -> str:
 
 
 def main() -> None:
+    # On stderr, so the digests on stdout still diff against the committed file.
+    print(describe(), file=sys.stderr)
     with tempfile.TemporaryDirectory() as directory:
         for label, mode, efficiency, text, seed in configs():
             line = digest(directory, mode, efficiency, text, seed)
