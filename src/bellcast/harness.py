@@ -321,32 +321,38 @@ class _Chunk(NamedTuple):
 
 
 def _columns(cfg: RunConfig) -> Iterator[_Chunk]:
-    """The batch's chunks, ``CHUNK_TRIALS[cfg.mode]`` trials each: their
-    seeds, draws and inputs in bulk, then one call to the mode's kernel."""
+    """The batch's chunks, ``CHUNK_TRIALS[cfg.mode]`` trials each.  This
+    frame keeps no chunk across a ``yield`` and ``_chunk``'s locals are gone
+    when it returns, so a caller that drops each chunk before asking for the
+    next holds one chunk at a time."""
     spec, size = MODE_SPECS[cfg.mode], CHUNK_TRIALS[cfg.mode]
-    has = spec.has_fidelity
     # Swap has no input, and a fixed input is one row that every trial shares.
     fixed = cfg.fixed_input if spec.takes_input else None
     inputs = None if fixed is None else fixed.state_vector().amplitudes[None]
-    haar = spec.takes_input and fixed is None
     for start in range(0, cfg.trials, size):
-        stop = min(start + size, cfg.trials)
-        count = stop - start
-        indices = np.arange(start, stop, dtype=np.uint64)
-        base_seeds = derive_seeds(cfg.master_seed, indices)
-        if haar:
-            # Input and protocol draws in one pass over both streams' seeds.
-            # A row's first k uniforms are its random(k), so each stream's
-            # block starts with its draws.
-            seeds = np.concatenate([derive_seeds(base_seeds, tag) for tag in (0, 1)])
-            both = uniforms(seeds, max(HAAR_DRAWS, spec.draws))
-            inputs = haar_rows(both[:count, :HAAR_DRAWS])
-            draws = both[count:, :spec.draws]
-        else:
-            draws = uniforms(derive_seeds(base_seeds, 1), spec.draws)
-        codes, *_, fidelities = spec.kernel(cfg, inputs, draws)
-        present = fidelities if has.all() else fidelities[has[codes]]
-        yield _Chunk(start, base_seeds, codes, fidelities, present, inputs)
+        yield _chunk(cfg, spec, start, min(start + size, cfg.trials), inputs)
+
+
+def _chunk(cfg: RunConfig, spec: ModeSpec, start: int, stop: int, inputs) -> _Chunk:
+    """Trials ``start:stop``: their seeds, draws and, unless ``inputs``
+    holds the shared row or the mode takes none, Haar inputs in bulk, then
+    one call to the mode's kernel."""
+    count = stop - start
+    base_seeds = derive_seeds(cfg.master_seed, np.arange(start, stop, dtype=np.uint64))
+    if spec.takes_input and inputs is None:
+        # Input and protocol draws in one pass over both streams' seeds.
+        # A row's first k uniforms are its random(k), so each stream's
+        # block starts with its draws.
+        seeds = np.concatenate([derive_seeds(base_seeds, tag) for tag in (0, 1)])
+        both = uniforms(seeds, max(HAAR_DRAWS, spec.draws))
+        inputs = haar_rows(both[:count, :HAAR_DRAWS])
+        draws = both[count:, :spec.draws]
+    else:
+        draws = uniforms(derive_seeds(base_seeds, 1), spec.draws)
+    codes, *_, fidelities = spec.kernel(cfg, inputs, draws)
+    has = spec.has_fidelity
+    present = fidelities if has.all() else fidelities[has[codes]]
+    return _Chunk(start, base_seeds, codes, fidelities, present, inputs)
 
 
 def _interned(pairs: list[tuple[str, object]]) -> dict:
@@ -462,6 +468,7 @@ def run_batch(cfg: RunConfig) -> BatchSummary:
                 handle.write(_chunk_lines(cfg, chunk))
             counts = np.bincount(chunk.codes, minlength=len(spec.counted)).tolist()
             tally.add(zip(spec.counted, counts), chunk.present)
+            del chunk  # released before _columns builds the next
     summary = tally.summary(analytic)
     return dataclasses.replace(summary, duration_seconds=time.perf_counter() - start)
 

@@ -8,13 +8,16 @@ arrays of seeds and returns rows bit-identical to numpy's.
 
 * SeedSequence (numpy's ``bit_generator.pyx``): the entropy is the seed's two
   little-endian 32-bit words.  A seed below 2**32 has one word, but the pool
-  (4 words) is padded by hashing zeros, so ``[w0, 0]`` gives the same pool.
-  ``generate_state(4, uint64)`` then yields the four words of PCG64's seed.
-  The pool is one ``(4, N)`` array with a lane per word, and each hash call
-  of numpy's loops gets its own lane: one hash fills the pool, each source
-  word hashes its 3 destinations in one call, and one hash of the ``(8, N)``
-  tiled pool generates the state.  The hash constants never depend on the
-  entropy, so they are computed once.
+  (4 words) is padded by hashing zeros, so ``[w0, 0]`` gives the same pool,
+  and pool words 2 and 3 start as constants.  Each source word then hashes
+  its 3 destinations.  The pool lives in the rows of one 7-row ``uint32``
+  array, laid out so that each source's destinations are 3 adjacent rows:
+  one 3-row hash and an in-place update per source, with a row copied
+  forward after each of the first three, and the final pool in the last 4
+  rows.  ``generate_state(4, uint64)`` hashes the pool twice into 8 words
+  written straight into the low and high halves of the 4 ``uint64`` seed
+  words.  The hash constants never depend on the entropy, so they are
+  computed once.
 * PCG64 (O'Neill 2014, XSL-RR 128/64): ``initstate = s0 << 64 | s1`` and
   ``initseq = s2 << 64 | s3``.  Seeding sets ``state = 0``, ``inc = initseq
   << 1 | 1``, steps, adds ``initstate`` and steps again.  Each draw steps,
@@ -25,7 +28,8 @@ arrays of seeds and returns rows bit-identical to numpy's.
   cached per ``k``, and all ``k`` draws of every seed come from one
   ``(k, N)`` pass: two constant-times-variable products and one add.
 
-128-bit values are ``(hi, lo)`` pairs of ``uint64`` arrays, multiplied in
+128-bit values are ``(hi, lo)`` pairs of ``uint64`` words.  A product's low
+word is the wrapping ``uint64`` product; only its high word is built from
 32-bit limbs.  All integer arithmetic is on arrays, where numpy wraps
 silently; scalar ``uint64`` arithmetic would warn on overflow.
 """
@@ -76,10 +80,8 @@ def derive_seeds(master_seed, index) -> np.ndarray:
     return z
 
 
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """The (xor, multiply) constants of ``count`` successive hash calls, as a
-    ``(count, 2, 1)`` ``uint32`` array: row ``i`` broadcasts over the lane of
-    call ``i``.
+def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The (xor, multiply) constants of ``count`` successive hash calls.
 
     SeedSequence's running hash constant starts at ``init`` and is multiplied
     by ``mult`` inside each call; it never depends on the entropy.
@@ -89,69 +91,113 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
         nxt = (init * mult) & _MASK32
         pairs.append((init, nxt))
         init = nxt
-    return np.array(pairs, dtype=np.uint32)[:, :, None]
+    return pairs
+
+
+def _hashmix(value: int, xor: int, mult: int) -> int:
+    """SeedSequence's hashmix of one word, in Python integers."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ (value >> 16)
+
+
+def _as_arrays(pairs: list[tuple[int, int]], shape: tuple[int, ...]) -> tuple:
+    """``pairs`` as xor and multiply ``uint32`` arrays of ``shape``."""
+    xor, mult = np.array(pairs, np.uint32).T
+    return xor.reshape(shape), mult.reshape(shape)
 
 
 # mix_entropy: 4 hashmix calls fill the pool, then 12 mix it in (source,
-# destination) loop order, 3 per source; a seed's 2 words leave no entropy
-# over.
+# destination) loop order, 3 per source, destinations ascending; a seed's 2
+# words leave no entropy over.  Pool words 2 and 3 hash zeros.
 _MIX_ENTROPY = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE**2)
-_FILL_CONSTANTS = _MIX_ENTROPY[:_POOL_SIZE]
-_MIX_CONSTANTS = _MIX_ENTROPY[_POOL_SIZE:].reshape(_POOL_SIZE, _POOL_SIZE - 1, 2, 1)
-# Each source's destinations: the other pool words, ascending.
-_MIX_DESTINATIONS = [
-    [dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE)
+_ZERO_HASHES = np.array(
+    [[_hashmix(0, *pair)] for pair in _MIX_ENTROPY[2:_POOL_SIZE]], np.uint32
+)
+# The seed's words go to pool rows 0 (word 1) and 3 (word 0), ``[0:4:3]``.
+_FILL_XOR, _FILL_MULT = _as_arrays(_MIX_ENTROPY[1::-1], (2, 1))
+# Source ``src`` reads pool row ``(src - 1) % 4`` and updates rows
+# ``src:src + 3``, which hold words ``src + 1``, ``src + 2`` and ``src + 3``
+# modulo 4, so its 3 constants are taken in that order.
+_MIX_CONSTANTS = [
+    _as_arrays(
+        [_MIX_ENTROPY[_POOL_SIZE + 3 * src + dst - (dst > src)]
+         for dst in ((src + step) % _POOL_SIZE for step in (1, 2, 3))],
+        (3, 1),
+    )
+    for src in range(_POOL_SIZE)
 ]
-# generate_state(4, uint64): 8 uint32 words, hashed from pool words 0-3, 0-3.
-_GENERATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+# generate_state(4, uint64): 8 uint32 words, hashed from pool words 0-3,
+# 0-3; word ``4a + 2b + h`` is the low (h = 0) or high half of seed word
+# ``2a + b``.
+_GENERATE_XOR, _GENERATE_MULT = _as_arrays(
+    _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE), (2, 2, 2, 1)
+)
 
 
-def _hash32(value: np.ndarray, constants: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of every lane: ``constants[i]`` holds lane
-    ``i``'s (xor, multiply) pair."""
-    value = (value ^ constants[:, 0]) * constants[:, 1]
-    return value ^ (value >> _XSHIFT)
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(seed).generate_state(4, uint64) for each seed, as the
+    rows of a ``(4, N)`` ``uint64`` array.
 
-
-def _seed_words(seeds: np.ndarray) -> list[np.ndarray]:
-    """SeedSequence(seed).generate_state(4, uint64) for each seed, as 4 arrays.
-
-    The pool is one ``(4, N)`` array with a lane per pool word.
+    The pool's 7 rows hold words ``1, 2, 3, 0, 1, 2, 3``; source ``src``
+    reads row ``(src - 1) % 4`` and updates rows ``src:src + 3``, after which
+    row ``src`` is copied to row ``src + 4`` for the sources still to come.
     """
-    entropy = np.zeros((_POOL_SIZE, seeds.shape[0]), dtype=np.uint32)
-    entropy[0] = seeds & _LOW32
-    entropy[1] = seeds >> _UINT64[32]
-    pool = _hash32(entropy, _FILL_CONSTANTS)
-    for src, dst in enumerate(_MIX_DESTINATIONS):
-        hashed = _hash32(pool[src], _MIX_CONSTANTS[src])
-        mixed = pool[dst] * _MIX_MULT_L - hashed * _MIX_MULT_R
-        pool[dst] = mixed ^ (mixed >> _XSHIFT)
-    words = _hash32(np.tile(pool, (2, 1)), _GENERATE_CONSTANTS).astype(np.uint64)
-    return list(words[0::2] | (words[1::2] << _UINT64[32]))
+    n = seeds.shape[0]
+    entropy = np.ascontiguousarray(seeds, "<u8").view("<u4").reshape(n, 2).T
+    pool = np.empty((7, n), np.uint32)
+    fill = pool[0:4:3]
+    np.bitwise_xor(entropy[::-1], _FILL_XOR, out=fill)
+    fill *= _FILL_MULT
+    fill ^= fill >> _XSHIFT
+    pool[1:3] = _ZERO_HASHES
+    hashed = np.empty((3, n), np.uint32)
+    shifted = np.empty((3, n), np.uint32)
+    for src, (xor, mult) in enumerate(_MIX_CONSTANTS):
+        np.bitwise_xor(pool[(src - 1) % _POOL_SIZE], xor, out=hashed)
+        hashed *= mult
+        np.right_shift(hashed, _XSHIFT, out=shifted)
+        hashed ^= shifted
+        hashed *= _MIX_MULT_R
+        window = pool[src : src + 3]
+        window *= _MIX_MULT_L
+        window -= hashed
+        np.right_shift(window, _XSHIFT, out=shifted)
+        window ^= shifted
+        if src < 3:
+            pool[src + 4] = pool[src]
+    # Each seed word's low and high halves are adjacent: the last op of each
+    # pair of seed words writes through the transposed view, and the halves
+    # read as ``uint64`` words of their own.
+    halves = np.empty((2, 2, n, 2), "<u4")
+    pairs = halves.transpose(0, 1, 3, 2)
+    words = pool[3:].reshape(2, 2, n)
+    for pair, xor, mult in zip(pairs, _GENERATE_XOR, _GENERATE_MULT):
+        hashed = words ^ xor
+        hashed *= mult
+        np.bitwise_xor(hashed, hashed >> _XSHIFT, out=pair)
+    return halves.view("<u8").reshape(4, n)
 
 
-def _mul64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full 128-bit product of two uint64 arrays, as (hi, lo)."""
-    m32, s32 = _LOW32, _UINT64[32]
-    a0, a1 = a & m32, a >> s32
-    b0, b1 = b & m32, b >> s32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> s32) + (p01 & m32) + (p10 & m32)
-    lo = (mid << s32) | (p00 & m32)
-    hi = a1 * b1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
-    return hi, lo
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo
-
-
-def _mul128(c_hi, c_lo, hi, lo) -> tuple[np.ndarray, np.ndarray]:
-    """``c * x`` modulo 2**128, broadcast over the arrays of ``c`` and ``x``."""
-    prod_hi, prod_lo = _mul64(lo, c_lo)
-    prod_hi += lo * c_hi + hi * c_lo
-    return prod_hi, prod_lo
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High words of the 128-bit products of the ``uint64`` words ``a`` and
+    ``b``, broadcast, from their 32-bit limbs."""
+    a_lo, a_hi = a & _LOW32, a >> _UINT64[32]
+    b_lo, b_hi = b & _LOW32, b >> _UINT64[32]
+    # No sum overflows: a product of two limbs plus a 32-bit word is below
+    # 2**64, and the last add yields the high word itself.
+    low = a_lo * b_lo
+    low >>= _UINT64[32]
+    high = a_hi * b_lo
+    high += low
+    np.bitwise_and(high, _LOW32, out=low)
+    high >>= _UINT64[32]
+    cross = a_lo * b_hi
+    low += cross
+    low >>= _UINT64[32]
+    high += low
+    np.multiply(a_hi, b_hi, out=cross)
+    high += cross
+    return high
 
 
 def _split128(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -190,10 +236,24 @@ def uniforms(seeds, k: int) -> np.ndarray:
     inc_hi = (s2 << _UINT64[1]) | (s3 >> _UINT64[63])
     inc_lo = (s3 << _UINT64[1]) | _UINT64[1]
     power_hi, power_lo, sum_hi, sum_lo = _jump_constants(k)
-    hi, lo = _add128(
-        *_mul128(power_hi, power_lo, s0, s1), *_mul128(sum_hi, sum_lo, inc_hi, inc_lo)
-    )
+    # state = power * initstate + sum * inc, modulo 2**128.
+    hi = _mulhi(s1, power_lo)
+    hi += _mulhi(inc_lo, sum_lo)
+    hi += s1 * power_hi
+    hi += s0 * power_lo
+    hi += inc_lo * sum_hi
+    hi += inc_hi * sum_lo
+    lo = s1 * power_lo
+    term = inc_lo * sum_lo
+    lo += term
+    hi += lo < term  # the low words' carry
+    # XSL-RR: rotate hi ^ lo right by hi's top 6 bits.
     rot = hi >> _UINT64[58]
-    x = hi ^ lo
-    x = (x >> rot) | (x << ((_UINT64[64] - rot) & _UINT64[63]))
-    return ((x >> _UINT64[11]).astype(np.float64) * 2.0**-53).T
+    hi ^= lo
+    np.right_shift(hi, rot, out=lo)
+    np.negative(rot, out=rot)
+    rot &= _UINT64[63]
+    hi <<= rot
+    hi |= lo
+    hi >>= _UINT64[11]
+    return np.multiply(hi, 2.0**-53).T

@@ -9,7 +9,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from bellcast.harness import CHUNK_TRIALS, MODE_SPECS
 from bellcast.stream import _jump_constants, derive_seeds, uniforms
+from bellcast.teleport import HAAR_DRAWS
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -28,6 +30,33 @@ def _splitmix(master_seed: int, index: int) -> int:
     z = (z * 0x94D049BB133111EB) & _MASK64
     z ^= z >> 31
     return z
+
+
+def _chunk_shapes() -> list[tuple[int, int]]:
+    """The ``(seeds, k)`` shape of each ``uniforms`` call a full chunk of
+    the harness makes: one stream's seeds, or for a Haar chunk both streams'
+    at once with the longer of the two draw counts."""
+    shapes = set()
+    for mode, spec in MODE_SPECS.items():
+        size = CHUNK_TRIALS[mode]
+        shapes.add((size, spec.draws))
+        if spec.takes_input:
+            shapes.add((2 * size, max(HAAR_DRAWS, spec.draws)))
+    return sorted(shapes)
+
+
+def _stream_seeds(count: int, master: int = 7) -> np.ndarray:
+    """Protocol seeds of trials ``0..count-1``, as a chunk derives them."""
+    return derive_seeds(derive_seeds(master, np.arange(count, dtype=np.uint64)), 1)
+
+
+def _assert_rows_equal_default_rng(seeds: np.ndarray, k: int) -> None:
+    """``uniforms(seeds, k)`` equals the per-seed ``default_rng`` rows bit
+    for bit, compared as ``uint64`` words."""
+    got = uniforms(seeds, k)
+    assert got.shape == (len(seeds), k)
+    expected = np.array([np.random.default_rng(s).random(k) for s in seeds.tolist()])
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def _harness_seeds() -> list[int]:
@@ -84,6 +113,22 @@ class TestUniforms:
             np.testing.assert_array_equal(
                 got.view(np.uint64), expected.view(np.uint64), err_msg=f"k={k}"
             )
+
+    @pytest.mark.parametrize("n, k", _chunk_shapes())
+    def test_full_chunk_shapes_equal_default_rng_bitwise(self, n, k):
+        _assert_rows_equal_default_rng(_stream_seeds(n, master=n), k)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_partial_chunks_equal_default_rng_bitwise(self, n, k):
+        _assert_rows_equal_default_rng(np.array(EDGE_SEEDS[-n:], dtype=np.uint64), k)
+        _assert_rows_equal_default_rng(_stream_seeds(n), k)
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_strided_seeds_equal_default_rng_bitwise(self, k):
+        seeds = _stream_seeds(2048)[::2]
+        assert not seeds.flags.c_contiguous
+        _assert_rows_equal_default_rng(seeds, k)
 
     @pytest.mark.parametrize("k", [1, 2, 7, 16])
     def test_jump_constants_equal_sequential_steps(self, k):

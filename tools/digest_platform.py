@@ -7,8 +7,11 @@ ufuncs to (its AVX-512 ``arccos`` differs from libm).  The committed
 digests (``tools/record_digests.txt`` and the pins in
 ``tests/test_harness.py``) are defined on ``DIGESTS_DEFINED_ON``.  A
 mismatch elsewhere reads first as a platform change, so the digest tool and
-tests name the platform they ran on.  Run from the repository root to print
-both parts:
+tests name the platform they ran on.  The kernel is the name OpenBLAS
+reports, which need not be the ``OPENBLAS_CORETYPE`` that selected it: under
+``OPENBLAS_CORETYPE=Prescott`` OpenBLAS reports ``Katmai``, so with numpy at
+``X86_V2`` this prints ``Katmai/X86_V2``.  Run from the repository root to
+print both parts:
 
     python tools/digest_platform.py
 """
