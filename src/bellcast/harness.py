@@ -14,9 +14,10 @@ chunk draws both streams in one ``uniforms`` call.
 
 Modes: what each mode is lives in one spec, ``MODE_SPECS[mode]`` (see
 ``ModeSpec``): its draw count, kernel call, whether it takes an input, the
-wire of each code, the record field its summary counts by, its success rule
-and its oracle.  Everything else reads the spec and never branches on the
-mode; only ``CHUNK_TRIALS``, the chunk sizes, is a table of its own.
+wire of each code, the record field its summary counts by, its success rule,
+its oracle and what its chunks share.  Everything else reads the spec and
+never branches on the mode; only ``CHUNK_TRIALS``, the chunk sizes, is a
+table of its own.
 
 Physics: each chunk makes one call to its mode's batched kernel (see
 :mod:`bellcast.teleport`), through the spec's ``kernel``, which looks the
@@ -27,10 +28,12 @@ entry points are its one-row calls, bit-identical row for row.  Spin and
 swap share one kernel, ``teleport_rows``; swap takes no input, so its call
 passes the singlet row ``teleport.SWAP_INPUT``, and its records write null
 amplitudes.  A shared row is one state for every trial: a fixed-input spin
-chunk and every swap chunk finish each distinct outcome once, and a
-fixed-input photon chunk walks the state tree that earlier chunks and
-batches of its input and ``eta_abs`` left in the kernel's cache in this
-process, so it computes only what none of them reached
+batch and every swap batch finish its four outcomes once per batch, in the
+``teleport.OutcomeTable`` that ``_columns`` builds through the spec's
+``shared`` and hands to every chunk, which only picks each trial's outcome
+from it.  A fixed-input photon chunk walks the state tree that earlier
+chunks and batches of its input and ``eta_abs`` left in the kernel's cache
+in this process, so it computes only what none of them reached
 (``photonic.cascade_rows``).
 
 Columns: a chunk stays numpy columns (seeds, codes, fidelities, inputs)
@@ -104,6 +107,7 @@ from .teleport import (
     checked_input,
     haar_rows,
     haar_random_input,  # noqa: F401 - perfbench's tracer looks it up here
+    outcome_table,
     run_entangled_input,  # noqa: F401 - perfbench's tracer looks it up here
     run_trial,  # noqa: F401 - perfbench's tracer looks it up here
     teleport_rows,
@@ -208,10 +212,9 @@ _MESSAGE_BITS = {
 # chunk, and its size keeps well inside the benchmark's peak-RSS bound.
 # Baseline's gain at 2048 costs nearly that whole bound, and photon's is
 # unresolved, so both stay at 1024 (measurements: ROADMAP, Baseline).
-# A swap chunk projects one shared state, the singlet row, against every
-# draw and finishes each distinct outcome once, so its arrays stay small,
-# and a 4096-trial chunk spreads the fixed cost of each numpy call over four
-# times the trials.
+# A swap chunk picks each draw's outcome from its batch's outcome table of
+# the singlet row, so its arrays stay small, and a 4096-trial chunk spreads
+# the fixed cost of each numpy call over four times the trials.
 CHUNK_TRIALS = {
     Mode.SPIN: 1536,
     Mode.PHOTON: 1024,
@@ -223,16 +226,23 @@ CHUNK_TRIALS = {
 class ModeSpec(NamedTuple):
     """What a mode is, the one per-mode table of the harness (``MODE_SPECS``).
 
-    ``draws``: the protocol draws per trial.  ``kernel(cfg, inputs, draws)``:
-    the mode's kernel call, codes first and fidelities last; it looks the
-    kernel up by name when a chunk runs.  ``takes_input``: False for swap,
-    which teleports the singlet row ``SWAP_INPUT``.  ``field``: the record
-    field the summary counts by.  ``oracle(cfg)``: the analytic event table
-    the chi-square is taken against, or None.  The rest is derived from the
-    mode's wire by ``_spec``, once, per code its kernel returns: the value
-    of ``field`` that is counted, whether the trial has a fidelity, and the
-    record line up to the amplitudes, with all the code decides
-    pre-encoded; each trial fills in its index, seed and fidelity text.
+    ``draws``: the protocol draws per trial.  ``kernel(cfg, inputs, draws,
+    shared)``: the mode's kernel call, codes first and fidelities last; it
+    looks the kernel up by name when a chunk runs.  ``takes_input``: False
+    for swap, which teleports the singlet row ``SWAP_INPUT``.  ``field``:
+    the record field the summary counts by.  ``oracle(cfg)``: the analytic
+    event table the chi-square is taken against, or None.
+    ``shared(cfg, inputs)``: what the chunks of a batch share, built once
+    per batch by ``_columns`` from the batch's input row (None for Haar and
+    swap), handed to each chunk's kernel call and dropped with the batch;
+    or None, for a mode whose chunks share nothing.  Spin and swap build a
+    shared row's ``teleport.OutcomeTable`` there, once per batch, so each
+    chunk only picks its trials' outcomes; a Haar spin batch has no table.
+    The rest is derived from the mode's wire by ``_spec``, once, per code
+    its kernel returns: the value of ``field`` that is counted, whether the
+    trial has a fidelity, and the record line up to the amplitudes, with all
+    the code decides pre-encoded; each trial fills in its index, seed and
+    fidelity text.
     ``success_keys`` are the counted keys that are successes, or None when
     success is a fidelity at ``SUCCESS_FIDELITY``."""
 
@@ -241,6 +251,7 @@ class ModeSpec(NamedTuple):
     takes_input: bool
     field: str
     oracle: Callable | None
+    shared: Callable | None
     counted: list
     has_fidelity: np.ndarray
     success_keys: frozenset | None
@@ -248,7 +259,7 @@ class ModeSpec(NamedTuple):
 
 
 def _spec(draws, kernel, wire, *, takes_input=True, field="outcome",
-          by_fidelity=False, oracle=None) -> ModeSpec:
+          by_fidelity=False, oracle=None, shared=None) -> ModeSpec:
     """A mode's spec from the wire (outcome, message_bits, event) of each
     code.  A code has a fidelity unless it is an event that identified
     nothing (a photon miss).  Unless success goes ``by_fidelity``, the
@@ -264,8 +275,8 @@ def _spec(draws, kernel, wire, *, takes_input=True, field="outcome",
     ]
     has = np.array([outcome is not None or event is None for outcome, _, event in wire])
     successes = frozenset(key for key, (outcome, *_) in zip(counted, wire) if outcome)
-    return ModeSpec(draws, kernel, takes_input, field, oracle, counted, has,
-                    None if by_fidelity else successes, heads)
+    return ModeSpec(draws, kernel, takes_input, field, oracle, shared, counted,
+                    has, None if by_fidelity else successes, heads)
 
 
 # Spin and swap codes are the measurement outcome's index, baseline's
@@ -274,12 +285,14 @@ _OUTCOME_WIRE = [(o.value, _MESSAGE_BITS[o], None) for o in MEASUREMENT_ORDER]
 _CERTIFIED = BellOutcome.PSI_MINUS
 MODE_SPECS: dict[Mode, ModeSpec] = {
     Mode.SPIN: _spec(
-        TRIAL_DRAWS, lambda cfg, x, d: teleport_rows(x, d), _OUTCOME_WIRE,
-        by_fidelity=True,
+        TRIAL_DRAWS,
+        lambda cfg, x, d, t: teleport_rows(x, d) if t is None else teleport_rows(x, d, t),
+        _OUTCOME_WIRE, by_fidelity=True,
+        shared=lambda cfg, x: None if x is None else outcome_table(x),
     ),
     Mode.PHOTON: _spec(
         CASCADE_DRAWS,
-        lambda cfg, x, d: cascade_rows(x, cfg.efficiency, d),
+        lambda cfg, x, d, _: cascade_rows(x, cfg.efficiency, d),
         [
             (branch.value, _MESSAGE_BITS[branch.bell_analog], kind.value)
             if (branch := EVENT_ORIGINAL_BRANCH.get(kind))
@@ -292,12 +305,13 @@ MODE_SPECS: dict[Mode, ModeSpec] = {
         ),
     ),
     Mode.BASELINE: _spec(
-        BASELINE_DRAWS, lambda cfg, x, d: baseline_rows(x, d),
+        BASELINE_DRAWS, lambda cfg, x, d, _: baseline_rows(x, d),
         [(None, None, None), (_CERTIFIED.value, _MESSAGE_BITS[_CERTIFIED], None)],
     ),
     Mode.SWAP: _spec(
-        TRIAL_DRAWS, lambda cfg, x, d: teleport_rows(SWAP_INPUT, d), _OUTCOME_WIRE,
+        TRIAL_DRAWS, lambda cfg, x, d, t: teleport_rows(SWAP_INPUT, d, t), _OUTCOME_WIRE,
         takes_input=False, by_fidelity=True,
+        shared=lambda cfg, x: outcome_table(SWAP_INPUT),
     ),
 }
 # Filled once per chunk: with null (swap), a fixed input's text, or, for
@@ -324,19 +338,23 @@ def _columns(cfg: RunConfig) -> Iterator[_Chunk]:
     """The batch's chunks, ``CHUNK_TRIALS[cfg.mode]`` trials each.  This
     frame keeps no chunk across a ``yield`` and ``_chunk``'s locals are gone
     when it returns, so a caller that drops each chunk before asking for the
-    next holds one chunk at a time."""
+    next holds one chunk at a time.  It holds the batch's ``spec.shared``
+    state, built once before the first chunk, until the last."""
     spec, size = MODE_SPECS[cfg.mode], CHUNK_TRIALS[cfg.mode]
     # Swap has no input, and a fixed input is one row that every trial shares.
     fixed = cfg.fixed_input if spec.takes_input else None
     inputs = None if fixed is None else fixed.state_vector().amplitudes[None]
+    shared = None if spec.shared is None else spec.shared(cfg, inputs)
     for start in range(0, cfg.trials, size):
-        yield _chunk(cfg, spec, start, min(start + size, cfg.trials), inputs)
+        yield _chunk(cfg, spec, start, min(start + size, cfg.trials), inputs, shared)
 
 
-def _chunk(cfg: RunConfig, spec: ModeSpec, start: int, stop: int, inputs) -> _Chunk:
+def _chunk(
+    cfg: RunConfig, spec: ModeSpec, start: int, stop: int, inputs, shared
+) -> _Chunk:
     """Trials ``start:stop``: their seeds, draws and, unless ``inputs``
     holds the shared row or the mode takes none, Haar inputs in bulk, then
-    one call to the mode's kernel."""
+    one call to the mode's kernel, with the batch's ``shared`` state."""
     count = stop - start
     base_seeds = derive_seeds(cfg.master_seed, np.arange(start, stop, dtype=np.uint64))
     if spec.takes_input and inputs is None:
@@ -349,7 +367,7 @@ def _chunk(cfg: RunConfig, spec: ModeSpec, start: int, stop: int, inputs) -> _Ch
         draws = both[count:, :spec.draws]
     else:
         draws = uniforms(derive_seeds(base_seeds, 1), spec.draws)
-    codes, *_, fidelities = spec.kernel(cfg, inputs, draws)
+    codes, *_, fidelities = spec.kernel(cfg, inputs, draws, shared)
     has = spec.has_fidelity
     present = fidelities if has.all() else fidelities[has[codes]]
     return _Chunk(start, base_seeds, codes, fidelities, present, inputs)

@@ -273,8 +273,8 @@ def fidelity(s: StateVector, t: StateVector) -> float:
 # of an ``(N, dim)`` complex128 array.  Every contraction but one is a
 # stacked ``@``: numpy hands each row to the same BLAS dot or gemv call as
 # the scalar ``np.vdot`` or ``@``, so every row is bit-identical to the scalar
-# result.  The one is :func:`sample_rows`' projection, one 2-D product of all
-# rows with all projectors.  Its bytes equal the stacked product's by
+# result.  The one is :func:`project_rows`' projection, one 2-D product of
+# all rows with all projectors.  Its bytes equal the stacked product's by
 # measurement, not by derivation: each amplitude is a sum of two products of
 # a projector entry (0 or +-0.5000000000000001) with an amplitude, and the
 # tests and the record digests gate it under more than one BLAS kernel.
@@ -283,11 +283,12 @@ def fidelity(s: StateVector, t: StateVector) -> float:
 # its input and draw blocks once, at entry (``teleport._require_blocks``).
 # The scalar forms above keep their checks, as the references.
 # :func:`pick_rows` is the one outcome rule of every sampled measurement: the
-# Bell measurements reach it through :func:`sample_rows`, and the baseline's
-# product-basis analysis hands it the weights it sums itself.  A Bell
-# measurement's caller then renormalizes, through :func:`post_rows`, only the
-# post states it keeps: one per trial, or one per distinct outcome of a
-# state that every trial shares.
+# Bell measurements reach it through :func:`sample_rows`, or with the
+# probabilities of one shared state that :func:`project_rows` gave once, and
+# the baseline's product-basis analysis hands it the weights it sums itself.
+# A Bell measurement's caller then renormalizes, through :func:`post_rows`,
+# only the post states it keeps: one per trial, or all four outcomes of a
+# state that every trial shares, once.
 
 
 def tensor_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -414,10 +415,19 @@ def sample_rows(
     probabilities, for :func:`post_rows`.  Its one error is
     :func:`pick_rows`' degenerate rule, which holds the outcome rule.
     """
+    projected, probs = project_rows(states, projectors)
+    return pick_rows(probs, draws), projected, probs
+
+
+def project_rows(
+    states: np.ndarray, projectors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The projection half of :func:`sample_rows`: every state on every
+    projector, in one 2-D product, and the Born probabilities."""
     k, dim, _ = projectors.shape
     projected = (states @ projectors.reshape(k * dim, dim).T).reshape(-1, k, dim)
     probs = np.maximum(overlap_rows(states[:, None, :], projected).real, 0.0)
-    return pick_rows(probs, draws), projected, probs
+    return projected, probs
 
 
 def post_rows(

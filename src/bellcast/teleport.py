@@ -52,6 +52,7 @@ from .qcore import (
     normalized_rows,
     pick_rows,
     post_rows,
+    project_rows,
     require_draws_rows,
     sample_rows,
     tensor,  # noqa: F401 - perfbench's tracer looks it up here
@@ -286,7 +287,54 @@ def _projector_stack(n_qubits: int, qubits: tuple[int, int]) -> np.ndarray:
     return stack
 
 
-def teleport_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ...]:
+@dataclass(frozen=True, eq=False)
+class OutcomeTable:
+    """A shared input row's four Bell outcomes, finished: its ``(1, 4)``
+    Born probabilities, and per outcome, in MEASUREMENT_ORDER, the
+    ``bob_pre`` row, the corrected ``bob_post`` row and its fidelity.  Each
+    outcome has probability 1/4 whatever the input, so a trial that shares
+    the row only picks one of the four (:func:`teleport_rows`)."""
+
+    probs: np.ndarray
+    bob_pre: np.ndarray
+    bob_post: np.ndarray
+    fidelities: np.ndarray
+
+
+def _channel(inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``inputs`` tensored with the channel singlet, and the Bell projectors
+    of the measured pair: the input's last qubit and the channel's first."""
+    n = inputs.shape[1].bit_length() - 1
+    return tensor_rows(inputs, _SINGLET), _projector_stack(n + 2, (n - 1, n))
+
+
+def _finished(inputs, projected, probs, keys) -> tuple[np.ndarray, ...]:
+    """The receiver rows of outcomes ``keys`` of ``inputs``' rows (the two
+    broadcast): the post state with the measured pair contracted out,
+    normalized, corrected on the receiver (its last qubit) and scored
+    against the input.  Returns ``bob_pre``, ``bob_post`` and the
+    fidelities."""
+    n = inputs.shape[1].bit_length() - 1
+    post = post_rows(projected, probs, np.arange(len(inputs)), keys)
+    bob_pre = normalized_rows(contract_rows(post, (n - 1, n), _BELL_BRAS[keys]))
+    bob_post = apply_rows(_CORRECTION_MATRICES[keys], bob_pre, (n - 1,))
+    return bob_pre, bob_post, fidelity_rows(bob_post, inputs)
+
+
+def outcome_table(row: np.ndarray) -> OutcomeTable:
+    """The :class:`OutcomeTable` of one checked ``(1, 2)`` or ``(1, 4)``
+    complex input row, as :func:`_require_blocks` returns it.  Its rows are
+    the ones :func:`teleport_rows` finishes per trial, over all four
+    outcomes at once.  A harness batch builds it once and hands it to every
+    chunk; it lives as long as the batch holds it."""
+    projected, probs = project_rows(*_channel(row))
+    keys = np.arange(len(MEASUREMENT_ORDER))
+    return OutcomeTable(probs, *_finished(row, projected, probs, keys))
+
+
+def teleport_rows(
+    inputs: np.ndarray, draws: np.ndarray, table: OutcomeTable | None = None
+) -> tuple[np.ndarray, ...]:
     """:func:`run_trial` and :func:`run_entangled_input` for a batch: one
     ``(N, TRIAL_DRAWS)`` draw row per trial, and one input row per trial or
     one ``(1, width)`` row that every trial shares.
@@ -296,7 +344,11 @@ def teleport_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ..
     singlet, and its last qubit and the pair's first are Bell-measured.  The
     measured pair is contracted out, the rest normalized, corrected on the
     receiver (the last qubit) and scored against the input: once per trial,
-    or once per distinct outcome when every trial shares one input row.
+    or, when every trial shares one input row, once per batch for all four
+    outcomes, in the row's :class:`OutcomeTable`.  ``table`` is that row's
+    table (:func:`outcome_table`), which a batch builds once and hands to
+    each chunk; a shared-row call without one builds its own.  Each trial
+    then only picks its outcome from the table's probabilities.
 
     Its first statement checks both blocks (:func:`_require_blocks`): input
     rows of width 2 or 4, each normalized, one draw per row, every draw in
@@ -308,20 +360,16 @@ def teleport_rows(inputs: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ..
     ``inverse`` in them, and the ``(N,)`` float64 fidelities.
     """
     inputs = _require_blocks(inputs, (2, 4), draws, TRIAL_DRAWS)
-    n = inputs.shape[1].bit_length() - 1
-    measured = (n - 1, n)
-    projectors = _projector_stack(n + 2, measured)
-    outcome, projected, probs = sample_rows(
-        tensor_rows(inputs, _SINGLET), projectors, draws[:, 0]
-    )
-    keys, inverse = outcome, np.arange(len(outcome))
     if len(inputs) == 1:  # one state for every trial
-        keys, inverse = distinct_keys(outcome, len(projectors))
-    post = post_rows(projected, probs, np.arange(len(inputs)), keys)
-    bob_pre = normalized_rows(contract_rows(post, measured, _BELL_BRAS[keys]))
-    bob_post = apply_rows(_CORRECTION_MATRICES[keys], bob_pre, (n - 1,))
-    fidelities = fidelity_rows(bob_post, inputs)
-    return outcome, bob_pre, bob_post, inverse, fidelities[inverse]
+        if table is None:
+            table = outcome_table(inputs)
+        outcome = pick_rows(table.probs, draws[:, 0])
+        keys, inverse = distinct_keys(outcome, len(MEASUREMENT_ORDER))
+        bob_pre, bob_post = table.bob_pre[keys], table.bob_post[keys]
+        return outcome, bob_pre, bob_post, inverse, table.fidelities[outcome]
+    outcome, projected, probs = sample_rows(*_channel(inputs), draws[:, 0])
+    bob_pre, bob_post, fidelities = _finished(inputs, projected, probs, outcome)
+    return outcome, bob_pre, bob_post, np.arange(len(outcome)), fidelities
 
 
 def run_trial(input_state: UnknownState, rng_seed: int) -> TrialRecord:

@@ -23,9 +23,11 @@ row-major weights.  Swapping is the teleportation kernel on the singlet
 row: its once-per-outcome steps are checked against a hand-written
 reference that runs them on every row.  A kernel call whose trials share one
 input row must give the bytes of the same call on that row tiled over the
-trials, per trial, a real or integer row the bytes of its complex row, and
-the teleportation kernel must normalize only one post state per distinct
-outcome of such a call.  A
+trials, per trial, a real or integer row the bytes of its complex row.  The
+teleportation kernel finishes such a row's four outcomes at once, in an
+outcome table: each table row must give the bytes of its outcome finished
+per call for the drawn outcomes only, and a harness batch builds one
+table, which dies with the batch.  A
 cascade call on a shared row starts from one state: each trial must still
 equal its one-row call, and the rows it projects must not grow with the
 trials.  Such a call takes its state
@@ -42,12 +44,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
 
-from bellcast import photonic, teleport
-from bellcast.harness import CHUNK_TRIALS, Mode, parse_input
+from bellcast import harness, photonic, teleport
+from bellcast.harness import CHUNK_TRIALS, Mode, RunConfig, parse_input, run_batch
 from bellcast.observables import (
     MEASUREMENT_ORDER,
     BellOutcome,
@@ -73,8 +76,10 @@ from bellcast.qcore import (
     MIN_PROBABILITY,
     Operator,
     StateVector,
+    apply_rows,
     contract_rows,
     contract_with,
+    distinct_keys,
     embed_operator,
     fidelity_rows,
     ket,
@@ -102,6 +107,7 @@ from bellcast.teleport import (
     baseline_rows,
     haar_random_input,
     haar_rows,
+    outcome_table,
     prepare_singlet,
     run_entangled_input,
     teleport_rows,
@@ -1039,24 +1045,6 @@ class TestSwapRows:
             assert label is MEASUREMENT_ORDER[outcome[0]]
             assert state.amplitudes.tobytes() == final[inverse[0]].tobytes()
 
-    def test_normalizes_one_post_state_per_distinct_outcome(self, monkeypatch):
-        normalized = []
-
-        def counting_post_rows(*args):
-            post = post_rows(*args)
-            normalized.append(post.shape[0])
-            return post
-
-        monkeypatch.setattr(teleport, "post_rows", counting_post_rows)
-        chunk = uniforms(np.arange(1024, dtype=np.uint64), 1)
-        # Every trial of a swap chunk, and of a fixed-input spin chunk,
-        # measures one shared state.
-        for inputs in (SWAP_INPUT, SHARED_INPUT[None]):
-            for draws in (np.full((1, 1), 0.1), chunk):
-                outcome = teleport_rows(inputs, draws)[0]
-                assert normalized.pop() == np.unique(outcome).size <= 4
-        assert not normalized
-
     @pytest.mark.parametrize("bad", [-0.25, 1.0, float("nan")])
     def test_out_of_range_draw(self, bad):
         draws = np.full((6, 1), 0.5)
@@ -1064,3 +1052,118 @@ class TestSwapRows:
         one = batch_error(lambda: teleport_rows(SWAP_INPUT, np.array([[bad]])))
         assert one == f"rng_sample must lie in [0, 1), got {bad}"
         assert batch_error(lambda: teleport_rows(SWAP_INPUT, draws)) == one
+
+
+
+def drawn_outcomes_only(row: np.ndarray, draws: np.ndarray) -> tuple:
+    """A shared row finished per call for only its drawn outcomes, the
+    reference for the outcome table: the row measured against every draw,
+    then each distinct outcome's post state contracted, normalized,
+    corrected and scored.  Returns the outcomes, the distinct keys, each
+    trial's index in them, and the keys' ``bob_pre``, ``bob_post`` and
+    fidelity rows."""
+    n = row.shape[1].bit_length() - 1
+    outcome, projected, probs = sample_rows(
+        tensor_rows(row, _SINGLET), _projector_stack(n + 2, (n - 1, n)), draws[:, 0]
+    )
+    keys, inverse = distinct_keys(outcome, len(MEASUREMENT_ORDER))
+    post = post_rows(projected, probs, np.arange(1), keys)
+    bob_pre = normalized_rows(contract_rows(post, (n - 1, n), _BELL_BRAS[keys]))
+    bob_post = apply_rows(_CORRECTION_MATRICES[keys], bob_pre, (n - 1,))
+    return outcome, keys, inverse, bob_pre, bob_post, fidelity_rows(bob_post, row)
+
+
+class TestOutcomeTable:
+    """A shared row's four outcomes, finished once: each outcome's bytes as
+    finished alone per call, and one table per harness batch, which dies
+    with the batch."""
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            pytest.param(SWAP_INPUT, id="swap"),
+            *(
+                pytest.param(parse_input(text).state_vector().amplitudes[None], id=text)
+                for text in FIXED_INPUTS
+            ),
+            pytest.param(np.array([[0.6, 0.8]]), id="float64:0.6,0.8"),
+            pytest.param(np.array([[1, 0]]), id="int64:1,0"),
+        ],
+    )
+    def test_rows_equal_the_drawn_outcomes_finished_per_call(self, row):
+        complex_row = row.astype(np.complex128)
+        table = outcome_table(complex_row)
+        # Every outcome weighs 1/4 whatever the row, so finishing all four
+        # meets no near-zero state that the drawn outcomes alone would not.
+        assert table.probs.shape == (1, 4)
+        assert np.abs(table.probs - 0.25).max() <= 1e-12
+        # One-row calls that land on each outcome in turn, then 300 draws.
+        calls = [np.array([[draw]]) for draw in (0.1, 0.3, 0.6, 0.9)]
+        calls.append(uniforms(np.arange(300, dtype=np.uint64), TRIAL_DRAWS))
+        seen = set()
+        for draws in calls:
+            outcome, keys, inverse, bob_pre, bob_post, fidelities = (
+                drawn_outcomes_only(complex_row, draws)
+            )
+            for index, key in enumerate(keys.tolist()):
+                assert table.bob_pre[key].tobytes() == bob_pre[index].tobytes()
+                assert table.bob_post[key].tobytes() == bob_post[index].tobytes()
+                assert table.fidelities[key].tobytes() == fidelities[index].tobytes()
+            expected = outcome, bob_pre[inverse], bob_post[inverse], fidelities[inverse]
+            assert_same_bytes(per_trial(teleport_rows(row, draws, table)), expected)
+            assert_same_bytes(per_trial(teleport_rows(row, draws)), expected)
+            seen.update(keys.tolist())
+        assert seen == {0, 1, 2, 3}
+
+    # Three chunks each: a fixed-input spin batch and a swap batch share one
+    # row, a Haar spin batch has none.
+    BATCHES = [
+        (Mode.SPIN, parse_input("fixed:0.6,0.8j"), 1),
+        (Mode.SWAP, None, 1),
+        (Mode.SPIN, None, 0),
+    ]
+
+    def test_one_table_per_shared_row_batch(self, monkeypatch):
+        tables, posted, handed = [], [], []
+
+        def counting_table(row):
+            tables.append(outcome_table(row))
+            return tables[-1]
+
+        def counting_post_rows(*args):
+            post = post_rows(*args)
+            posted.append(len(post))
+            return post
+
+        def kernel(inputs, draws, *table):
+            handed.extend(table)
+            return teleport_rows(inputs, draws, *table)
+
+        monkeypatch.setattr(harness, "outcome_table", counting_table)
+        monkeypatch.setattr(harness, "teleport_rows", kernel)
+        monkeypatch.setattr(teleport, "post_rows", counting_post_rows)
+        for mode, fixed, built in self.BATCHES:
+            trials = 2 * CHUNK_TRIALS[mode] + 3
+            run_batch(RunConfig(mode=mode, trials=trials, fixed_input=fixed))
+            assert len(tables) == built
+            # The four outcomes' post rows once, or one per Haar trial.
+            assert sum(posted) == (4 if built else trials)
+            # Every chunk is handed the batch's one table.
+            assert len(handed) == 3 * built
+            assert all(table is tables[0] for table in handed)
+            for log in (tables, posted, handed):
+                log.clear()
+
+    def test_the_table_dies_with_its_batch(self, monkeypatch):
+        refs = []
+
+        def keeping_ref(row):
+            table = outcome_table(row)
+            refs.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(harness, "outcome_table", keeping_ref)
+        for mode, fixed, _ in self.BATCHES[:2]:
+            trials = 2 * CHUNK_TRIALS[mode] + 3
+            run_batch(RunConfig(mode=mode, trials=trials, fixed_input=fixed))
+            assert len(refs) == 1 and refs.pop()() is None
